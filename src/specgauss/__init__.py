@@ -62,6 +62,7 @@ from .validate import (
     lemma1_check,
     rate_probe,
     series_cov,
+    series_cov_grid,
 )
 from .quantize import (
     FunctionalQuantizer,

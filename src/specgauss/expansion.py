@@ -13,6 +13,15 @@ stream keyed by (seed, path index).  Every family draws the full block of
 2N+1 normals (plus one trailing draw for the initial value when present),
 whether or not it consumes all of them, so a path's randomness depends only
 on (seed, index), never on the family or the execution schedule.
+
+Sampling streams paths one bounded block at a time: normals are drawn
+straight into a block buffer of at most ``_BLOCK_DOUBLES`` doubles (32 MiB)
+per worker, then weighted, folded onto the grid's residues and transformed
+before the next block is drawn.  Memory per worker is therefore bounded
+whatever N is (past N = 2^21 a block is one path, whose draws set the
+bound).  The draw discipline above is unchanged, and because every path
+keeps its own stream and every per-path operation is row-independent,
+sampled values are byte-identical across block sizes and thread counts.
 """
 
 import io
@@ -50,10 +59,6 @@ from .fourier import (
 from .gamma import check_star
 
 _FAMILIES = ("fbm_low", "fbm_high", "type_a", "type_b", "type_c")
-
-# fixed work unit for path generation; never tied to the thread count so the
-# batched linear algebra sees identical shapes run to run
-_PATH_CHUNK = 1024
 
 _BINARY_MAGIC = b"SGPB"
 _BINARY_VERSION = 1
@@ -172,22 +177,28 @@ class PathBatch:
         ref = ""
         rows = []
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
-                if not line:
+                if not line or line.startswith("t,"):
                     continue
-                if line.startswith("#"):
-                    for tok in line[1:].split():
-                        if tok.startswith("seed="):
-                            seed = int(tok[5:])
-                        elif tok.startswith("truncation_N="):
-                            trunc = int(tok[13:])
-                        elif tok.startswith("expansion="):
-                            ref = tok[10:]
-                    continue
-                if line.startswith("t,"):
-                    continue
-                rows.append([float(x) for x in line.split(",")])
+                try:
+                    if line.startswith("#"):
+                        for tok in line[1:].split():
+                            if tok.startswith("seed="):
+                                seed = int(tok[5:])
+                            elif tok.startswith("truncation_N="):
+                                trunc = int(tok[13:])
+                            elif tok.startswith("expansion="):
+                                ref = tok[10:]
+                        continue
+                    row = [float(x) for x in line.split(",")]
+                except ValueError as exc:
+                    raise BadParameter(f"{path}: line {lineno}: {exc}") from None
+                if rows and len(row) != len(rows[0]):
+                    raise BadParameter(
+                        f"{path}: line {lineno}: {len(row)} fields, expected {len(rows[0])}"
+                    )
+                rows.append(row)
         if not rows:
             raise BadParameter(f"{path}: no data rows")
         data = np.array(rows)
@@ -466,15 +477,46 @@ def build_generalized_ou(theta, alpha, mu, sigma, sigma0, T, N):
 # sampling
 # ---------------------------------------------------------------------------
 
+# A block of paths holds at most this many doubles per worker (32 MiB) in
+# draws, and in grid values, so sampling memory does not grow with N or M.
+_BLOCK_DOUBLES = 1 << 22
 
-def _draw_paths(seed, path0, n_paths, n_per_path):
-    """Standard normals, one Philox stream per path keyed by (seed, index)."""
-    out = np.empty((n_paths, n_per_path))
+
+def _n_normals(exp):
+    return 2 * exp.truncation_N + 1 + (1 if exp.init_coupling is not None else 0)
+
+
+def _run_blocks(n_paths, n_per_path, grid_size, seed, threads, block_fn):
+    """Draw the normals of ``n_paths`` paths one bounded block at a time and
+    hand each block to ``block_fn(start, stop, z)``.
+
+    Path i draws ``n_per_path`` normals from its own Philox stream keyed by
+    (seed, i), straight into the block buffer, so its values depend only on
+    (seed, i), never on the block size or the thread count.  A block has
+    ``_BLOCK_DOUBLES // max(n_per_path, grid_size)`` paths (at least one);
+    each worker reuses one buffer and takes every ``threads``-th block.
+    ``block_fn`` must not keep ``z``, which the next block overwrites.
+    """
+    rows = max(1, _BLOCK_DOUBLES // max(n_per_path, grid_size))
     hi = (int(seed) % (1 << 64)) << 64
-    for i in range(n_paths):
-        gen = np.random.Generator(np.random.Philox(key=hi + path0 + i))
-        out[i] = gen.standard_normal(n_per_path)
-    return out
+    workers = max(1, min(int(threads), -(-n_paths // rows)))
+
+    def work(first):
+        buf = np.empty((min(rows, n_paths), n_per_path))
+        for start in range(first * rows, n_paths, workers * rows):
+            stop = min(start + rows, n_paths)
+            z = buf[: stop - start]
+            for i in range(start, stop):
+                gen = np.random.Generator(np.random.Philox(key=hi + i))
+                gen.standard_normal(out=z[i - start])
+            block_fn(start, stop, z)
+
+    if workers == 1:
+        work(0)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for fut in [pool.submit(work, w) for w in range(workers)]:
+            fut.result()
 
 
 def _split_draws(exp, z):
@@ -521,27 +563,20 @@ def _synth_chunk_direct(exp, tgrid, z):
     return _deterministic_terms(exp, tgrid, z0, xi, out)
 
 
-def _n_normals(exp):
-    return 2 * exp.truncation_N + 1 + (1 if exp.init_coupling is not None else 0)
-
-
-def _run_chunks(exp, tgrid, n_paths, seed, threads, chunk_fn):
+def _run_paths(exp, tgrid, n_paths, seed, threads, synth):
     values = np.empty((n_paths, tgrid.size))
-    spans = [(s, min(s + _PATH_CHUNK, n_paths)) for s in range(0, n_paths, _PATH_CHUNK)]
-    n_per_path = _n_normals(exp)
 
-    def work(span):
-        s, e = span
-        z = _draw_paths(seed, s, e - s, n_per_path)
-        values[s:e] = chunk_fn(z)
+    def block(start, stop, z):
+        values[start:stop] = synth(z)
 
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, spans))
-    else:
-        for span in spans:
-            work(span)
-    return values
+    _run_blocks(n_paths, _n_normals(exp), tgrid.size, seed, threads, block)
+    return PathBatch(
+        grid=tgrid,
+        values=values,
+        seed=int(seed),
+        expansion_ref=exp.label,
+        truncation_N=exp.truncation_N,
+    )
 
 
 def _validate_sampling_args(n_paths, seed):
@@ -555,7 +590,7 @@ def sample_paths(exp, grid, n_paths, seed, threads=1):
     """Sample ``n_paths`` paths of ``exp`` on an arbitrary grid in [0, T].
 
     Deterministic given the seed; the per-path Philox streams make the
-    result independent of chunking and thread count.
+    result independent of blocking and thread count.
     """
     _validate_sampling_args(n_paths, seed)
     tgrid = np.ascontiguousarray(np.asarray(grid, dtype=float))
@@ -568,16 +603,9 @@ def sample_paths(exp, grid, n_paths, seed, threads=1):
     T = exp.horizon_T
     if tgrid[0] < -1e-12 * T or tgrid[-1] > T * (1.0 + 1e-12):
         raise BadParameter("grid must lie inside [0, T]")
-    values = _run_chunks(
+    return _run_paths(
         exp, tgrid, int(n_paths), seed, int(threads),
         lambda z: _synth_chunk_direct(exp, tgrid, z),
-    )
-    return PathBatch(
-        grid=tgrid,
-        values=values,
-        seed=int(seed),
-        expansion_ref=exp.label,
-        truncation_N=exp.truncation_N,
     )
 
 
@@ -592,113 +620,92 @@ def _uniform_resolution(grid, T):
     return m
 
 
-# FFT row block: keeps the folded-buffer temporaries of the fast path modest
-_FFT_ROW_DOUBLES = 1 << 23
+def _pair_weights(exp):
+    """(N, 2) amplitudes of the sine and cosine draw of each frequency, in
+    draw order; zero cosine weights for a pure-sine family."""
+    cos_amp = exp.cos_amp if exp.cos_amp is not None else np.zeros(exp.truncation_N)
+    return np.column_stack((exp.sin_amp, cos_amp))
 
 
-def _fast_rows(m):
-    return max(1, _FFT_ROW_DOUBLES // max(1, m))
-
-
-def _fold_sines(weighted, length):
-    """Fold per-frequency sine weights onto the base band of a grid with
+def _fold(z, weights, length):
+    """Residue sums of the amplitude-weighted draws on a grid with
     ``length`` cells per half period.
 
-    sin(pi k j / L) depends on k only through k mod 2L: the upper half band
-    reflects with a sign flip and multiples of L vanish.  Frequencies k = r
-    (mod 2L) sit at strided columns, so each output slot is a strided sum.
+    sin and cos of pi k j / length depend on k only through k mod 2 length,
+    the aliasing identity behind circulant embedding.  The draws of
+    frequency k sit at columns 2k-1 (sine) and 2k (cosine) of ``z``, so
+    ``z[:, 1:2N+1]`` views as (paths, N, 2) pairs and whole 2 length-wide
+    bands of frequencies weight and sum in one pass, before the remainder
+    band.  Returns ``res[p, i, c]``, the sum of weights[k-1, c] * draw over
+    k = i + 1 (mod 2 length), for i < min(N, 2 length): index i holds
+    residue i + 1, and the last of 2 length entries residue 0.
     """
-    p, n = weighted.shape
-    lng = length
-    folded = np.zeros((p, max(lng - 1, 0)))
-    if lng <= 1 or n == 0:
-        return folded
-    if n <= lng - 1:
-        folded[:, :n] = weighted  # every frequency sits in its own slot
-        return folded
-    step = 2 * lng
-    for r in range(1, lng):
-        acc = weighted[:, r - 1 :: step].sum(axis=1)
-        neg = weighted[:, step - r - 1 :: step]
-        if neg.shape[1]:
-            acc = acc - neg.sum(axis=1)
-        folded[:, r - 1] = acc
-    return folded
+    p = z.shape[0]
+    n = weights.shape[0]
+    band = 2 * length
+    pairs = z[:, 1 : 2 * n + 1].reshape(p, n, 2)
+    full = n - n % band
+    rem = pairs[:, full:] * weights[full:]
+    if not full:
+        return rem
+    res = np.einsum(
+        "pbic,bic->pic",
+        pairs[:, :full].reshape(p, full // band, band, 2),
+        weights[:full].reshape(full // band, band, 2),
+    )
+    res[:, : n - full] += rem
+    return res
 
 
-def _fold_cosines(weighted, length):
-    """Fold per-frequency cosine weights into DCT-I layout on a grid with
-    ``length`` cells: both half bands add in phase, x[0] and x[length]
-    collect the constant and Nyquist frequencies, and interior entries are
-    halved so the transform returns the plain cosine sum."""
-    p, n = weighted.shape
-    lng = length
-    x = np.zeros((p, lng + 1))
-    if n == 0:
-        return x
-    if n <= lng - 1:
-        x[:, 1 : n + 1] = 0.5 * weighted
-        return x
-    step = 2 * lng
-    zero_band = weighted[:, step - 1 :: step]
-    if zero_band.shape[1]:
-        x[:, 0] = zero_band.sum(axis=1)
-    nyq_band = weighted[:, lng - 1 :: step]
-    if nyq_band.shape[1]:
-        x[:, lng] = nyq_band.sum(axis=1)
-    for r in range(1, lng):
-        acc = weighted[:, r - 1 :: step].sum(axis=1)
-        neg = weighted[:, step - r - 1 :: step]
-        if neg.shape[1]:
-            acc = acc + neg.sum(axis=1)
-        x[:, r] = 0.5 * acc
-    return x
+def _fast_series_eval(z, weights, m, one_minus_cos, doubled):
+    """Series values on the uniform (m+1)-point grid from one block of draws.
 
-
-def _fast_series_eval(ws, wc, m, one_minus_cos, doubled):
-    """Series values on the uniform (m+1)-point grid from pre-weighted draws.
-
-    ``ws``/``wc`` are (paths, N) arrays of amplitude-weighted normals for the
-    sine and cosine channels; ``wc`` is None for a pure-sine family.  With
-    ``doubled`` the sine frequencies are k pi / (2T), living on a virtual
-    grid of 2m cells of which the first half is returned.
+    ``weights`` is the (N, 2) sine/cosine amplitude table of
+    :func:`_pair_weights`.  Of the 2L residues of the fold, r and 2L - r
+    alias onto DST-I slot r with opposite sine signs, and onto DCT-I entry
+    r in phase, where residue 0 (the constant) and L (Nyquist) sit at the
+    two ends and interior entries are halved so the transform returns the
+    plain cosine sum.  With ``doubled`` the sine frequencies are k pi / (2T),
+    living on a virtual grid of L = 2m cells of which the first half is
+    returned.
     """
-    p = ws.shape[0]
+    p = z.shape[0]
     out = np.zeros((p, m + 1))
-    if ws.shape[1] == 0:
-        return out
-    if doubled:
-        folded = _fold_sines(ws, 2 * m)
-        if folded.shape[1]:
-            y = scipy.fft.dst(folded, type=1, axis=1)
-            out[:, 1:] = 0.5 * y[:, :m]
-    else:
-        folded = _fold_sines(ws, m)
-        if folded.shape[1]:
-            y = scipy.fft.dst(folded, type=1, axis=1)
-            out[:, 1:m] = 0.5 * y
-        x = _fold_cosines(wc, m)
+    lng = 2 * m if doubled else m
+    res = _fold(z, weights, lng)
+    k = res.shape[1]
+    a = min(k, lng - 1)  # residues 1 .. a land on their own slot
+    b = min(k, 2 * lng - 1)  # residues L+1 .. b alias onto slots 2L-b .. L-1
+    if lng > 1:
+        x = np.zeros((p, lng - 1))
+        x[:, :a] = res[:, :a, 0]
+        if b > lng:
+            x[:, 2 * lng - 1 - b :] -= res[:, lng:b, 0][:, ::-1]
+        y = scipy.fft.dst(x, type=1, axis=1)
+        cols = min(lng - 1, m)  # slots that are grid points
+        np.multiply(y[:, :cols], 0.5, out=out[:, 1 : cols + 1])
+    if not doubled:
+        x = np.zeros((p, m + 1))
+        x[:, 1 : a + 1] = res[:, :a, 1]
+        if b > m:
+            x[:, 2 * m - b : m] += res[:, m:b, 1][:, ::-1]
+        x[:, 1:m] *= 0.5
+        if k >= m:
+            x[:, m] = res[:, m - 1, 1]
+        if k == 2 * m:
+            x[:, 0] = res[:, -1, 1]
         cos_part = scipy.fft.dct(x, type=1, axis=1)
         if one_minus_cos:
-            out += np.sum(wc, axis=1)[:, None] - cos_part
+            out -= cos_part
+            out += np.sum(res[:, :, 1], axis=1)[:, None]
         else:
             out += cos_part
     return out
 
 
-def _synth_chunk_fast(exp, m, tgrid, z):
-    z0, zs, zc, xi = _split_draws(exp, z)
-    n = exp.truncation_N
-    p = z.shape[0]
-    out = np.zeros((p, m + 1))
-    if n > 0:
-        doubled = exp.family == "type_c"
-        rows = _fast_rows(m)
-        for s in range(0, p, rows):
-            sl = slice(s, min(s + rows, p))
-            ws = zs[sl] * exp.sin_amp
-            wc = None if doubled else zc[sl] * exp.cos_amp
-            out[sl] = _fast_series_eval(ws, wc, m, exp.one_minus_cos, doubled)
+def _synth_chunk_fast(exp, m, tgrid, z, weights):
+    z0, _, _, xi = _split_draws(exp, z)
+    out = _fast_series_eval(z, weights, m, exp.one_minus_cos, exp.family == "type_c")
     return _deterministic_terms(exp, tgrid, z0, xi, out)
 
 
@@ -706,8 +713,11 @@ def sample_paths_fast(exp, M, n_paths, seed, threads=1):
     """Sample on the uniform grid t_j = j T / M via fast trig transforms.
 
     ``M`` is the resolution; passing the grid array itself is also accepted
-    and validated for uniformity.  Matches :func:`sample_paths` on the same
-    grid and seed to 1e-10 absolute.
+    and validated for uniformity.  Paths are drawn, weighted, folded and
+    transformed one bounded block at a time, so memory per worker stays
+    bounded whatever N is, and the values are byte-identical across block
+    sizes and thread counts.  Matches :func:`sample_paths` on the same grid
+    and seed to 1e-10 absolute.
     """
     _validate_sampling_args(n_paths, seed)
     if isinstance(M, (list, tuple, np.ndarray)):
@@ -717,16 +727,10 @@ def sample_paths_fast(exp, M, n_paths, seed, threads=1):
         if m < 1:
             raise BadParameter("M must be >= 1")
     tgrid = np.arange(m + 1) * (exp.horizon_T / m)
-    values = _run_chunks(
+    weights = _pair_weights(exp)
+    return _run_paths(
         exp, tgrid, int(n_paths), seed, int(threads),
-        lambda z: _synth_chunk_fast(exp, m, tgrid, z),
-    )
-    return PathBatch(
-        grid=tgrid,
-        values=values,
-        seed=int(seed),
-        expansion_ref=exp.label,
-        truncation_N=exp.truncation_N,
+        lambda z: _synth_chunk_fast(exp, m, tgrid, z, weights),
     )
 
 

@@ -96,27 +96,30 @@ class CosineSeries:
         label = ""
         ks, vals, errs = [], [], []
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
-                if not line:
+                if not line or line.startswith("k,"):
                     continue
-                if line.startswith("#"):
-                    for tok in line[1:].split():
-                        if tok.startswith("T="):
-                            horizon = float(tok[2:])
-                        elif tok.startswith("method="):
-                            method = tok[7:]
-                        elif tok.startswith("has_c0="):
-                            has_c0 = bool(int(tok[7:]))
-                        elif tok.startswith("label="):
-                            label = tok[6:]
-                    continue
-                if line.startswith("k,"):
-                    continue
-                a, b, c = line.split(",")
-                ks.append(int(a))
-                vals.append(float(b))
-                errs.append(float(c))
+                try:
+                    if line.startswith("#"):
+                        for tok in line[1:].split():
+                            if tok.startswith("T="):
+                                horizon = float(tok[2:])
+                            elif tok.startswith("method="):
+                                method = tok[7:]
+                            elif tok.startswith("has_c0="):
+                                has_c0 = bool(int(tok[7:]))
+                            elif tok.startswith("label="):
+                                label = tok[6:]
+                        continue
+                    fields = line.split(",")
+                    if len(fields) != 3:
+                        raise ValueError(f"{len(fields)} fields, expected 3 (k,c_k,err_bound)")
+                    ks.append(int(fields[0]))
+                    vals.append(float(fields[1]))
+                    errs.append(float(fields[2]))
+                except ValueError as exc:
+                    raise BadParameter(f"{path}: line {lineno}: {exc}") from None
         if horizon is None:
             raise BadParameter(f"{path}: missing T= metadata comment")
         if ks != list(range(len(ks))):

@@ -546,7 +546,7 @@ def _tail_variance_integral(exp):
     if exp.coeff_series is None:
         raise BadParameter("expansion carries no coefficient series")
     per_k = tail_sum(exp.coeff_series, exp.truncation_N)
-    factor = exp.horizon_T / 2.0 if exp.family in ("type_c", "generalized_ou") else exp.horizon_T
+    factor = exp.horizon_T / 2.0 if exp.family == "type_c" else exp.horizon_T
     return per_k * factor
 
 
@@ -680,12 +680,11 @@ def distortion_mc(q, exp, n_paths, seed, grid_points=257):
     fmat = red.reduced_functions(tgrid)
     cmat = red.coordinate_matrix()
     root_mu = np.sqrt(red.mu)
-    nn = _exp._n_normals(exp)
+    weights = _exp._pair_weights(exp)
     sq = np.empty(n_paths)
-    for start in range(0, n_paths, _exp._PATH_CHUNK):
-        stop = min(start + _exp._PATH_CHUNK, n_paths)
-        z = _exp._draw_paths(seed, start, stop - start, nn)
-        paths = _exp._synth_chunk_fast(exp, m_panels, tgrid, z)
+
+    def block(start, stop, z):
+        paths = _exp._synth_chunk_fast(exp, m_panels, tgrid, z, weights)
         y = _coordinate_draws(exp, red, z) @ cmat.T
         coeffs = q.project_coords(y) * root_mu[None, :]
         code = coeffs @ fmat
@@ -693,6 +692,8 @@ def distortion_mc(q, exp, n_paths, seed, grid_points=257):
             code += np.asarray(exp.mean_fn(tgrid))[None, :]
         gap = paths - code
         sq[start:stop] = np.trapezoid(gap * gap, tgrid, axis=1)
+
+    _exp._run_blocks(n_paths, _exp._n_normals(exp), tgrid.size, seed, 1, block)
     est = float(np.mean(sq))
     se = float(np.std(sq, ddof=1) / math.sqrt(n_paths))
     return est, se

@@ -2,10 +2,11 @@
 
 :func:`analytic_cov` evaluates the exact covariance of each supported model;
 :func:`series_cov` evaluates the covariance implied by a truncated expansion
-deterministically from its amplitudes.  The gap between the two is bounded
-by the coefficient tail, which the report checks exploit.  The rate probe
-measures the decay of the uniform truncation error empirically against the
-expected N^(-H) sqrt(log N) law.
+deterministically from its amplitudes, and :func:`series_cov_grid` does so on
+a whole grid as one matrix product.  The gap between series and analytic
+covariance is bounded by the coefficient tail, which the report checks
+exploit.  The rate probe measures the decay of the uniform truncation error
+empirically against the expected N^(-H) sqrt(log N) law.
 """
 
 import math
@@ -15,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BadParameter, DeltaOutOfRange, TooFewPaths
-from .expansion import _draw_paths, _fast_rows, _fast_series_eval
+from .expansion import _fast_series_eval, _run_blocks
 from .fourier import coeffs_quadrature, fbm_coefficients, tail_sum
 from .gamma import GammaSpec
 
@@ -157,6 +158,46 @@ def series_cov(exp, s, t):
     return total
 
 
+def series_cov_grid(exp, grid):
+    """Covariance matrix implied by the truncated expansion on a whole grid.
+
+    ``S diag(a^2) S^T + C diag(b^2) C^T`` with S and C the sine and
+    cosine-channel basis at the grid points, plus the drift and
+    initial-value outer products: :func:`series_cov` at every pair, as one
+    product.  Frequencies are taken in blocks so the basis stays small.
+    """
+    T = exp.horizon_T
+    t = np.asarray(grid, dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise BadParameter("grid must be a nonempty 1-D array")
+    if np.any(t < -1e-12 * T) or np.any(t > T * (1.0 + 1e-12)):
+        raise BadParameter("grid must lie inside [0, T]")
+    cov = np.zeros((t.size, t.size))
+    n = exp.truncation_N
+    blk = max(1, (1 << 22) // t.size)
+    for k0 in range(0, n, blk):
+        k1 = min(k0 + blk, n)
+        ang = np.outer(t, np.arange(k0 + 1, k1 + 1) * (math.pi / exp.period_T))
+        basis = np.sin(ang) * exp.sin_amp[k0:k1]
+        cov += basis @ basis.T
+        if exp.cos_amp is not None:
+            basis = np.cos(ang)
+            if exp.one_minus_cos:
+                basis = 1.0 - basis
+            basis *= exp.cos_amp[k0:k1]
+            cov += basis @ basis.T
+    if exp.drift_amp > 0.0:
+        if exp.family == "fbm_high":
+            cov += exp.drift_amp**2 * np.outer(t, t)
+        elif exp.family == "type_b":
+            cov += exp.drift_amp**2
+    if exp.init_coupling is not None:
+        sigma0, theta = exp.init_coupling
+        e = sigma0 * np.exp(-theta * t)
+        cov += np.outer(e, e)
+    return cov
+
+
 def empirical_cov(batch, i, j):
     """Unbiased sample covariance of grid columns i, j with a jackknife
     standard error.  Needs at least 100 paths."""
@@ -182,17 +223,17 @@ def covariance_report(model, exp, batch, *, z_bound=4.0):
     grid = batch.grid
     m = grid.size
     pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    analytic = {(i, j): analytic_cov(model, grid[i], grid[j]) for i, j in pairs}
     # Gaps below this are zero at double precision; without the floor a
     # pinned grid point (exact-zero covariance, se ~ rounding noise)
     # produces an arbitrarily large z from a meaningless 1e-26 gap.
-    scale = max(abs(analytic_cov(model, t, t)) for t in grid)
+    scale = max(abs(analytic[i, i]) for i in range(m))
     atol = 1e-10 * max(scale, 1e-300)
     worst_z = 0.0
     worst_pair = (0, 0)
     for i, j in pairs:
         est, se = empirical_cov(batch, i, j)
-        cov = analytic_cov(model, grid[i], grid[j])
-        gap = abs(est - cov)
+        gap = abs(est - analytic[i, j])
         if gap <= atol:
             z = 0.0
         elif se == 0.0:
@@ -213,10 +254,8 @@ def covariance_report(model, exp, batch, *, z_bound=4.0):
     ]
     if exp.coeff_series is not None:
         tail = 2.0 * tail_sum(exp.coeff_series, exp.truncation_N)
-        worst_gap = 0.0
-        for i, j in pairs:
-            gap = abs(series_cov(exp, grid[i], grid[j]) - analytic_cov(model, grid[i], grid[j]))
-            worst_gap = max(worst_gap, gap)
+        series = series_cov_grid(exp, grid)
+        worst_gap = max(abs(series[i, j] - cov) for (i, j), cov in analytic.items())
         checks.append(
             {
                 "name": "series_vs_analytic",
@@ -273,20 +312,20 @@ def rate_probe(model, Ns, replicates, grid_resolution, seed):
     m = max(int(grid_resolution), 16 * Ns[-1])
     series = fbm_coefficients(H, T, n_ref)
     amps = np.sqrt(np.maximum(-series.values[1:] / 2.0, 0.0))
+    # the residual beyond N keeps the amplitudes of frequencies k > N only
+    resid_weights = {}
+    for n in Ns:
+        w = np.column_stack((amps, amps))
+        w[:n] = 0.0
+        resid_weights[n] = w
     sups = {n: np.empty(replicates) for n in Ns}
-    rows = max(1, min(_fast_rows(m), _fast_rows(n_ref)))
-    for r0 in range(0, replicates, rows):
-        r1 = min(r0 + rows, replicates)
-        z = _draw_paths(seed, r0, r1 - r0, 2 * n_ref + 1)
-        zs = z[:, 1::2] * amps
-        zc = z[:, 2::2] * amps
+
+    def block(start, stop, z):
         for n in Ns:
-            ws = zs.copy()
-            wc = zc.copy()
-            ws[:, :n] = 0.0
-            wc[:, :n] = 0.0
-            resid = _fast_series_eval(ws, wc, m, True, False)
-            sups[n][r0:r1] = np.max(np.abs(resid), axis=1)
+            resid = _fast_series_eval(z, resid_weights[n], m, True, False)
+            sups[n][start:stop] = np.max(np.abs(resid), axis=1)
+
+    _run_blocks(replicates, 2 * n_ref + 1, m + 1, seed, 1, block)
     ests = []
     stderrs = []
     for n in Ns:

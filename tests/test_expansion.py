@@ -1,11 +1,18 @@
 """Expansion builders and path sampling: exactness, determinism, round trips."""
 
+import dataclasses
 import math
+import os
+import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from specgauss import expansion
 from specgauss import (
     BadParameter,
     BranchMismatch,
@@ -135,12 +142,57 @@ def test_path_batch_validation():
         PathBatch(grid=np.array([0.0, 1.0]), values=np.array([[0.0, np.inf]]), seed=1)
 
 
+def truncated(exp, n):
+    """The first ``n`` frequencies of ``exp``."""
+    cos_amp = None if exp.cos_amp is None else exp.cos_amp[:n]
+    return dataclasses.replace(exp, truncation_N=n, sin_amp=exp.sin_amp[:n], cos_amp=cos_amp)
+
+
+# (N, M) around the band edges of the fold: the Nyquist residue at N = M (or
+# 2M for the doubled type-C period), whole bands of 2M frequencies, and a
+# deep case with 8 bands (4 for type C)
+_FOLD_CASES = [(n, 16) for n in (14, 15, 16, 17, 31, 32, 33)] + [(64, 4)]
+
+
 def test_fast_path_matches_direct_all_families():
+    for name, full in all_family_expansions().items():
+        for n, m in _FOLD_CASES:
+            exp = truncated(full, n)
+            fast = sample_paths_fast(exp, m, 8, 42)
+            direct = sample_paths(exp, fast.grid, 8, 42)
+            gap = np.max(np.abs(fast.values - direct.values))
+            assert gap <= 1e-10, f"{name} N={n} M={m}: fast vs direct gap {gap:.2e}"
+
+
+def test_fast_path_is_byte_identical_across_blocks_and_threads(monkeypatch):
+    n_paths = 23  # not a multiple of any block size below
     for name, exp in all_family_expansions().items():
-        fast = sample_paths_fast(exp, 64, 8, 42)
-        direct = sample_paths(exp, fast.grid, 8, 42)
-        gap = np.max(np.abs(fast.values - direct.values))
-        assert gap <= 1e-10, f"{name}: fast vs direct gap {gap:.2e}"
+        ref = sample_paths_fast(exp, 8, n_paths, 6).values
+        width = expansion._n_normals(exp)
+        for rows in (1, 7, None):
+            budget = expansion._BLOCK_DOUBLES if rows is None else rows * width
+            with monkeypatch.context() as mp:
+                mp.setattr(expansion, "_BLOCK_DOUBLES", budget)
+                for threads in (1, 3):
+                    got = sample_paths_fast(exp, 8, n_paths, 6, threads=threads).values
+                    assert got.tobytes() == ref.tobytes(), f"{name} rows={rows} threads={threads}"
+
+
+def test_fast_path_memory_is_bounded_by_the_block_budget():
+    n = 1 << 16
+    amps = np.arange(1, n + 1, dtype=float) ** -0.8
+    exp = expansion.SeriesExpansion(
+        family="fbm_low", horizon_T=1.0, period_T=1.0, truncation_N=n,
+        drift_amp=0.0, sin_amp=amps, cos_amp=amps,
+    )
+    tracemalloc.start()
+    try:
+        sample_paths_fast(exp, 32, 256, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # all 256 paths at once would need 256 * (2N + 1) doubles, 8x the budget
+    assert peak < 2 * 8 * expansion._BLOCK_DOUBLES, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_sampling_is_deterministic_and_extends_by_path(exp_low):
@@ -231,3 +283,43 @@ def test_truncation_for_tolerance():
     assert n_far > 2048
     with pytest.raises(BadParameter):
         truncation_for_tolerance(s, 0.0)
+
+
+def test_path_csv_rejects_malformed_rows(tmp_path, exp_ou):
+    good = sample_paths_fast(exp_ou, 4, 3, 1).to_csv_text().splitlines()
+    first_data = next(i for i, line in enumerate(good) if line[0].isdigit())
+    bad_rows = {
+        "non-numeric": good[first_data].replace(",", ",abc,", 1),
+        "ragged": good[first_data] + ",0.5",
+    }
+    for kind, bad in bad_rows.items():
+        lines = list(good)
+        lines[first_data + 1] = bad
+        path = tmp_path / f"{kind}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(BadParameter, match=rf"{kind}\.csv: line {first_data + 2}"):
+            PathBatch.from_csv(path)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(_finite, min_size=1, max_size=6, unique=True),
+    st.integers(min_value=1, max_value=4),
+    st.data(),
+)
+def test_path_csv_round_trips_arbitrary_finite_floats(grid, n_paths, data):
+    grid = np.sort(np.array(grid))
+    values = np.array(
+        data.draw(st.lists(st.lists(_finite, min_size=grid.size, max_size=grid.size),
+                           min_size=n_paths, max_size=n_paths))
+    )
+    batch = PathBatch(grid=grid, values=values, seed=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "paths.csv")
+        batch.to_csv(path)
+        back = PathBatch.from_csv(path)
+    assert back.grid.tobytes() == batch.grid.tobytes()
+    assert back.values.tobytes() == batch.values.tobytes()

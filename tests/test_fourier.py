@@ -202,3 +202,15 @@ def test_series_csv_round_trip(tmp_path):
     assert back.has_c0 == s.has_c0
     assert np.array_equal(back.values, s.values)
     assert np.array_equal(back.error_bounds, s.error_bounds)
+
+
+def test_series_csv_rejects_malformed_rows(tmp_path):
+    lines = fbm_coefficients(0.3, 1.0, 4).to_csv_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("2,"))
+    for kind, bad in {"fields": "2,0.5", "extra": lines[row] + ",1", "number": "2,x,0.0"}.items():
+        broken = list(lines)
+        broken[row] = bad
+        path = tmp_path / f"{kind}.csv"
+        path.write_text("\n".join(broken) + "\n")
+        with pytest.raises(BadParameter, match=rf"{kind}\.csv: line {row + 1}"):
+            CosineSeries.from_csv(path)

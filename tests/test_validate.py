@@ -22,9 +22,11 @@ from specgauss import (
     rate_probe,
     sample_paths_fast,
     series_cov,
+    series_cov_grid,
     tail_sum,
 )
 from specgauss.expansion import PathBatch
+from test_expansion import all_family_expansions
 
 
 def test_analytic_cov_closed_forms():
@@ -76,6 +78,18 @@ def test_series_cov_trig_identity_low_branch():
                + np.cos(k * math.pi * (t - s)))
         ))
         assert series_cov(exp, s, t) == pytest.approx(ref, abs=1e-12)
+
+
+def test_series_cov_grid_matches_scalar_all_families():
+    grid = np.concatenate([np.linspace(0.0, 1.0, 17), [0.013, 0.37, 0.9999]])
+    for name, exp in all_family_expansions().items():
+        got = series_cov_grid(exp, grid)
+        ref = np.array([[series_cov(exp, s, t) for t in grid] for s in grid])
+        # each pair's terms are bounded by sqrt(var(s) var(t)) (Cauchy-Schwarz)
+        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale), name
+    with pytest.raises(BadParameter):
+        series_cov_grid(exp, [0.5, 1.5])
 
 
 def test_empirical_cov_identity_and_guard():
