@@ -1,0 +1,200 @@
+"""The sampling engine: draws, path blocks, fold, transforms, direct synthesis.
+
+This is the one module that knows how the random draws of a
+:class:`~specgauss.expansion.SeriesExpansion` are laid out.
+
+Draw discipline: the doubly-indexed normals are serialized per path as
+(Z_0, Z_1, Z_-1, Z_2, Z_-2, ...), generated from a counter-based Philox
+stream keyed by (seed, path index).  Every family draws the full block of
+2N+1 normals (plus one trailing draw for the initial value when present),
+whether or not it consumes all of them, so a path's randomness depends only
+on (seed, index), never on the family or the execution schedule.
+
+Sampling streams paths one bounded block at a time: normals are drawn
+straight into a block buffer of at most ``BLOCK_DOUBLES`` doubles (32 MiB)
+per worker, then weighted, folded onto the grid's residues and transformed
+before the next block is drawn.  Memory per worker is therefore bounded
+whatever N is (past N = 2^21 a block is one path, whose draws set the
+bound).  Because every path keeps its own stream and every per-path
+operation is row-independent, sampled values are byte-identical across block
+sizes and thread counts.
+
+On a uniform grid the series is a fold plus a DST-I/DCT-I
+(:func:`fast_values`); :func:`direct_values` sums the basis at arbitrary
+points and is the reference the fast route is checked against.
+"""
+
+import math
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import scipy.fft
+
+# A block of paths holds at most this many doubles per worker (32 MiB) in
+# draws, and in grid values, so sampling memory does not grow with N or M.
+# Direct synthesis also bounds its basis block by it.
+BLOCK_DOUBLES = 1 << 22
+
+
+def run_blocks(exp, n_paths, grid_size, seed, threads, block_fn):
+    """Draw the normals of ``n_paths`` paths of ``exp`` one bounded block at
+    a time and hand each block to ``block_fn(start, stop, z)``.
+
+    A block has ``BLOCK_DOUBLES // max(draws per path, grid_size)`` paths
+    (at least one); each worker re-keys one bit generator per path, reuses
+    one buffer and takes every ``threads``-th block.  ``block_fn`` must not
+    keep ``z``, which the next block overwrites.
+    """
+    width = 2 * exp.truncation_N + 1 + (1 if exp.init_coupling is not None else 0)
+    rows = max(1, BLOCK_DOUBLES // max(width, grid_size))
+    hi = (int(seed) % (1 << 64)) << 64
+    workers = max(1, min(int(threads), -(-n_paths // rows)))
+
+    def work(first):
+        bitgen = np.random.Philox(key=hi)
+        gen = np.random.Generator(bitgen)
+        # a fresh stream: zero counter, empty buffer; key words (i, seed)
+        fresh = bitgen.state
+        buf = np.empty((min(rows, n_paths), width))
+        for start in range(first * rows, n_paths, workers * rows):
+            stop = min(start + rows, n_paths)
+            z = buf[: stop - start]
+            for i in range(start, stop):
+                fresh["state"]["key"][0] = i
+                bitgen.state = fresh
+                gen.standard_normal(out=z[i - start])
+            block_fn(start, stop, z)
+
+    if workers == 1:
+        work(0)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for fut in [pool.submit(work, w) for w in range(workers)]:
+            fut.result()
+
+
+def split_draws(exp, z):
+    """Views (Z_0, sine draws, cosine draws, initial-value draw or None) of
+    one block of draws, each indexed by path first."""
+    n = exp.truncation_N
+    block = z[:, : 2 * n + 1]
+    xi = z[:, 2 * n + 1] if exp.init_coupling is not None else None
+    return block[:, 0], block[:, 1::2], block[:, 2::2], xi
+
+
+def _deterministic_terms(exp, tgrid, z, out):
+    z0, _, _, xi = split_draws(exp, z)
+    if exp.drift_amp > 0.0:
+        if exp.family == "fbm_high":
+            out += (exp.drift_amp * z0)[:, None] * tgrid[None, :]
+        elif exp.family == "type_b":
+            out += (exp.drift_amp * z0)[:, None]
+    if exp.mean_fn is not None:
+        out += np.asarray(exp.mean_fn(tgrid), dtype=float)[None, :]
+    if exp.init_coupling is not None:
+        sigma0, theta = exp.init_coupling
+        if sigma0 > 0.0:
+            out += (sigma0 * xi)[:, None] * np.exp(-theta * tgrid)[None, :]
+    return out
+
+
+def direct_values(exp, tgrid, z):
+    """Path values at the points ``tgrid`` from one block of draws, summing
+    the sine and cosine-channel bases directly over frequency chunks of at
+    most ``BLOCK_DOUBLES`` basis entries."""
+    _, zs, zc, _ = split_draws(exp, z)
+    out = np.zeros((z.shape[0], tgrid.size))
+    n = exp.truncation_N
+    base = math.pi / exp.period_T
+    blk = max(1, BLOCK_DOUBLES // tgrid.size)
+    for k0 in range(0, n, blk):
+        k1 = min(k0 + blk, n)
+        ang = np.outer(np.arange(k0 + 1, k1 + 1, dtype=np.float64) * base, tgrid)
+        out += (zs[:, k0:k1] * exp.sin_amp[k0:k1]) @ np.sin(ang)
+        if exp.cos_amp is not None:
+            c_basis = np.cos(ang)
+            if exp.one_minus_cos:
+                c_basis = 1.0 - c_basis
+            out += (zc[:, k0:k1] * exp.cos_amp[k0:k1]) @ c_basis
+    return _deterministic_terms(exp, tgrid, z, out)
+
+
+def _fold(z, weights, length):
+    """Residue sums of the amplitude-weighted draws on a grid with
+    ``length`` cells per half period.
+
+    sin and cos of pi k j / length depend on k only through k mod 2 length,
+    the aliasing identity behind circulant embedding.  The draws of
+    frequency k sit at columns 2k-1 (sine) and 2k (cosine) of ``z``, so
+    ``z[:, 1:2N+1]`` views as (paths, N, 2) pairs and whole 2 length-wide
+    bands of frequencies weight and sum in one pass, before the remainder
+    band.  Returns ``res[p, i, c]``, the sum of weights[k-1, c] * draw over
+    k = i + 1 (mod 2 length), for i < min(N, 2 length): index i holds
+    residue i + 1, and the last of 2 length entries residue 0.
+    """
+    p = z.shape[0]
+    n = weights.shape[0]
+    band = 2 * length
+    pairs = z[:, 1 : 2 * n + 1].reshape(p, n, 2)
+    full = n - n % band
+    rem = pairs[:, full:] * weights[full:]
+    if not full:
+        return rem
+    res = np.einsum(
+        "pbic,bic->pic",
+        pairs[:, :full].reshape(p, full // band, band, 2),
+        weights[:full].reshape(full // band, band, 2),
+    )
+    res[:, : n - full] += rem
+    return res
+
+
+def fast_values(exp, m, z):
+    """Path values on the uniform grid t_j = j T / m from one block of draws.
+
+    The (N, 2) sine/cosine amplitude table (zero cosines for a pure-sine
+    family) weights the draws in the fold.  Of its 2L residues, r and
+    2L - r alias onto DST-I slot r with opposite sine signs, and onto DCT-I
+    entry r in phase, where residue 0 (the constant) and L (Nyquist) sit at
+    the two ends and interior entries are halved so the transform returns
+    the plain cosine sum.  Type C's sine frequencies are k pi / (2T), living
+    on a virtual grid of L = 2m cells of which the first half is returned;
+    elsewhere L = m.
+    """
+    n = exp.truncation_N
+    cos_amp = exp.cos_amp if exp.cos_amp is not None else np.zeros(n)
+    weights = np.column_stack((exp.sin_amp, cos_amp))
+    doubled = exp.family == "type_c"
+    p = z.shape[0]
+    out = np.zeros((p, m + 1))
+    lng = 2 * m if doubled else m
+    res = _fold(z, weights, lng)
+    k = res.shape[1]
+    a = min(k, lng - 1)  # residues 1 .. a land on their own slot
+    b = min(k, 2 * lng - 1)  # residues L+1 .. b alias onto slots 2L-b .. L-1
+    if lng > 1:
+        x = np.zeros((p, lng - 1))
+        x[:, :a] = res[:, :a, 0]
+        if b > lng:
+            x[:, 2 * lng - 1 - b :] -= res[:, lng:b, 0][:, ::-1]
+        y = scipy.fft.dst(x, type=1, axis=1)
+        cols = min(lng - 1, m)  # slots that are grid points
+        np.multiply(y[:, :cols], 0.5, out=out[:, 1 : cols + 1])
+    if not doubled:
+        x = np.zeros((p, m + 1))
+        x[:, 1 : a + 1] = res[:, :a, 1]
+        if b > m:
+            x[:, 2 * m - b : m] += res[:, m:b, 1][:, ::-1]
+        x[:, 1:m] *= 0.5
+        if k >= m:
+            x[:, m] = res[:, m - 1, 1]
+        if k == 2 * m:
+            x[:, 0] = res[:, -1, 1]
+        cos_part = scipy.fft.dct(x, type=1, axis=1)
+        if exp.one_minus_cos:
+            out -= cos_part
+            out += np.sum(res[:, :, 1], axis=1)[:, None]
+        else:
+            out += cos_part
+    tgrid = np.arange(m + 1) * (exp.horizon_T / m)
+    return _deterministic_terms(exp, tgrid, z, out)

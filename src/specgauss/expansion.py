@@ -7,35 +7,21 @@ initial-value coupling.  Builders validate admissibility and take square
 roots of the coefficient data; sampling then pairs each amplitude with an
 independent standard normal.
 
-Draw discipline: the doubly-indexed normals are serialized per path as
-(Z_0, Z_1, Z_-1, Z_2, Z_-2, ...), generated from a counter-based Philox
-stream keyed by (seed, path index).  Every family draws the full block of
-2N+1 normals (plus one trailing draw for the initial value when present),
-whether or not it consumes all of them, so a path's randomness depends only
-on (seed, index), never on the family or the execution schedule.
-
-Sampling streams paths one bounded block at a time: normals are drawn
-straight into a block buffer of at most ``_BLOCK_DOUBLES`` doubles (32 MiB)
-per worker, then weighted, folded onto the grid's residues and transformed
-before the next block is drawn.  Memory per worker is therefore bounded
-whatever N is (past N = 2^21 a block is one path, whose draws set the
-bound).  The draw discipline above is unchanged, and because every path
-keeps its own stream and every per-path operation is row-independent,
-sampled values are byte-identical across block sizes and thread counts.
+Sampling goes through :mod:`specgauss._engine`, which owns the draw
+discipline, the bounded path blocks, the fold and fast transforms, and
+direct synthesis on arbitrary grids.
 """
 
 import io
 import math
 import struct
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-import scipy.fft
 
-from . import _kernels
+from . import _engine
 from ._util import atomic_write_bytes, atomic_write_text, float_text
 from .errors import (
     BadParameter,
@@ -212,7 +198,11 @@ class PathBatch:
 
     def to_binary_bytes(self):
         """Header (magic, version, M, n_paths, seed) then little-endian
-        doubles column-major: the grid column first, then each path."""
+        doubles column-major: the grid column first, then each path.
+
+        The header stores the seed as an unsigned 64-bit word, ``seed mod
+        2^64``, which is also the word the sampler keys its streams on; a
+        negative seed therefore reads back as ``seed + 2^64``."""
         head = struct.pack(
             "<4sIIIQ",
             _BINARY_MAGIC,
@@ -240,8 +230,8 @@ class PathBatch:
         if version != _BINARY_VERSION:
             raise BadParameter(f"binary path batch: unsupported version {version}")
         need = head + 8 * m * (n_paths + 1)
-        if len(blob) < need:
-            raise BadParameter("binary path batch: truncated body")
+        if len(blob) != need:
+            raise BadParameter(f"binary path batch: {len(blob)} bytes, expected {need}")
         flat = np.frombuffer(blob, dtype="<f8", count=m * (n_paths + 1), offset=head)
         grid = flat[:m].copy()
         values = flat[m:].reshape(n_paths, m).copy()
@@ -477,91 +467,6 @@ def build_generalized_ou(theta, alpha, mu, sigma, sigma0, T, N):
 # sampling
 # ---------------------------------------------------------------------------
 
-# A block of paths holds at most this many doubles per worker (32 MiB) in
-# draws, and in grid values, so sampling memory does not grow with N or M.
-_BLOCK_DOUBLES = 1 << 22
-
-
-def _n_normals(exp):
-    return 2 * exp.truncation_N + 1 + (1 if exp.init_coupling is not None else 0)
-
-
-def _run_blocks(n_paths, n_per_path, grid_size, seed, threads, block_fn):
-    """Draw the normals of ``n_paths`` paths one bounded block at a time and
-    hand each block to ``block_fn(start, stop, z)``.
-
-    Path i draws ``n_per_path`` normals from its own Philox stream keyed by
-    (seed, i), straight into the block buffer, so its values depend only on
-    (seed, i), never on the block size or the thread count.  A block has
-    ``_BLOCK_DOUBLES // max(n_per_path, grid_size)`` paths (at least one);
-    each worker reuses one buffer and takes every ``threads``-th block.
-    ``block_fn`` must not keep ``z``, which the next block overwrites.
-    """
-    rows = max(1, _BLOCK_DOUBLES // max(n_per_path, grid_size))
-    hi = (int(seed) % (1 << 64)) << 64
-    workers = max(1, min(int(threads), -(-n_paths // rows)))
-
-    def work(first):
-        buf = np.empty((min(rows, n_paths), n_per_path))
-        for start in range(first * rows, n_paths, workers * rows):
-            stop = min(start + rows, n_paths)
-            z = buf[: stop - start]
-            for i in range(start, stop):
-                gen = np.random.Generator(np.random.Philox(key=hi + i))
-                gen.standard_normal(out=z[i - start])
-            block_fn(start, stop, z)
-
-    if workers == 1:
-        work(0)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for fut in [pool.submit(work, w) for w in range(workers)]:
-            fut.result()
-
-
-def _split_draws(exp, z):
-    n = exp.truncation_N
-    block = z[:, : 2 * n + 1]
-    z0 = block[:, 0]
-    zs = block[:, 1::2]
-    zc = block[:, 2::2]
-    xi = z[:, 2 * n + 1] if exp.init_coupling is not None else None
-    return z0, zs, zc, xi
-
-
-def _deterministic_terms(exp, tgrid, z0, xi, out):
-    if exp.drift_amp > 0.0:
-        if exp.family == "fbm_high":
-            out += (exp.drift_amp * z0)[:, None] * tgrid[None, :]
-        elif exp.family == "type_b":
-            out += (exp.drift_amp * z0)[:, None]
-    if exp.mean_fn is not None:
-        out += np.asarray(exp.mean_fn(tgrid), dtype=float)[None, :]
-    if exp.init_coupling is not None:
-        sigma0, theta = exp.init_coupling
-        if sigma0 > 0.0:
-            out += (sigma0 * xi)[:, None] * np.exp(-theta * tgrid)[None, :]
-    return out
-
-
-def _synth_chunk_direct(exp, tgrid, z):
-    z0, zs, zc, xi = _split_draws(exp, z)
-    n = exp.truncation_N
-    if n > 0:
-        cos_amp = exp.cos_amp if exp.cos_amp is not None else np.zeros(n)
-        out = _kernels.synth_direct(
-            np.ascontiguousarray(zs),
-            np.ascontiguousarray(zc),
-            exp.sin_amp,
-            cos_amp,
-            math.pi / exp.period_T,
-            tgrid,
-            exp.one_minus_cos,
-        )
-    else:
-        out = np.zeros((z.shape[0], tgrid.size))
-    return _deterministic_terms(exp, tgrid, z0, xi, out)
-
 
 def _run_paths(exp, tgrid, n_paths, seed, threads, synth):
     values = np.empty((n_paths, tgrid.size))
@@ -569,7 +474,7 @@ def _run_paths(exp, tgrid, n_paths, seed, threads, synth):
     def block(start, stop, z):
         values[start:stop] = synth(z)
 
-    _run_blocks(n_paths, _n_normals(exp), tgrid.size, seed, threads, block)
+    _engine.run_blocks(exp, n_paths, tgrid.size, seed, threads, block)
     return PathBatch(
         grid=tgrid,
         values=values,
@@ -605,7 +510,7 @@ def sample_paths(exp, grid, n_paths, seed, threads=1):
         raise BadParameter("grid must lie inside [0, T]")
     return _run_paths(
         exp, tgrid, int(n_paths), seed, int(threads),
-        lambda z: _synth_chunk_direct(exp, tgrid, z),
+        lambda z: _engine.direct_values(exp, tgrid, z),
     )
 
 
@@ -618,95 +523,6 @@ def _uniform_resolution(grid, T):
     if float(np.max(np.abs(g - ref))) > 1e-9 * max(1.0, T):
         raise GridNotUniform("grid does not match t_j = j T / M")
     return m
-
-
-def _pair_weights(exp):
-    """(N, 2) amplitudes of the sine and cosine draw of each frequency, in
-    draw order; zero cosine weights for a pure-sine family."""
-    cos_amp = exp.cos_amp if exp.cos_amp is not None else np.zeros(exp.truncation_N)
-    return np.column_stack((exp.sin_amp, cos_amp))
-
-
-def _fold(z, weights, length):
-    """Residue sums of the amplitude-weighted draws on a grid with
-    ``length`` cells per half period.
-
-    sin and cos of pi k j / length depend on k only through k mod 2 length,
-    the aliasing identity behind circulant embedding.  The draws of
-    frequency k sit at columns 2k-1 (sine) and 2k (cosine) of ``z``, so
-    ``z[:, 1:2N+1]`` views as (paths, N, 2) pairs and whole 2 length-wide
-    bands of frequencies weight and sum in one pass, before the remainder
-    band.  Returns ``res[p, i, c]``, the sum of weights[k-1, c] * draw over
-    k = i + 1 (mod 2 length), for i < min(N, 2 length): index i holds
-    residue i + 1, and the last of 2 length entries residue 0.
-    """
-    p = z.shape[0]
-    n = weights.shape[0]
-    band = 2 * length
-    pairs = z[:, 1 : 2 * n + 1].reshape(p, n, 2)
-    full = n - n % band
-    rem = pairs[:, full:] * weights[full:]
-    if not full:
-        return rem
-    res = np.einsum(
-        "pbic,bic->pic",
-        pairs[:, :full].reshape(p, full // band, band, 2),
-        weights[:full].reshape(full // band, band, 2),
-    )
-    res[:, : n - full] += rem
-    return res
-
-
-def _fast_series_eval(z, weights, m, one_minus_cos, doubled):
-    """Series values on the uniform (m+1)-point grid from one block of draws.
-
-    ``weights`` is the (N, 2) sine/cosine amplitude table of
-    :func:`_pair_weights`.  Of the 2L residues of the fold, r and 2L - r
-    alias onto DST-I slot r with opposite sine signs, and onto DCT-I entry
-    r in phase, where residue 0 (the constant) and L (Nyquist) sit at the
-    two ends and interior entries are halved so the transform returns the
-    plain cosine sum.  With ``doubled`` the sine frequencies are k pi / (2T),
-    living on a virtual grid of L = 2m cells of which the first half is
-    returned.
-    """
-    p = z.shape[0]
-    out = np.zeros((p, m + 1))
-    lng = 2 * m if doubled else m
-    res = _fold(z, weights, lng)
-    k = res.shape[1]
-    a = min(k, lng - 1)  # residues 1 .. a land on their own slot
-    b = min(k, 2 * lng - 1)  # residues L+1 .. b alias onto slots 2L-b .. L-1
-    if lng > 1:
-        x = np.zeros((p, lng - 1))
-        x[:, :a] = res[:, :a, 0]
-        if b > lng:
-            x[:, 2 * lng - 1 - b :] -= res[:, lng:b, 0][:, ::-1]
-        y = scipy.fft.dst(x, type=1, axis=1)
-        cols = min(lng - 1, m)  # slots that are grid points
-        np.multiply(y[:, :cols], 0.5, out=out[:, 1 : cols + 1])
-    if not doubled:
-        x = np.zeros((p, m + 1))
-        x[:, 1 : a + 1] = res[:, :a, 1]
-        if b > m:
-            x[:, 2 * m - b : m] += res[:, m:b, 1][:, ::-1]
-        x[:, 1:m] *= 0.5
-        if k >= m:
-            x[:, m] = res[:, m - 1, 1]
-        if k == 2 * m:
-            x[:, 0] = res[:, -1, 1]
-        cos_part = scipy.fft.dct(x, type=1, axis=1)
-        if one_minus_cos:
-            out -= cos_part
-            out += np.sum(res[:, :, 1], axis=1)[:, None]
-        else:
-            out += cos_part
-    return out
-
-
-def _synth_chunk_fast(exp, m, tgrid, z, weights):
-    z0, _, _, xi = _split_draws(exp, z)
-    out = _fast_series_eval(z, weights, m, exp.one_minus_cos, exp.family == "type_c")
-    return _deterministic_terms(exp, tgrid, z0, xi, out)
 
 
 def sample_paths_fast(exp, M, n_paths, seed, threads=1):
@@ -727,10 +543,9 @@ def sample_paths_fast(exp, M, n_paths, seed, threads=1):
         if m < 1:
             raise BadParameter("M must be >= 1")
     tgrid = np.arange(m + 1) * (exp.horizon_T / m)
-    weights = _pair_weights(exp)
     return _run_paths(
         exp, tgrid, int(n_paths), seed, int(threads),
-        lambda z: _synth_chunk_fast(exp, m, tgrid, z, weights),
+        lambda z: _engine.fast_values(exp, m, z),
     )
 
 

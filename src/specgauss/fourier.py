@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _kernels
 from ._util import atomic_write_text, float_text
 from .errors import (
     BadParameter,
@@ -238,6 +237,22 @@ def _head_integral(a):
     return total
 
 
+# panel chunk bound keeps the temporaries of _panel_cos_power below ~100 MB
+_PANEL_CHUNK = 1 << 16
+
+
+def _panel_cos_power(a, lo, hi, x, w):
+    """Gauss-Legendre integrals of v^a cos v over panels [lo_i, hi_i], 0 < lo_i."""
+    out = np.empty(lo.shape[0])
+    for start in range(0, lo.shape[0], _PANEL_CHUNK):
+        sl = slice(start, min(start + _PANEL_CHUNK, lo.shape[0]))
+        mid = 0.5 * (lo[sl] + hi[sl])
+        half = 0.5 * (hi[sl] - lo[sl])
+        v = mid[:, None] + half[:, None] * x[None, :]
+        out[sl] = half * ((v**a * np.cos(v)) @ w)
+    return out
+
+
 def _power_cumulative(a, k_max):
     """G[j] = integral_0^{(j+1)pi} v^a cos v dv for j = 0..k_max-1, with error.
 
@@ -248,8 +263,8 @@ def _power_cumulative(a, k_max):
     lo = np.pi * np.arange(0, k_max, dtype=float)
     lo[0] = 1.0  # the head [0, 1] is handled analytically
     hi = np.pi * np.arange(1, k_max + 1, dtype=float)
-    p_hi = _kernels.panel_cos_power(a, lo, hi, *_GL24)
-    p_lo = _kernels.panel_cos_power(a, lo, hi, *_GL12)
+    p_hi = _panel_cos_power(a, lo, hi, *_GL24)
+    p_lo = _panel_cos_power(a, lo, hi, *_GL12)
     head = _head_integral(a)
     g = head + np.cumsum(p_hi)
     eps = float(np.finfo(float).eps)

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from . import expansion as _exp
+from . import _engine
 from ._util import float_text
 from .errors import (
     BadParameter,
@@ -651,7 +651,7 @@ def product_quantizer(model, exp, budget_N, m=None):
 
 def _coordinate_draws(exp, red, z):
     """Columns of z for the reduced basis, in basis order."""
-    z0, zs, zc, _ = _exp._split_draws(exp, z)
+    z0, zs, zc, _ = _engine.split_draws(exp, z)
     cols = []
     if exp.drift_amp > 0.0:
         cols.append(z0[:, None])
@@ -680,11 +680,10 @@ def distortion_mc(q, exp, n_paths, seed, grid_points=257):
     fmat = red.reduced_functions(tgrid)
     cmat = red.coordinate_matrix()
     root_mu = np.sqrt(red.mu)
-    weights = _exp._pair_weights(exp)
     sq = np.empty(n_paths)
 
     def block(start, stop, z):
-        paths = _exp._synth_chunk_fast(exp, m_panels, tgrid, z, weights)
+        paths = _engine.fast_values(exp, m_panels, z)
         y = _coordinate_draws(exp, red, z) @ cmat.T
         coeffs = q.project_coords(y) * root_mu[None, :]
         code = coeffs @ fmat
@@ -693,7 +692,7 @@ def distortion_mc(q, exp, n_paths, seed, grid_points=257):
         gap = paths - code
         sq[start:stop] = np.trapezoid(gap * gap, tgrid, axis=1)
 
-    _exp._run_blocks(n_paths, _exp._n_normals(exp), tgrid.size, seed, 1, block)
+    _engine.run_blocks(exp, n_paths, tgrid.size, seed, 1, block)
     est = float(np.mean(sq))
     se = float(np.std(sq, ddof=1) / math.sqrt(n_paths))
     return est, se

@@ -15,8 +15,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import _engine
 from .errors import BadParameter, DeltaOutOfRange, TooFewPaths
-from .expansion import _fast_series_eval, _run_blocks
+from .expansion import SeriesExpansion
 from .fourier import coeffs_quadrature, fbm_coefficients, tail_sum
 from .gamma import GammaSpec
 
@@ -312,20 +313,24 @@ def rate_probe(model, Ns, replicates, grid_resolution, seed):
     m = max(int(grid_resolution), 16 * Ns[-1])
     series = fbm_coefficients(H, T, n_ref)
     amps = np.sqrt(np.maximum(-series.values[1:] / 2.0, 0.0))
-    # the residual beyond N keeps the amplitudes of frequencies k > N only
-    resid_weights = {}
+    # the residual beyond N keeps the amplitudes of frequencies k > N only;
+    # every residual has truncation n_ref, so all share one stream of draws
+    resids = {}
     for n in Ns:
-        w = np.column_stack((amps, amps))
-        w[:n] = 0.0
-        resid_weights[n] = w
+        a = amps.copy()
+        a[:n] = 0.0
+        resids[n] = SeriesExpansion(
+            family="fbm_low", horizon_T=T, period_T=T, truncation_N=n_ref,
+            drift_amp=0.0, sin_amp=a, cos_amp=a,
+        )
     sups = {n: np.empty(replicates) for n in Ns}
 
     def block(start, stop, z):
         for n in Ns:
-            resid = _fast_series_eval(z, resid_weights[n], m, True, False)
+            resid = _engine.fast_values(resids[n], m, z)
             sups[n][start:stop] = np.max(np.abs(resid), axis=1)
 
-    _run_blocks(replicates, 2 * n_ref + 1, m + 1, seed, 1, block)
+    _engine.run_blocks(resids[Ns[0]], replicates, m + 1, seed, 1, block)
     ests = []
     stderrs = []
     for n in Ns:

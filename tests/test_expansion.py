@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgauss import expansion
+from specgauss import _engine, expansion
 from specgauss import (
     BadParameter,
     BranchMismatch,
@@ -154,25 +154,35 @@ def truncated(exp, n):
 _FOLD_CASES = [(n, 16) for n in (14, 15, 16, 17, 31, 32, 33)] + [(64, 4)]
 
 
-def test_fast_path_matches_direct_all_families():
-    for name, full in all_family_expansions().items():
+def test_fast_path_matches_direct_all_families(monkeypatch):
+    families = all_family_expansions()
+    for name, full in families.items():
         for n, m in _FOLD_CASES:
             exp = truncated(full, n)
             fast = sample_paths_fast(exp, m, 8, 42)
             direct = sample_paths(exp, fast.grid, 8, 42)
             gap = np.max(np.abs(fast.values - direct.values))
             assert gap <= 1e-10, f"{name} N={n} M={m}: fast vs direct gap {gap:.2e}"
+    # a budget of 5 grid columns makes direct synthesis take frequencies in
+    # chunks of 5 on a 17-point grid: 13 chunks at N = 64
+    with monkeypatch.context() as mp:
+        mp.setattr(_engine, "BLOCK_DOUBLES", 5 * 17)
+        for name, exp in families.items():
+            fast = sample_paths_fast(exp, 16, 8, 42)
+            direct = sample_paths(exp, fast.grid, 8, 42)
+            gap = np.max(np.abs(fast.values - direct.values))
+            assert gap <= 1e-10, f"{name} chunked: fast vs direct gap {gap:.2e}"
 
 
 def test_fast_path_is_byte_identical_across_blocks_and_threads(monkeypatch):
     n_paths = 23  # not a multiple of any block size below
     for name, exp in all_family_expansions().items():
         ref = sample_paths_fast(exp, 8, n_paths, 6).values
-        width = expansion._n_normals(exp)
+        width = 2 * exp.truncation_N + 1 + (exp.init_coupling is not None)
         for rows in (1, 7, None):
-            budget = expansion._BLOCK_DOUBLES if rows is None else rows * width
+            budget = _engine.BLOCK_DOUBLES if rows is None else rows * width
             with monkeypatch.context() as mp:
-                mp.setattr(expansion, "_BLOCK_DOUBLES", budget)
+                mp.setattr(_engine, "BLOCK_DOUBLES", budget)
                 for threads in (1, 3):
                     got = sample_paths_fast(exp, 8, n_paths, 6, threads=threads).values
                     assert got.tobytes() == ref.tobytes(), f"{name} rows={rows} threads={threads}"
@@ -192,7 +202,7 @@ def test_fast_path_memory_is_bounded_by_the_block_budget():
     finally:
         tracemalloc.stop()
     # all 256 paths at once would need 256 * (2N + 1) doubles, 8x the budget
-    assert peak < 2 * 8 * expansion._BLOCK_DOUBLES, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 2 * 8 * _engine.BLOCK_DOUBLES, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_sampling_is_deterministic_and_extends_by_path(exp_low):
@@ -267,6 +277,11 @@ def test_csv_and_binary_round_trips(tmp_path, exp_ou):
     assert np.array_equal(back2.grid, batch.grid)
     assert back2.seed == batch.seed
 
+    blob = batch.to_binary_bytes()
+    for bad in (blob + b"junk", blob[:-1]):
+        with pytest.raises(BadParameter):
+            PathBatch.from_binary_bytes(bad)
+
 
 def test_truncation_for_tolerance():
     s = coeffs_closed("brownian_example", 1.0, 2048)
@@ -323,3 +338,24 @@ def test_path_csv_round_trips_arbitrary_finite_floats(grid, n_paths, data):
         back = PathBatch.from_csv(path)
     assert back.grid.tobytes() == batch.grid.tobytes()
     assert back.values.tobytes() == batch.values.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(_finite, min_size=1, max_size=6, unique=True),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.data(),
+)
+def test_path_binary_round_trips_arbitrary_finite_floats(grid, n_paths, seed, data):
+    grid = np.sort(np.array(grid))
+    values = np.array(
+        data.draw(st.lists(st.lists(_finite, min_size=grid.size, max_size=grid.size),
+                           min_size=n_paths, max_size=n_paths))
+    ).reshape(n_paths, grid.size)
+    batch = PathBatch(grid=grid, values=values, seed=seed)
+    back = PathBatch.from_binary_bytes(batch.to_binary_bytes())
+    assert back.grid.tobytes() == batch.grid.tobytes()
+    assert back.values.tobytes() == batch.values.tobytes()
+    # the v1 header stores the 64-bit word the sampler keys on
+    assert back.seed == seed % 2**64
