@@ -59,6 +59,7 @@ from .validate import (
     analytic_cov,
     covariance_report,
     empirical_cov,
+    empirical_cov_grid,
     lemma1_check,
     rate_probe,
     series_cov,

@@ -198,6 +198,7 @@ def _cmd_validate_cov(parser, args):
     _require(parser, args.grid >= 2, "--grid must be >= 2")
     _require(parser, args.N >= 1, "--N must be >= 1")
     _require(parser, args.threads >= 1, "--threads must be >= 1")
+    _require(parser, 0.0 < args.z_bound < math.inf, "--z-bound must be positive and finite")
     seed = _resolve_seed(parser, args)
     cfg = _model_config(args)
     cfg.update(N=args.N, grid=args.grid, paths=args.paths, seed=seed)
@@ -216,6 +217,8 @@ def _cmd_rate(parser, args):
     _require(parser, 0.0 < args.hurst < 1.0, "--hurst must lie in (0, 1)")
     _require(parser, args.T > 0, "--T must be positive")
     _require(parser, args.replicates >= 100, "--replicates must be >= 100")
+    _require(parser, args.grid_resolution >= 0, "--grid-resolution must be >= 0")
+    _require(parser, 0.0 < args.slope_tol < math.inf, "--slope-tol must be positive and finite")
     try:
         Ns = [int(tok) for tok in args.Ns.split(",") if tok]
     except ValueError:

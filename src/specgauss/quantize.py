@@ -233,9 +233,15 @@ def _scalar_distortion(n):
 def allocate_levels(mu, budget_N):
     """Minimize sum mu_i * distortion(N_i) subject to prod N_i <= budget.
 
-    Exhaustive search over non-increasing level vectors (optimal ones
-    are non-increasing because mu is); ties resolve to the
-    lexicographically largest vector.
+    Exact branch and bound over non-increasing level vectors (optimal
+    ones are non-increasing because mu is), trying the larger level
+    count first and keeping only strict improvements, so ties resolve to
+    the lexicographically largest vector.  A count n below the cap is
+    skipped when n + 1 leaves the same room for the later dimensions,
+    room // (n + 1) == room // n: n + 1 then admits every completion n
+    does, under a looser cap and at a smaller distortion, so n cannot
+    win, not even on a tie.  Only the counts where the room changes are
+    tried, so about 2 sqrt(budget) scalar quantizers are built in all.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1 or mu.size == 0:
@@ -262,6 +268,9 @@ def allocate_levels(mu, budget_N):
             return
         hi = min(cap, room)
         for nl in range(hi, 0, -1):
+            if nl < hi and room // (nl + 1) == room // nl:
+                # dominated by nl + 1, tried just before
+                continue
             c = cost + mu[i] * _scalar_distortion(nl)
             if c >= best_cost:
                 # distortion grows as nl shrinks, so no smaller nl helps

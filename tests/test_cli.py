@@ -64,6 +64,26 @@ def test_bin_format_requires_out():
     assert code == 2
 
 
+def test_validate_cov_z_bound_must_be_positive_and_finite():
+    base = ["validate-cov", "--model", "brownian", "--N", "8", "--paths", "100",
+            "--grid", "3", "--seed", "1"]
+    for bad in ("0", "-1", "nan", "inf"):
+        assert _usage_exit(base + [f"--z-bound={bad}"]) == 2, bad
+
+
+def test_rate_slope_tol_must_be_positive_and_finite():
+    base = ["rate", "--hurst", "0.75", "--Ns", "8,16", "--replicates", "100",
+            "--seed", "1"]
+    for bad in ("0", "-0.1", "nan", "inf"):
+        assert _usage_exit(base + [f"--slope-tol={bad}"]) == 2, bad
+
+
+def test_rate_grid_resolution_must_be_nonnegative():
+    code = _usage_exit(["rate", "--hurst", "0.75", "--Ns", "8,16", "--replicates",
+                        "100", "--seed", "1", "--grid-resolution=-1"])
+    assert code == 2
+
+
 def test_numerical_failure_exits_3(monkeypatch, capsys):
     import specgauss.cli as cli
 

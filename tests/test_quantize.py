@@ -127,6 +127,26 @@ def test_allocation_matches_oracle_on_brownian_mu(exp_brownian):
         assert got == _oracle_alloc(tuple(mu), budget), budget
 
 
+def test_allocation_matches_oracle_on_equal_and_tied_mu():
+    # equal entries make many vectors cost the same; the tie rule must
+    # still pick the oracle's lexicographically largest one
+    for mu in (np.ones(6), np.array([1.0, 1.0, 0.5, 0.5, 0.5])):
+        for budget in (1, 2, 4, 6, 7, 12, 30, 64, 97):
+            got = tuple(int(n) for n in allocate_levels(mu, budget))
+            assert got == _oracle_alloc(tuple(mu), budget), (mu, budget)
+
+
+@pytest.mark.filterwarnings("ignore::specgauss.GramSingularWarning")
+def test_allocation_builds_few_scalar_quantizers(exp_fbm04):
+    mu = kl_reduce(exp_fbm04, 10).mu
+    _scalar_distortion.cache_clear()
+    nvec = allocate_levels(mu, 1000)
+    misses = _scalar_distortion.cache_info().misses
+    assert list(nvec) == [16, 5, 3, 2, 2] + [1] * (mu.size - 5)
+    # only the level counts at which budget // n changes are tried
+    assert misses <= 2 * math.ceil(math.sqrt(1000)) + mu.size
+
+
 @pytest.mark.filterwarnings("ignore::specgauss.GramSingularWarning")
 def test_allocation_invariants(exp_fbm04):
     mu = kl_reduce(exp_fbm04, 6).mu

@@ -13,10 +13,12 @@ from specgauss import (
     TooFewPaths,
     analytic_cov,
     build_fbm,
+    build_generalized_ou,
     build_type_c,
     builtin_gamma,
     covariance_report,
     empirical_cov,
+    empirical_cov_grid,
     fbm_coefficients,
     lemma1_check,
     rate_probe,
@@ -105,6 +107,95 @@ def test_empirical_cov_identity_and_guard():
     small = PathBatch(grid=np.array([0.0, 1.0]), values=vals[:50, :2], seed=0)
     with pytest.raises(TooFewPaths):
         empirical_cov(small, 0, 1)
+
+
+def _report_batches():
+    """Fixed-seed batches with their true models: fBm on both branches,
+    Brownian motion (its t = 0 column is exactly zero) and gen-OU."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ClampWarning)
+        cases = {
+            "fbm_low": (build_fbm(0.3, 1.0, 256, fbm_coefficients(0.3, 1.0, 256)),
+                        CovModel.fbm(0.3, 1.0)),
+            "fbm_high": (build_fbm(0.75, 1.0, 256, fbm_coefficients(0.75, 1.0, 256)),
+                         CovModel.fbm(0.75, 1.0)),
+            "brownian": (build_type_c(builtin_gamma("linear", 2.0, slope=1.0), 1.0, 256),
+                         CovModel.brownian(1.0)),
+            "gen_ou": (build_generalized_ou(2.0, 0.0, 0.0, 2.0, 0.5, 1.0, 256),
+                       CovModel.gen_ou(2.0, 0.0, 0.0, 2.0, 0.5, 1.0)),
+        }
+    return {
+        name: (model, exp, sample_paths_fast(exp, 12, 600, 41 + k))
+        for k, (name, (exp, model)) in enumerate(cases.items())
+    }
+
+
+def _scalar_worst_z(model, batch):
+    """The report's empirical check as a loop over scalar empirical_cov."""
+    grid = batch.grid
+    m = grid.size
+    scale = max(abs(analytic_cov(model, t, t)) for t in grid)
+    atol = 1e-10 * max(scale, 1e-300)
+    worst_z, worst_pair = 0.0, (0, 0)
+    for i in range(m):
+        for j in range(i, m):
+            est, se = empirical_cov(batch, i, j)
+            gap = abs(est - analytic_cov(model, grid[i], grid[j]))
+            z = 0.0 if gap <= atol else (math.inf if se == 0.0 else gap / se)
+            if z > worst_z:
+                worst_z, worst_pair = z, (i, j)
+    return worst_z, worst_pair
+
+
+def test_empirical_cov_grid_matches_scalar_reference():
+    for name, (_, _, batch) in _report_batches().items():
+        est, se = empirical_cov_grid(batch)
+        m = batch.grid.size
+        assert est.shape == se.shape == (m, m)
+        for i in range(m):
+            for j in range(m):
+                ref_est, ref_se = empirical_cov(batch, i, j)
+                assert abs(est[i, j] - ref_est) <= 1e-12 * abs(ref_est), (name, i, j)
+                assert abs(se[i, j] - ref_se) <= 1e-12 * ref_se, (name, i, j)
+    small = PathBatch(grid=batch.grid, values=batch.values[:99], seed=0)
+    with pytest.raises(TooFewPaths):
+        empirical_cov_grid(small)
+
+
+def test_covariance_report_matches_scalar_loop():
+    batches = _report_batches()
+    for name, (model, exp, batch) in batches.items():
+        # the true model, and a wrong one that the check must flag
+        for mdl in (model, CovModel.fbm(0.45, 1.0)):
+            rep = covariance_report(mdl, exp, batch, z_bound=3.5)
+            check = rep["checks"][0]
+            ref_z, ref_pair = _scalar_worst_z(mdl, batch)
+            assert check["detail"] == f"worst grid pair {ref_pair}", name
+            assert check["passed"] == (ref_z <= 3.5), name
+            assert abs(check["statistic"] - ref_z) <= 1e-12 * ref_z, name
+    # Brownian motion pins t = 0: its pairs have est = se = 0 exactly, so
+    # only the gap floor keeps them at z = 0 rather than 0 / 0
+    model, exp, batch = batches["brownian"]
+    est, se = empirical_cov_grid(batch)
+    assert np.all(est[0] == 0.0) and np.all(se[0] == 0.0)
+    rep = covariance_report(model, exp, batch)
+    assert math.isfinite(rep["checks"][0]["statistic"])
+    assert not rep["checks"][0]["detail"].startswith("worst grid pair (0,")
+    # columns 1 and 2 are equal, so pairs (1, 1) and (1, 2) tie for the
+    # worst z; the first in row-major order is reported, as the loop does
+    x = 2.0 * np.random.default_rng(5).standard_normal(200)
+    tied = PathBatch(grid=np.array([0.0, 0.5, 1.0]),
+                     values=np.column_stack([np.zeros_like(x), x, x]), seed=0)
+    rep = covariance_report(model, exp, tied)
+    assert _scalar_worst_z(model, tied)[1] == (1, 1)
+    assert rep["checks"][0]["detail"] == "worst grid pair (1, 1)"
+    # a zero standard error with a real gap is an infinite z
+    pinned = PathBatch(grid=np.array([0.0, 0.5]),
+                       values=np.zeros((100, 2)), seed=0)
+    rep = covariance_report(CovModel.fbm(0.3, 0.5), exp, pinned)
+    assert rep["checks"][0]["statistic"] == math.inf
+    with pytest.raises(TooFewPaths):
+        covariance_report(model, exp, PathBatch(grid=batch.grid, values=batch.values[:99], seed=0))
 
 
 def test_covariance_report_passes_matched_model():
