@@ -50,6 +50,7 @@ from .expansion import (
     build_type_b,
     build_type_c,
     sample_paths,
+    sample_paths_aliased,
     sample_paths_fast,
     truncation_for_tolerance,
 )

@@ -8,7 +8,13 @@ Draw discipline: the doubly-indexed normals are serialized per path as
 stream keyed by (seed, path index).  Every family draws the full block of
 2N+1 normals (plus one trailing draw for the initial value when present),
 whether or not it consumes all of them, so a path's randomness depends only
-on (seed, index), never on the family or the execution schedule.
+on (seed, index), never on the family or the execution schedule.  The
+aliased sampler (:func:`aliased_values`) keeps that layout but draws one
+(sine, cosine) pair per grid residue instead of per frequency: 2R+1 normals,
+R = min(N, 2L), plus the initial-value draw, each pair scaled by the root of
+its residue's folded variance (:func:`folded_amplitudes`).  That is exact in
+law on the grid, and for N <= 2L it draws and returns exactly what
+:func:`fast_values` does.
 
 Sampling streams paths one bounded block at a time: normals are drawn
 straight into a block buffer of at most ``BLOCK_DOUBLES`` doubles (32 MiB)
@@ -36,16 +42,20 @@ import scipy.fft
 BLOCK_DOUBLES = 1 << 22
 
 
-def run_blocks(exp, n_paths, grid_size, seed, threads, block_fn):
+def run_blocks(exp, n_paths, grid_size, seed, threads, block_fn, n_pairs=None):
     """Draw the normals of ``n_paths`` paths of ``exp`` one bounded block at
     a time and hand each block to ``block_fn(start, stop, z)``.
 
-    A block has ``BLOCK_DOUBLES // max(draws per path, grid_size)`` paths
-    (at least one); each worker re-keys one bit generator per path, reuses
-    one buffer and takes every ``threads``-th block.  ``block_fn`` must not
-    keep ``z``, which the next block overwrites.
+    Each path draws Z_0, ``n_pairs`` (sine, cosine) pairs (default
+    ``exp.truncation_N``) and the initial-value draw when present.  A block
+    has ``BLOCK_DOUBLES // max(draws per path, grid_size)`` paths (at least
+    one); each worker re-keys one bit generator per path, reuses one buffer
+    and takes every ``threads``-th block.  ``block_fn`` must not keep ``z``,
+    which the next block overwrites.
     """
-    width = 2 * exp.truncation_N + 1 + (1 if exp.init_coupling is not None else 0)
+    if n_pairs is None:
+        n_pairs = exp.truncation_N
+    width = 2 * n_pairs + 1 + (1 if exp.init_coupling is not None else 0)
     rows = max(1, BLOCK_DOUBLES // max(width, grid_size))
     hi = (int(seed) % (1 << 64)) << 64
     workers = max(1, min(int(threads), -(-n_paths // rows)))
@@ -83,7 +93,9 @@ def split_draws(exp, z):
 
 
 def _deterministic_terms(exp, tgrid, z, out):
-    z0, _, _, xi = split_draws(exp, z)
+    # Z_0 leads and the initial-value draw closes every layout of a path
+    z0 = z[:, 0]
+    xi = z[:, -1]
     if exp.drift_amp > 0.0:
         if exp.family == "fbm_high":
             out += (exp.drift_amp * z0)[:, None] * tgrid[None, :]
@@ -149,26 +161,61 @@ def _fold(z, weights, length):
     return res
 
 
-def fast_values(exp, m, z):
-    """Path values on the uniform grid t_j = j T / m from one block of draws.
+def _weights(exp):
+    """The (N, 2) sine/cosine amplitude table; zero cosines for a pure-sine
+    family."""
+    cos_amp = exp.cos_amp if exp.cos_amp is not None else np.zeros(exp.truncation_N)
+    return np.column_stack((exp.sin_amp, cos_amp))
 
-    The (N, 2) sine/cosine amplitude table (zero cosines for a pure-sine
-    family) weights the draws in the fold.  Of its 2L residues, r and
-    2L - r alias onto DST-I slot r with opposite sine signs, and onto DCT-I
-    entry r in phase, where residue 0 (the constant) and L (Nyquist) sit at
-    the two ends and interior entries are halved so the transform returns
-    the plain cosine sum.  Type C's sine frequencies are k pi / (2T), living
-    on a virtual grid of L = 2m cells of which the first half is returned;
-    elsewhere L = m.
-    """
+
+def _half_period_cells(exp, m):
+    """L, the grid cells per half period: 2m on type C's doubled period,
+    else m."""
+    return 2 * m if exp.family == "type_c" else m
+
+
+def fast_values(exp, m, z):
+    """Path values on the uniform grid t_j = j T / m from one block of draws:
+    the amplitude-weighted draws folded onto the grid's residues, then
+    mapped onto the grid."""
+    res = _fold(z, _weights(exp), _half_period_cells(exp, m))
+    return _grid_values(exp, m, res, z)
+
+
+def folded_amplitudes(exp, m):
+    """The (R, 2) table of root folded variances on the grid t_j = j T / m,
+    R = min(N, 2L): entry [i, c] is the square root of the sum of
+    amplitude[k-1, c]^2 over k = i + 1 (mod 2L), the residue layout of
+    :func:`_fold`.  Built once per call, O(N)."""
     n = exp.truncation_N
-    cos_amp = exp.cos_amp if exp.cos_amp is not None else np.zeros(n)
-    weights = np.column_stack((exp.sin_amp, cos_amp))
+    ones = np.ones((1, 2 * n + 1))
+    return np.sqrt(_fold(ones, _weights(exp) ** 2, _half_period_cells(exp, m))[0])
+
+
+def aliased_values(exp, m, table, z):
+    """Path values on the uniform grid t_j = j T / m from one block of
+    aliased draws: (Z_0, one (sine, cosine) pair per residue, initial-value
+    draw).  Each residue sum of :func:`fast_values` is a sum of independent
+    Gaussians, so one normal scaled by ``table`` (:func:`folded_amplitudes`)
+    has the same law."""
+    p, r = z.shape[0], table.shape[0]
+    return _grid_values(exp, m, z[:, 1 : 2 * r + 1].reshape(p, r, 2) * table, z)
+
+
+def _grid_values(exp, m, res, z):
+    """Map residue sums ``res`` (the layout of :func:`_fold`) onto the grid.
+
+    Of the 2L residues, r and 2L - r alias onto DST-I slot r with opposite
+    sine signs, and onto DCT-I entry r in phase, where residue 0 (the
+    constant) and L (Nyquist) sit at the two ends and interior entries are
+    halved so the transform returns the plain cosine sum.  Type C's sine
+    frequencies are k pi / (2T), living on a virtual grid of L = 2m cells of
+    which the first half is returned.
+    """
     doubled = exp.family == "type_c"
     p = z.shape[0]
     out = np.zeros((p, m + 1))
-    lng = 2 * m if doubled else m
-    res = _fold(z, weights, lng)
+    lng = _half_period_cells(exp, m)
     k = res.shape[1]
     a = min(k, lng - 1)  # residues 1 .. a land on their own slot
     b = min(k, 2 * lng - 1)  # residues L+1 .. b alias onto slots 2L-b .. L-1

@@ -38,6 +38,7 @@ from .expansion import (
     build_fbm,
     build_generalized_ou,
     build_type_c,
+    sample_paths_aliased,
     sample_paths_fast,
 )
 from .fourier import coeffs_closed, fbm_coefficients
@@ -204,7 +205,7 @@ def _cmd_validate_cov(parser, args):
     cfg.update(N=args.N, grid=args.grid, paths=args.paths, seed=seed)
     model = _cov_model(args)
     exp = _expansion(args, args.N)
-    batch = sample_paths_fast(exp, args.grid - 1, args.paths, seed, threads=args.threads)
+    batch = sample_paths_aliased(exp, args.grid - 1, args.paths, seed, threads=args.threads)
     report = covariance_report(model, exp, batch, z_bound=args.z_bound)
     code = _write_report(args, cfg, seed, {"report": report}, report["passed"])
     print(("PASS" if code == 0 else "FAIL") + f" covariance: worst check "

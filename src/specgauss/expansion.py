@@ -468,13 +468,13 @@ def build_generalized_ou(theta, alpha, mu, sigma, sigma0, T, N):
 # ---------------------------------------------------------------------------
 
 
-def _run_paths(exp, tgrid, n_paths, seed, threads, synth):
+def _run_paths(exp, tgrid, n_paths, seed, threads, synth, n_pairs=None):
     values = np.empty((n_paths, tgrid.size))
 
     def block(start, stop, z):
         values[start:stop] = synth(z)
 
-    _engine.run_blocks(exp, n_paths, tgrid.size, seed, threads, block)
+    _engine.run_blocks(exp, n_paths, tgrid.size, seed, threads, block, n_pairs)
     return PathBatch(
         grid=tgrid,
         values=values,
@@ -525,6 +525,18 @@ def _uniform_resolution(grid, T):
     return m
 
 
+def _uniform_grid(exp, M):
+    """The resolution m and the grid t_j = j T / m from ``M``, a resolution
+    or the grid array itself."""
+    if isinstance(M, (list, tuple, np.ndarray)):
+        m = _uniform_resolution(M, exp.horizon_T)
+    else:
+        m = int(M)
+        if m < 1:
+            raise BadParameter("M must be >= 1")
+    return m, np.arange(m + 1) * (exp.horizon_T / m)
+
+
 def sample_paths_fast(exp, M, n_paths, seed, threads=1):
     """Sample on the uniform grid t_j = j T / M via fast trig transforms.
 
@@ -536,16 +548,33 @@ def sample_paths_fast(exp, M, n_paths, seed, threads=1):
     and seed to 1e-10 absolute.
     """
     _validate_sampling_args(n_paths, seed)
-    if isinstance(M, (list, tuple, np.ndarray)):
-        m = _uniform_resolution(M, exp.horizon_T)
-    else:
-        m = int(M)
-        if m < 1:
-            raise BadParameter("M must be >= 1")
-    tgrid = np.arange(m + 1) * (exp.horizon_T / m)
+    m, tgrid = _uniform_grid(exp, M)
     return _run_paths(
         exp, tgrid, int(n_paths), seed, int(threads),
         lambda z: _engine.fast_values(exp, m, z),
+    )
+
+
+def sample_paths_aliased(exp, M, n_paths, seed, threads=1):
+    """Sample the law of ``exp`` on the uniform grid t_j = j T / M with one
+    normal per grid residue instead of one per frequency.
+
+    On the grid, sin and cos of pi k j / L depend on k only mod 2L (L = M,
+    or 2M for type C), so each residue's sum of amplitude-weighted normals
+    is one Gaussian whose variance is the folded sum of squared amplitudes.
+    Each path draws 2R+1 normals, R = min(N, 2L), plus one for an initial
+    value: the paths have exactly the grid law of :func:`sample_paths_fast`,
+    at a cost that does not grow with N beyond the O(N) amplitude fold, but
+    they are not the same realizations.  When N <= 2L the two samplers
+    return identical values.  Arguments, blocking and byte-identity across
+    block sizes and thread counts are as in :func:`sample_paths_fast`.
+    """
+    _validate_sampling_args(n_paths, seed)
+    m, tgrid = _uniform_grid(exp, M)
+    table = _engine.folded_amplitudes(exp, m)
+    return _run_paths(
+        exp, tgrid, int(n_paths), seed, int(threads),
+        lambda z: _engine.aliased_values(exp, m, table, z), table.shape[0],
     )
 
 

@@ -175,7 +175,8 @@ def series_cov_grid(exp, grid):
     ``S diag(a^2) S^T + C diag(b^2) C^T`` with S and C the sine and
     cosine-channel basis at the grid points, plus the drift and
     initial-value outer products: :func:`series_cov` at every pair, as one
-    product.  Frequencies are taken in blocks so the basis stays small.
+    product.  Frequencies are taken in blocks of at most
+    ``_engine.BLOCK_DOUBLES`` basis entries so the basis stays small.
     """
     T = exp.horizon_T
     t = np.asarray(grid, dtype=float)
@@ -185,7 +186,7 @@ def series_cov_grid(exp, grid):
         raise BadParameter("grid must lie inside [0, T]")
     cov = np.zeros((t.size, t.size))
     n = exp.truncation_N
-    blk = max(1, (1 << 22) // t.size)
+    blk = max(1, _engine.BLOCK_DOUBLES // t.size)
     for k0 in range(0, n, blk):
         k1 = min(k0 + blk, n)
         ang = np.outer(t, np.arange(k0 + 1, k1 + 1) * (math.pi / exp.period_T))

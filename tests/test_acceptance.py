@@ -32,6 +32,7 @@ from specgauss import (
     product_quantizer,
     rate_probe,
     sample_paths,
+    sample_paths_aliased,
     sample_paths_fast,
     allocate_levels,
 )
@@ -163,21 +164,29 @@ def test_06_uniform_rate_probe(capsys):
 def test_07_distributional_validation(capsys):
     cases = [
         ("fbm 0.3", CovModel.fbm(0.3, 1.0),
-         lambda: build_fbm(0.3, 1.0, 32768, fbm_coefficients(0.3, 1.0, 32768)), 101),
+         lambda: build_fbm(0.3, 1.0, 32768, fbm_coefficients(0.3, 1.0, 32768)), 101,
+         sample_paths_fast),
         ("fbm 0.75", CovModel.fbm(0.75, 1.0),
-         lambda: build_fbm(0.75, 1.0, 512, fbm_coefficients(0.75, 1.0, 512)), 102),
+         lambda: build_fbm(0.75, 1.0, 512, fbm_coefficients(0.75, 1.0, 512)), 102,
+         sample_paths_fast),
         ("brownian", CovModel.brownian(1.0),
-         lambda: build_type_c(builtin_gamma("linear", 2.0, slope=1.0), 1.0, 512), 103),
+         lambda: build_type_c(builtin_gamma("linear", 2.0, slope=1.0), 1.0, 512), 103,
+         sample_paths_fast),
         ("gen-ou s0=0", CovModel.gen_ou(2.0, 0.0, 0.0, 2.0, 0.0, 1.0),
-         lambda: build_generalized_ou(2.0, 0.0, 0.0, 2.0, 0.0, 1.0, 512), 104),
+         lambda: build_generalized_ou(2.0, 0.0, 0.0, 2.0, 0.0, 1.0, 512), 104,
+         sample_paths_fast),
         ("gen-ou s0=0.5", CovModel.gen_ou(2.0, 0.0, 0.0, 2.0, 0.5, 1.0),
-         lambda: build_generalized_ou(2.0, 0.0, 0.0, 2.0, 0.5, 1.0, 512), 105),
+         lambda: build_generalized_ou(2.0, 0.0, 0.0, 2.0, 0.5, 1.0, 512), 105,
+         sample_paths_fast),
+        ("fbm 0.3 aliased N=2^18", CovModel.fbm(0.3, 1.0),
+         lambda: build_fbm(0.3, 1.0, 1 << 18, fbm_coefficients(0.3, 1.0, 1 << 18)), 106,
+         sample_paths_aliased),
     ]
     detail = []
     ok = True
-    for name, model, make, seed in cases:
+    for name, model, make, seed, sample in cases:
         exp = make()
-        batch = sample_paths_fast(exp, 32, 20000, seed)
+        batch = sample(exp, 32, 20000, seed)
         rep = covariance_report(model, exp, batch)
         z = next(c["statistic"] for c in rep["checks"]
                  if c["name"] == "empirical_vs_analytic")

@@ -5,7 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from specgauss import NumericalFailure, fbm_coefficients
+from specgauss import (
+    CovModel,
+    NumericalFailure,
+    _engine,
+    build_fbm,
+    covariance_report,
+    fbm_coefficients,
+    sample_paths_aliased,
+    sample_paths_fast,
+)
 from specgauss.cli import main
 from specgauss.expansion import PathBatch
 from specgauss.fourier import CosineSeries
@@ -194,6 +203,29 @@ def test_validate_cov_detects_truncation_gap(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().out.startswith("FAIL covariance")
     assert json.loads(out.read_text())["passed"] is False
+
+
+def test_validate_cov_samples_the_aliased_grid_law(tmp_path, monkeypatch, capsys):
+    # N = 256 > 2L = 16: each path draws 2 * 16 + 1 normals, not 513
+    argv = ["validate-cov", "--model", "fbm", "--hurst", "0.3", "--N", "256",
+            "--paths", "400", "--grid", "9", "--seed", "29"]
+    # blocks of 50 paths, so that two threads share the work
+    monkeypatch.setattr(_engine, "BLOCK_DOUBLES", 50 * 33)
+    texts = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}.json"
+        assert main(argv + ["--threads", str(threads), "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    capsys.readouterr()
+    assert texts[0] == texts[1]
+    got = json.loads(texts[0])["report"]
+    model = CovModel.fbm(0.3, 1.0)
+    exp = build_fbm(0.3, 1.0, 256, fbm_coefficients(0.3, 1.0, 256))
+    want = covariance_report(model, exp, sample_paths_aliased(exp, 8, 400, 29))
+    series = covariance_report(model, exp, sample_paths_fast(exp, 8, 400, 29))
+    stat = [c["statistic"] for c in got["checks"]]
+    assert stat == [c["statistic"] for c in want["checks"]]
+    assert stat != [c["statistic"] for c in series["checks"]]
 
 
 # ---------------------------------------------------------------------------

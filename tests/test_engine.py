@@ -6,8 +6,17 @@ import sys
 
 import numpy as np
 import pytest
+from test_expansion import all_family_expansions, truncated
 
-from specgauss import _engine, build_fbm, build_generalized_ou, fbm_coefficients
+from specgauss import (
+    _engine,
+    build_fbm,
+    build_generalized_ou,
+    fbm_coefficients,
+    sample_paths_aliased,
+    sample_paths_fast,
+    series_cov_grid,
+)
 
 _SRC = pathlib.Path(_engine.__file__).parent
 
@@ -35,6 +44,73 @@ def test_run_blocks_hands_each_path_its_own_philox_stream(monkeypatch, seed):
                     mp.setattr(_engine, "BLOCK_DOUBLES", budget)
                     _engine.run_blocks(exp, n_paths, 1, seed, threads, block)
                 assert got.tobytes() == ref.tobytes(), f"width={width} budget={budget} threads={threads}"
+
+
+_M = 16
+# around the band edges of the fold at M = 16 (L = 16, or 32 for type C):
+# one residue per frequency up to N = 2L, then whole 2L-wide bands plus a
+# remainder (32 bands and 5 at N = 1029)
+_ALIAS_NS = (_M - 2, _M - 1, _M, _M + 1, 2 * _M - 1, 2 * _M, 2 * _M + 1,
+             4 * _M, 4 * _M + 3, 64 * _M + 5, 1000)
+
+
+@pytest.fixture(scope="module")
+def deep_families():
+    return all_family_expansions(max(_ALIAS_NS))
+
+
+def _aliased_width(exp, table):
+    return 2 * table.shape[0] + 1 + (exp.init_coupling is not None)
+
+
+def test_aliased_values_carry_the_series_covariance_on_the_grid(deep_families):
+    # aliased_values is affine in the draws: its rows at the unit vectors,
+    # less its mean, are the columns B of the map, and B^T B is the grid law
+    tgrid = np.arange(_M + 1) / _M
+    for name, full in deep_families.items():
+        for n in _ALIAS_NS:
+            exp = truncated(full, n)
+            table = _engine.folded_amplitudes(exp, _M)
+            cells = 2 * _M if exp.family == "type_c" else _M
+            assert table.shape == (min(n, 2 * cells), 2)
+            width = _aliased_width(exp, table)
+            mean = _engine.aliased_values(exp, _M, table, np.zeros((1, width)))
+            basis = _engine.aliased_values(exp, _M, table, np.eye(width)) - mean
+            ref = series_cov_grid(exp, tgrid)
+            err = np.max(np.abs(basis.T @ basis - ref)) / np.max(np.abs(ref))
+            assert err <= 1e-12, f"{name} N={n}: relative covariance error {err:.2e}"
+
+
+def test_aliased_sampler_is_the_fast_sampler_up_to_one_residue_per_frequency(deep_families):
+    for name, full in deep_families.items():
+        cells = 2 * _M if full.family == "type_c" else _M
+        for n in _ALIAS_NS:
+            if n > 2 * cells:
+                continue
+            exp = truncated(full, n)
+            got = sample_paths_aliased(exp, _M, 9, 5).values
+            ref = sample_paths_fast(exp, _M, 9, 5).values
+            assert got.tobytes() == ref.tobytes(), f"{name} N={n}"
+
+
+@pytest.mark.parametrize("seed", [0, -7])
+def test_aliased_sampler_draws_each_path_from_its_own_philox_stream(
+        monkeypatch, deep_families, seed):
+    n_paths = 11
+    hi = (seed % 2**64) << 64
+    for name in ("fbm_high", "gen_ou"):
+        exp = truncated(deep_families[name], 4 * _M + 3)
+        table = _engine.folded_amplitudes(exp, _M)
+        width = _aliased_width(exp, table)
+        draws = np.array([np.random.Generator(np.random.Philox(key=hi + i)).standard_normal(width)
+                          for i in range(n_paths)])
+        ref = _engine.aliased_values(exp, _M, table, draws)
+        for budget in (width, _engine.BLOCK_DOUBLES):
+            with monkeypatch.context() as mp:
+                mp.setattr(_engine, "BLOCK_DOUBLES", budget)
+                for threads in (1, 3):
+                    got = sample_paths_aliased(exp, _M, n_paths, seed, threads=threads).values
+                    assert got.tobytes() == ref.tobytes(), f"{name} budget={budget} threads={threads}"
 
 
 # the runtime dependencies declared in pyproject.toml: one numeric backend

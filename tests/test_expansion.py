@@ -32,6 +32,7 @@ from specgauss import (
     fbm_coefficients,
     negate_spec,
     sample_paths,
+    sample_paths_aliased,
     sample_paths_fast,
     truncation_for_tolerance,
 )
@@ -52,18 +53,18 @@ def exp_ou():
     return build_generalized_ou(2.0, 0.5, 1.0, 2.0, 0.0, 1.0, 64)
 
 
-def all_family_expansions():
+def all_family_expansions(n=64):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ClampWarning)
         return {
-            "fbm_low": build_fbm(0.3, 1.0, 64, fbm_coefficients(0.3, 1.0, 64)),
-            "fbm_high": build_fbm(0.75, 1.0, 64, fbm_coefficients(0.75, 1.0, 64)),
-            "type_a": build_type_a(builtin_gamma("power2H", 1.0, hurst=0.3), 1.0, 64),
+            "fbm_low": build_fbm(0.3, 1.0, n, fbm_coefficients(0.3, 1.0, n)),
+            "fbm_high": build_fbm(0.75, 1.0, n, fbm_coefficients(0.75, 1.0, n)),
+            "type_a": build_type_a(builtin_gamma("power2H", 1.0, hurst=0.3), 1.0, n),
             "type_b": build_type_b(
-                negate_spec(builtin_gamma("exp_decay", 1.0, theta=2.0, sigma2=4.0)), 1.0, 64
+                negate_spec(builtin_gamma("exp_decay", 1.0, theta=2.0, sigma2=4.0)), 1.0, n
             ),
-            "type_c": build_type_c(builtin_gamma("linear", 2.0, slope=1.0), 1.0, 64),
-            "gen_ou": build_generalized_ou(2.0, 0.0, 0.0, 2.0, 0.5, 1.0, 64),
+            "type_c": build_type_c(builtin_gamma("linear", 2.0, slope=1.0), 1.0, n),
+            "gen_ou": build_generalized_ou(2.0, 0.0, 0.0, 2.0, 0.5, 1.0, n),
         }
 
 
@@ -250,14 +251,18 @@ def test_gen_ou_mean_function():
 
 
 def test_sampling_argument_validation(exp_low):
-    with pytest.raises(BadParameter):
-        sample_paths_fast(exp_low, 16, 0, 1)
-    with pytest.raises(BadParameter):
-        sample_paths_fast(exp_low, 0, 5, 1)
+    for uniform in (sample_paths_fast, sample_paths_aliased):
+        with pytest.raises(BadParameter):
+            uniform(exp_low, 16, 0, 1)
+        with pytest.raises(BadParameter):
+            uniform(exp_low, 0, 5, 1)
+        with pytest.raises(BadParameter):
+            uniform(exp_low, 16, 5, 1.5)
+        with pytest.raises(GridNotUniform):
+            uniform(exp_low, np.array([0.0, 0.3, 1.0]), 5, 1)
+        assert uniform(exp_low, np.linspace(0.0, 1.0, 9), 5, 1).grid.size == 9
     with pytest.raises(BadParameter):
         sample_paths(exp_low, np.array([0.0, 0.3, 0.2]), 5, 1)
-    with pytest.raises(GridNotUniform):
-        sample_paths_fast(exp_low, np.array([0.0, 0.3, 1.0]), 5, 1)
 
 
 def test_csv_and_binary_round_trips(tmp_path, exp_ou):
