@@ -65,6 +65,8 @@ from .validate import (
     rate_probe,
     series_cov,
     series_cov_grid,
+    series_cov_uniform,
+    series_var_uniform,
 )
 from .quantize import (
     FunctionalQuantizer,

@@ -28,6 +28,12 @@ sizes and thread counts.
 On a uniform grid the series is a fold plus a DST-I/DCT-I
 (:func:`fast_values`); :func:`direct_values` sums the basis at arbitrary
 points and is the reference the fast route is checked against.
+
+One fold of the squared amplitudes (:func:`folded_variances`) serves both
+the sampler and the covariance: its root scales the aliased draws, and its
+cosine transform (:func:`folded_cosine_sums`) gives the covariance of the
+series on the grid, from which :mod:`specgauss.validate` reads every pair
+without evaluating a sine or cosine per frequency.
 """
 
 import math
@@ -182,14 +188,41 @@ def fast_values(exp, m, z):
     return _grid_values(exp, m, res, z)
 
 
-def folded_amplitudes(exp, m):
-    """The (R, 2) table of root folded variances on the grid t_j = j T / m,
-    R = min(N, 2L): entry [i, c] is the square root of the sum of
-    amplitude[k-1, c]^2 over k = i + 1 (mod 2L), the residue layout of
-    :func:`_fold`.  Built once per call, O(N)."""
+def folded_variances(exp, m):
+    """The (R, 2) table of folded variances on the grid t_j = j T / m,
+    R = min(N, 2L): entry [i, c] is the sum of amplitude[k-1, c]^2 over
+    k = i + 1 (mod 2L), the residue layout of :func:`_fold`.  Built once per
+    call, O(N)."""
     n = exp.truncation_N
     ones = np.ones((1, 2 * n + 1))
-    return np.sqrt(_fold(ones, _weights(exp) ** 2, _half_period_cells(exp, m))[0])
+    return _fold(ones, _weights(exp) ** 2, _half_period_cells(exp, m))[0]
+
+
+def folded_amplitudes(exp, m):
+    """The (R, 2) table of root folded variances (:func:`folded_variances`),
+    the per-residue scale of :func:`aliased_values`."""
+    return np.sqrt(folded_variances(exp, m))
+
+
+def folded_cosine_sums(exp, m):
+    """The (2L + 1, 2) table Phi[d, c] = sum over residues r of
+    V_c(r) cos(pi r d / L), d = 0 .. 2L, with V the folded variances.
+
+    Residues r and 2L - r share a cosine, so each channel is one DCT-I of
+    length L + 1 over the pair sums, with residue 0 and L (Nyquist) at the
+    two ends and interior entries halved, as in :func:`_grid_values`; d > L
+    is the mirror Phi(2L - d) = Phi(d).  Row 0 is the total variance.
+    O(N + L log L).
+    """
+    lng = _half_period_cells(exp, m)
+    var = folded_variances(exp, m)
+    full = np.zeros((2 * lng, 2))
+    full[np.arange(1, var.shape[0] + 1) % (2 * lng)] = var
+    x = full[: lng + 1]
+    x[1:lng] += full[:lng:-1]
+    x[1:lng] *= 0.5
+    phi = scipy.fft.dct(x, type=1, axis=0)
+    return np.concatenate((phi, phi[-2::-1]))
 
 
 def aliased_values(exp, m, table, z):

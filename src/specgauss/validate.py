@@ -3,7 +3,14 @@
 :func:`analytic_cov` evaluates the exact covariance of each supported model;
 :func:`series_cov` evaluates the covariance implied by a truncated expansion
 deterministically from its amplitudes, and :func:`series_cov_grid` does so on
-a whole grid as one matrix product.  The gap between series and analytic
+an arbitrary grid as one matrix product.  On the samplers' uniform grid
+t_j = j T / m the series covariance needs no sine or cosine per frequency:
+the fold of the squared amplitudes onto the grid's residues that scales the
+aliased draws also fixes the covariance, through one DCT-I per channel
+(``_engine.folded_cosine_sums``).  :func:`series_cov_uniform` reads the
+whole matrix off it in O(N + L log L + m^2), :func:`series_var_uniform` its
+diagonal in O(N + L log L + m), and the report takes that route whenever
+the batch grid is that uniform grid.  The gap between series and analytic
 covariance is bounded by the coefficient tail, which the report checks
 exploit.
 
@@ -107,7 +114,8 @@ def analytic_cov(model, s, t):
     s = float(s)
     t = float(t)
     for x in (s, t):
-        if x < -1e-12 * T or x > T * (1.0 + 1e-12):
+        # negated so that NaN fails the range check
+        if not -1e-12 * T <= x <= T * (1.0 + 1e-12):
             raise BadParameter("s, t must lie inside [0, T]")
     if model.kind == "fbm":
         h2 = 2.0 * model.hurst
@@ -139,7 +147,7 @@ def series_cov(exp, s, t):
     s = float(s)
     t = float(t)
     for x in (s, t):
-        if x < -1e-12 * T or x > T * (1.0 + 1e-12):
+        if not -1e-12 * T <= x <= T * (1.0 + 1e-12):
             raise BadParameter("s, t must lie inside [0, T]")
     total = 0.0
     n = exp.truncation_N
@@ -182,7 +190,7 @@ def series_cov_grid(exp, grid):
     t = np.asarray(grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise BadParameter("grid must be a nonempty 1-D array")
-    if np.any(t < -1e-12 * T) or np.any(t > T * (1.0 + 1e-12)):
+    if not np.all((t >= -1e-12 * T) & (t <= T * (1.0 + 1e-12))):
         raise BadParameter("grid must lie inside [0, T]")
     cov = np.zeros((t.size, t.size))
     n = exp.truncation_N
@@ -198,16 +206,89 @@ def series_cov_grid(exp, grid):
                 basis = 1.0 - basis
             basis *= exp.cos_amp[k0:k1]
             cov += basis @ basis.T
+    return _add_deterministic_cov(exp, t, cov, np.outer)
+
+
+def _add_deterministic_cov(exp, t, cov, pair):
+    """Add the drift and initial-value covariance on the points ``t`` to
+    ``cov``: the matrix with ``pair`` = np.outer, its diagonal with
+    ``pair`` = np.multiply."""
     if exp.drift_amp > 0.0:
         if exp.family == "fbm_high":
-            cov += exp.drift_amp**2 * np.outer(t, t)
+            cov += exp.drift_amp**2 * pair(t, t)
         elif exp.family == "type_b":
             cov += exp.drift_amp**2
     if exp.init_coupling is not None:
         sigma0, theta = exp.init_coupling
         e = sigma0 * np.exp(-theta * t)
-        cov += np.outer(e, e)
+        cov += pair(e, e)
     return cov
+
+
+def _resolution(m):
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise BadParameter(f"m must be an integer >= 1, got {m!r}")
+    return int(m)
+
+
+def _folded_cov(exp, m, i, j):
+    """The series part of the covariance at grid indices (i, j) of
+    t_j = j T / m, broadcast, from the folded cosine sums Phi of each
+    channel:
+
+    - sin sin gives (Phi_s(|i - j|) - Phi_s(i + j)) / 2;
+    - cos cos gives (Phi_c(|i - j|) + Phi_c(i + j)) / 2;
+    - (1 - cos)(1 - cos) gives Psi(i) + Psi(j) - (Psi(|i - j|) + Psi(i + j)) / 2
+      with Psi(d) = Phi_c(0) - Phi_c(d), which is exactly zero at i = 0 or
+      j = 0, as the basis is.
+    """
+    phi = _engine.folded_cosine_sums(exp, m)
+    dif = np.abs(i - j)
+    add = i + j
+    sin_phi, cos_phi = phi[:, 0], phi[:, 1]
+    cov = 0.5 * (sin_phi[dif] - sin_phi[add])
+    if exp.cos_amp is not None:
+        if exp.one_minus_cos:
+            psi = cos_phi[0] - cos_phi
+            cov += psi[i] + psi[j] - 0.5 * (psi[dif] + psi[add])
+        else:
+            cov += 0.5 * (cos_phi[dif] + cos_phi[add])
+    return cov
+
+
+def series_cov_uniform(exp, m):
+    """:func:`series_cov_grid` on the uniform grid t_j = j T / m, the
+    (m + 1, m + 1) matrix, from the folded squared amplitudes in
+    O(N + L log L + m^2) (L = m, or 2m for type C) instead of O(N m^2)
+    trigonometric evaluations.
+
+    On the grid, the product of two basis functions is a sum of cosines of
+    pi k d / L with d = |i - j| or i + j, which depend on k only mod 2L, so
+    each channel's covariance is a combination of its folded cosine sums
+    Phi(d).  The error is a few ulps of the total variance.
+    """
+    m = _resolution(m)
+    i = np.arange(m + 1)
+    cov = _folded_cov(exp, m, i[:, None], i[None, :])
+    return _add_deterministic_cov(exp, i * (exp.horizon_T / m), cov, np.outer)
+
+
+def series_var_uniform(exp, m):
+    """The diagonal of :func:`series_cov_uniform`, the series variance at
+    each of the m + 1 points t_j = j T / m, in O(N + L log L + m)."""
+    m = _resolution(m)
+    i = np.arange(m + 1)
+    var = _folded_cov(exp, m, i, i)
+    return _add_deterministic_cov(exp, i * (exp.horizon_T / m), var, np.multiply)
+
+
+def _exact_uniform_m(exp, grid):
+    """m when ``grid`` is exactly the samplers' uniform grid
+    t_j = j T / m of ``exp``, else None."""
+    m = grid.size - 1
+    if m >= 1 and np.array_equal(grid, np.arange(m + 1) * (exp.horizon_T / m)):
+        return m
+    return None
 
 
 def _require_paths(batch):
@@ -294,7 +375,11 @@ def covariance_report(model, exp, batch, *, z_bound=4.0):
     ]
     if exp.coeff_series is not None:
         tail = 2.0 * tail_sum(exp.coeff_series, exp.truncation_N)
-        series = series_cov_grid(exp, grid)
+        res = _exact_uniform_m(exp, grid)
+        if res is None:
+            series = series_cov_grid(exp, grid)
+        else:
+            series = series_cov_uniform(exp, res)
         worst_gap = float(np.max(np.abs(series[iu, ju] - analytic)))
         checks.append(
             {
@@ -404,7 +489,7 @@ def lemma1_check(spec, K, grid):
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size == 0:
         raise BadParameter("grid must be a nonempty 1-D array")
-    if np.any(np.abs(g) > T * (1.0 + 1e-12)):
+    if not np.all(np.abs(g) <= T * (1.0 + 1e-12)):
         raise BadParameter("grid must lie inside [-T, T]")
     K = int(K)
     if K < 0:

@@ -1,6 +1,7 @@
 """The sampling engine's draw discipline, and the module boundary around it."""
 
 import ast
+import dataclasses
 import pathlib
 import sys
 
@@ -16,6 +17,8 @@ from specgauss import (
     sample_paths_aliased,
     sample_paths_fast,
     series_cov_grid,
+    series_cov_uniform,
+    series_var_uniform,
 )
 
 _SRC = pathlib.Path(_engine.__file__).parent
@@ -79,6 +82,31 @@ def test_aliased_values_carry_the_series_covariance_on_the_grid(deep_families):
             ref = series_cov_grid(exp, tgrid)
             err = np.max(np.abs(basis.T @ basis - ref)) / np.max(np.abs(ref))
             assert err <= 1e-12, f"{name} N={n}: relative covariance error {err:.2e}"
+
+
+def test_folded_covariance_is_the_trig_covariance_on_the_grid(deep_families):
+    # N = 2L folds a frequency onto residue 0, N > 2L aliases whole bands,
+    # and pair sums i + j > L read the mirror Phi(2L - d).  The builders give
+    # both channels the same amplitudes, which cancels the i + j terms
+    # between them, so each family with a cosine channel is also checked
+    # with halved cosine amplitudes.
+    for m in (1, 15, 16):
+        tgrid = np.arange(m + 1) * (1.0 / m)
+        for name, full in deep_families.items():
+            for n in _ALIAS_NS:
+                exp = truncated(full, n)
+                cases = [exp]
+                if exp.cos_amp is not None:
+                    cases.append(dataclasses.replace(exp, cos_amp=0.5 * exp.cos_amp))
+                for case in cases:
+                    got = series_cov_uniform(case, m)
+                    ref = series_cov_grid(case, tgrid)
+                    # each pair's terms are bounded by sqrt(var(s) var(t))
+                    scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+                    err = np.max(np.abs(got - ref) - 1e-13 * scale)
+                    where = f"{name} N={n} M={m} halved cosines={case is not exp}"
+                    assert err <= 0.0, f"{where}: excess error {err:.2e}"
+                    assert np.array_equal(series_var_uniform(case, m), np.diag(got)), where
 
 
 def test_aliased_sampler_is_the_fast_sampler_up_to_one_residue_per_frequency(deep_families):

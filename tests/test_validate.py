@@ -1,6 +1,8 @@
 """Covariance cross-checks, the report harness, and the convergence probes."""
 
 import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -22,11 +24,16 @@ from specgauss import (
     fbm_coefficients,
     lemma1_check,
     rate_probe,
+    sample_paths,
+    sample_paths_aliased,
     sample_paths_fast,
     series_cov,
     series_cov_grid,
+    series_cov_uniform,
+    series_var_uniform,
     tail_sum,
 )
+from specgauss import validate
 from specgauss.expansion import PathBatch
 from test_expansion import all_family_expansions
 
@@ -92,6 +99,111 @@ def test_series_cov_grid_matches_scalar_all_families():
         assert np.all(np.abs(got - ref) <= 1e-13 * scale), name
     with pytest.raises(BadParameter):
         series_cov_grid(exp, [0.5, 1.5])
+
+
+def test_series_var_uniform_matches_scalar_series_cov():
+    # the points and truncations of acceptance test_05; the folded route's
+    # error is a few ulps of the total variance, not of each point's, so it
+    # is measured against the largest variance on the grid
+    m = 8192
+    pts = np.arange(0, m + 1, 64)
+    for h in (0.3, 0.75):
+        for p in range(6, 13):
+            n = 2**p
+            exp = build_fbm(h, 1.0, n, fbm_coefficients(h, 1.0, n))
+            got = series_var_uniform(exp, m)
+            assert got.shape == (m + 1,)
+            ref = np.array([series_cov(exp, j / m, j / m) for j in pts])
+            err = np.max(np.abs(got[pts] - ref)) / np.max(np.abs(ref))
+            assert err <= 1e-13, f"H={h} N={n}: relative error {err:.2e}"
+
+
+@pytest.mark.parametrize("call", [
+    lambda exp: series_cov(exp, math.nan, 0.5),
+    lambda exp: series_cov_grid(exp, [0.1, math.nan]),
+    lambda exp: analytic_cov(CovModel.fbm(0.3, 1.0), 0.5, math.nan),
+    lambda exp: lemma1_check(builtin_gamma("power2H", 1.0, hurst=0.3), 10, [0.1, math.nan]),
+], ids=["series_cov", "series_cov_grid", "analytic_cov", "lemma1_check"])
+def test_nan_point_is_outside_the_horizon(call):
+    exp = build_fbm(0.3, 1.0, 8, fbm_coefficients(0.3, 1.0, 8))
+    with pytest.raises(BadParameter):
+        call(exp)
+
+
+@pytest.mark.parametrize("fn", [series_cov_uniform, series_var_uniform])
+def test_uniform_series_covariance_needs_an_integral_resolution(fn):
+    exp = build_fbm(0.3, 1.0, 8, fbm_coefficients(0.3, 1.0, 8))
+    for m in (0, -3, 2.5, 4.0, True, "4", None):
+        with pytest.raises(BadParameter):
+            fn(exp, m)
+    assert fn(exp, np.int64(4)).shape[0] == 5
+
+
+def _route_spy(monkeypatch):
+    """Record which series covariance route the report takes."""
+    calls = []
+    for name in ("series_cov_grid", "series_cov_uniform"):
+        fn = getattr(validate, name)
+
+        def spy(*args, _name=name, _fn=fn):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(validate, name, spy)
+    return calls
+
+
+def test_covariance_report_reads_the_uniform_grid_off_the_fold(monkeypatch):
+    batches = _report_batches()
+    # the trig route on the same uniform grid, for reference
+    trig = {}
+    with monkeypatch.context() as mp:
+        mp.setattr(validate, "series_cov_uniform",
+                   lambda exp, m: series_cov_grid(exp, np.arange(m + 1) * (exp.horizon_T / m)))
+        for name, (model, exp, batch) in batches.items():
+            for mdl in (model, CovModel.fbm(0.45, 1.0)):
+                trig[name, mdl.label] = covariance_report(mdl, exp, batch)
+    calls = _route_spy(monkeypatch)
+    for name, (model, exp, batch) in batches.items():
+        scale = float(np.max(series_var_uniform(exp, batch.grid.size - 1)))
+        # the batch as sampled, and read back from both artifact formats
+        blob = PathBatch.from_binary_bytes(batch.to_binary_bytes())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "paths.csv")
+            batch.to_csv(path)
+            text = PathBatch.from_csv(path)
+        for b in (batch, blob, text):
+            for mdl in (model, CovModel.fbm(0.45, 1.0)):
+                calls.clear()
+                rep = covariance_report(mdl, exp, b)
+                assert calls == ["series_cov_uniform"], name
+                ref = trig[name, mdl.label]
+                got_series, ref_series = rep["checks"].pop(), ref["checks"][-1]
+                assert got_series["name"] == "series_vs_analytic"
+                # a perturbation of the series covariance moves the worst
+                # gap by at most its size, and both routes round at a few
+                # ulps of the largest variance: the trig route is the less
+                # exact of the two (up to 9e-16 against extended precision
+                # on these batches, the folded route 4e-16)
+                stat, ref_stat = got_series.pop("statistic"), ref_series["statistic"]
+                assert abs(stat - ref_stat) <= 1e-13 * scale, name
+                assert got_series == {k: v for k, v in ref_series.items() if k != "statistic"}
+                assert rep["checks"] == ref["checks"][:-1], name
+                assert rep["passed"] == ref["passed"], name
+
+
+def test_covariance_report_keeps_the_trig_route_off_the_uniform_grid(monkeypatch):
+    exp = build_fbm(0.3, 1.0, 64, fbm_coefficients(0.3, 1.0, 64))
+    calls = _route_spy(monkeypatch)
+    grid = np.array([0.0, 0.1, 0.35, 0.5, 0.9, 1.0])
+    covariance_report(CovModel.fbm(0.3, 1.0), exp, sample_paths(exp, grid, 200, 3))
+    # one ulp off t_j = j T / m is not the uniform grid either
+    uniform = sample_paths_aliased(exp, 8, 200, 3)
+    nudged = uniform.grid.copy()
+    nudged[3] = np.nextafter(nudged[3], 1.0)
+    covariance_report(CovModel.fbm(0.3, 1.0), exp,
+                      PathBatch(grid=nudged, values=uniform.values, seed=3))
+    assert calls == ["series_cov_grid", "series_cov_grid"]
 
 
 def test_empirical_cov_identity_and_guard():
