@@ -48,6 +48,13 @@ import scipy.fft
 BLOCK_DOUBLES = 1 << 22
 
 
+def uniform_grid(T, m):
+    """The samplers' uniform grid t_j = j T / m, j = 0 .. m.  Every uniform
+    route builds it here, so a sampled batch's grid compares exactly equal to
+    the one the covariance report rebuilds."""
+    return np.arange(m + 1) * (T / m)
+
+
 def run_blocks(exp, n_paths, grid_size, seed, threads, block_fn, n_pairs=None):
     """Draw the normals of ``n_paths`` paths of ``exp`` one bounded block at
     a time and hand each block to ``block_fn(start, stop, z)``.
@@ -276,5 +283,4 @@ def _grid_values(exp, m, res, z):
             out += np.sum(res[:, :, 1], axis=1)[:, None]
         else:
             out += cos_part
-    tgrid = np.arange(m + 1) * (exp.horizon_T / m)
-    return _deterministic_terms(exp, tgrid, z, out)
+    return _deterministic_terms(exp, uniform_grid(exp.horizon_T, m), z, out)

@@ -58,12 +58,12 @@ class SeriesExpansion:
     ``cos_amp[k-1]`` multiplies (1 - cos) Z_-k for the fBm / type-A form or
     cos Z_-k for type B.  Type C keeps only sines (``cos_amp`` is None) on
     the doubled period 2T.  ``drift_amp`` multiplies t Z_0 (fbm_high) or
-    Z_0 alone (type_b) and is 0 elsewhere.
+    Z_0 alone (type_b) and is 0 elsewhere.  ``period_T`` is derived from
+    the family and the horizon, not stored.
     """
 
     family: str
     horizon_T: float
-    period_T: float
     truncation_N: int
     drift_amp: float
     sin_amp: np.ndarray
@@ -78,9 +78,6 @@ class SeriesExpansion:
             raise BadParameter(f"unknown family {self.family!r}")
         if not (self.horizon_T > 0 and np.isfinite(self.horizon_T)):
             raise BadParameter("horizon_T must be positive")
-        expect_period = 2.0 * self.horizon_T if self.family == "type_c" else self.horizon_T
-        if abs(self.period_T - expect_period) > 1e-12 * expect_period:
-            raise BadParameter(f"period_T must be {expect_period} for {self.family}")
         sa = np.ascontiguousarray(np.asarray(self.sin_amp, dtype=float))
         if sa.shape != (self.truncation_N,):
             raise BadParameter("sin_amp must have length truncation_N")
@@ -100,6 +97,11 @@ class SeriesExpansion:
             object.__setattr__(self, name, arr)
         if not (np.isfinite(self.drift_amp) and self.drift_amp >= 0.0):
             raise BadParameter("drift_amp must be finite and nonnegative")
+
+    @property
+    def period_T(self):
+        """The period of the basis: 2T on type C's doubled interval, else T."""
+        return 2.0 * self.horizon_T if self.family == "type_c" else self.horizon_T
 
     @property
     def one_minus_cos(self):
@@ -269,7 +271,31 @@ def _amps_from_radicands(r, what):
     return np.sqrt(np.maximum(r, 0.0))
 
 
-def _require_star(spec, what):
+def _check_size(T, N, what):
+    """The truncation N as an int, after the checks every builder shares:
+    T > 0 and N >= 0."""
+    if not (T > 0):
+        raise BadParameter(f"{what}: T must be positive")
+    N = int(N)
+    if N < 0:
+        raise BadParameter(f"{what}: N must be >= 0")
+    return N
+
+
+def _check_horizon(series, horizon, what):
+    if abs(series.horizon_T - horizon) > 1e-12 * max(1.0, horizon):
+        raise BadParameter(f"{what}: horizon {series.horizon_T} does not match {horizon}")
+
+
+def _spec_series(spec, T, N, what, horizon):
+    """The truncation N and the coefficient series c_0 .. c_N of ``spec``,
+    the admissible side of a type A/B/C generating function on ``horizon``
+    (T, or 2T for type C), after the size checks, the horizon match,
+    delta < 1 and the admissibility probe."""
+    N = _check_size(T, N, what)
+    _check_horizon(spec, horizon, what)
+    if spec.delta >= 1.0:
+        raise DeltaOutOfRange(f"{what} needs delta < 1, got {spec.delta}")
     report = check_star(spec)
     if not report.passed:
         raise StarViolated(
@@ -277,11 +303,7 @@ def _require_star(spec, what):
             f"(derivative violation {report.max_derivative_violation:.3e}, "
             f"concavity violation {report.max_concavity_violation:.3e})"
         )
-
-
-def _check_horizon(spec, T, what):
-    if abs(spec.horizon_T - T) > 1e-12 * max(1.0, T):
-        raise BadParameter(f"{what}: spec horizon {spec.horizon_T} does not match T={T}")
+    return N, coeffs_quadrature(spec, N)
 
 
 def build_fbm(H, T, N, coeff_source):
@@ -296,11 +318,7 @@ def build_fbm(H, T, N, coeff_source):
         raise BadParameter("H must lie in (0, 1)")
     if H == 0.5:
         raise BadParameter("H = 1/2 is not an fBm branch; use build_type_a with a linear generating function")
-    if not (T > 0):
-        raise BadParameter("T must be positive")
-    N = int(N)
-    if N < 0:
-        raise BadParameter("N must be >= 0")
+    N = _check_size(T, N, "build_fbm")
     if coeff_source.k_max < N:
         raise BadParameter(f"coeff_source covers k <= {coeff_source.k_max} < N = {N}")
     _check_horizon(coeff_source, T, "build_fbm")
@@ -323,7 +341,6 @@ def build_fbm(H, T, N, coeff_source):
     return SeriesExpansion(
         family=family,
         horizon_T=float(T),
-        period_T=float(T),
         truncation_N=N,
         drift_amp=drift,
         sin_amp=amps,
@@ -337,21 +354,11 @@ def build_type_a(spec, T, N):
     """Type-A expansion of a nonstationary process with generating function
     ``spec`` (bounded at 0, admissible): no drift, amplitudes
     sqrt(-c_k / 2) on both sin and (1 - cos)."""
-    if not (T > 0):
-        raise BadParameter("T must be positive")
-    N = int(N)
-    if N < 0:
-        raise BadParameter("N must be >= 0")
-    _check_horizon(spec, T, "build_type_a")
-    if spec.delta >= 1.0:
-        raise DeltaOutOfRange(f"type A needs delta < 1, got {spec.delta}")
-    _require_star(spec, "build_type_a")
-    series = coeffs_quadrature(spec, N)
+    N, series = _spec_series(spec, T, N, "build_type_a", T)
     amps = _amps_from_radicands(-series.values[1:] / 2.0, "build_type_a")
     return SeriesExpansion(
         family="type_a",
         horizon_T=float(T),
-        period_T=float(T),
         truncation_N=N,
         drift_amp=0.0,
         sin_amp=amps,
@@ -365,16 +372,7 @@ def build_type_b(spec_neg, T, N):
     """Type-B (stationary) expansion.  ``spec_neg`` describes -gamma, the
     admissible side; the construction refuses when the mean of gamma itself
     is negative, which the underlying theorem excludes."""
-    if not (T > 0):
-        raise BadParameter("T must be positive")
-    N = int(N)
-    if N < 0:
-        raise BadParameter("N must be >= 0")
-    _check_horizon(spec_neg, T, "build_type_b")
-    if spec_neg.delta >= 1.0:
-        raise DeltaOutOfRange(f"type B needs delta < 1, got {spec_neg.delta}")
-    _require_star(spec_neg, "build_type_b")
-    series = coeffs_quadrature(spec_neg, N)
+    N, series = _spec_series(spec_neg, T, N, "build_type_b", T)
     c_gamma = -series.values
     # the constant term carries the mean of gamma: half the k = 0 entry
     c0_mean = c_gamma[0] / 2.0
@@ -384,7 +382,6 @@ def build_type_b(spec_neg, T, N):
     return SeriesExpansion(
         family="type_b",
         horizon_T=float(T),
-        period_T=float(T),
         truncation_N=N,
         drift_amp=math.sqrt(max(c0_mean, 0.0)),
         sin_amp=amps,
@@ -398,21 +395,11 @@ def build_type_c(spec_neg, T, N):
     """Type-C expansion on the doubled interval.  ``spec_neg`` describes
     -gamma on (0, 2T]; the result keeps only sine terms at the half
     frequencies k pi / (2T) and is pinned to 0 at t = 0."""
-    if not (T > 0):
-        raise BadParameter("T must be positive")
-    N = int(N)
-    if N < 0:
-        raise BadParameter("N must be >= 0")
-    _check_horizon(spec_neg, 2.0 * T, "build_type_c (doubled interval)")
-    if spec_neg.delta >= 1.0:
-        raise DeltaOutOfRange(f"type C needs delta < 1, got {spec_neg.delta}")
-    _require_star(spec_neg, "build_type_c")
-    series = coeffs_quadrature(spec_neg, N)
+    N, series = _spec_series(spec_neg, T, N, "build_type_c", 2.0 * T)
     amps = _amps_from_radicands(-series.values[1:], "build_type_c")
     return SeriesExpansion(
         family="type_c",
         horizon_T=float(T),
-        period_T=2.0 * T,
         truncation_N=N,
         drift_amp=0.0,
         sin_amp=amps,
@@ -433,11 +420,9 @@ def build_generalized_ou(theta, alpha, mu, sigma, sigma0, T, N):
         raise BadParameter("sigma must be positive")
     if not (sigma0 >= 0):
         raise BadParameter("sigma0 must be nonnegative")
-    if not (T > 0):
-        raise BadParameter("T must be positive")
-    N = int(N)
-    if N < 0:
-        raise BadParameter("N must be >= 0")
+    if not (math.isfinite(alpha) and math.isfinite(mu)):
+        raise BadParameter("alpha and mu must be finite")
+    N = _check_size(T, N, "build_generalized_ou")
     series = coeffs_closed("generalized_ou", T, N, theta=theta, sigma2=sigma * sigma)
     amps = _amps_from_radicands(series.values[1:], "build_generalized_ou")
     th = float(theta)
@@ -451,7 +436,6 @@ def build_generalized_ou(theta, alpha, mu, sigma, sigma0, T, N):
     return SeriesExpansion(
         family="type_c",
         horizon_T=float(T),
-        period_T=2.0 * T,
         truncation_N=N,
         drift_amp=0.0,
         sin_amp=amps,
@@ -519,8 +503,8 @@ def _uniform_resolution(grid, T):
     if g.ndim != 1 or g.size < 2:
         raise GridNotUniform("uniform grid needs at least the two endpoints")
     m = g.size - 1
-    ref = np.arange(m + 1) * (T / m)
-    if float(np.max(np.abs(g - ref))) > 1e-9 * max(1.0, T):
+    # negated so that NaN fails the match
+    if not float(np.max(np.abs(g - _engine.uniform_grid(T, m)))) <= 1e-9 * max(1.0, T):
         raise GridNotUniform("grid does not match t_j = j T / M")
     return m
 
@@ -534,7 +518,7 @@ def _uniform_grid(exp, M):
         m = int(M)
         if m < 1:
             raise BadParameter("M must be >= 1")
-    return m, np.arange(m + 1) * (exp.horizon_T / m)
+    return m, _engine.uniform_grid(exp.horizon_T, m)
 
 
 def sample_paths_fast(exp, M, n_paths, seed, threads=1):

@@ -683,8 +683,7 @@ def distortion_mc(q, exp, n_paths, seed, grid_points=257):
     if grid_points < 257:
         raise BadParameter("need a grid of at least 257 points (256 panels)")
     m_panels = int(grid_points) - 1
-    T = exp.horizon_T
-    tgrid = np.arange(m_panels + 1) * (T / m_panels)
+    tgrid = _engine.uniform_grid(exp.horizon_T, m_panels)
     red = q.reduced
     fmat = red.reduced_functions(tgrid)
     cmat = red.coordinate_matrix()

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _engine
 from .errors import BadParameter, DeltaOutOfRange, TooFewPaths
-from .expansion import SeriesExpansion
+from .expansion import SeriesExpansion, build_fbm
 from .fourier import coeffs_quadrature, fbm_coefficients, tail_sum
 from .gamma import GammaSpec
 
@@ -270,7 +270,7 @@ def series_cov_uniform(exp, m):
     m = _resolution(m)
     i = np.arange(m + 1)
     cov = _folded_cov(exp, m, i[:, None], i[None, :])
-    return _add_deterministic_cov(exp, i * (exp.horizon_T / m), cov, np.outer)
+    return _add_deterministic_cov(exp, _engine.uniform_grid(exp.horizon_T, m), cov, np.outer)
 
 
 def series_var_uniform(exp, m):
@@ -279,14 +279,14 @@ def series_var_uniform(exp, m):
     m = _resolution(m)
     i = np.arange(m + 1)
     var = _folded_cov(exp, m, i, i)
-    return _add_deterministic_cov(exp, i * (exp.horizon_T / m), var, np.multiply)
+    return _add_deterministic_cov(exp, _engine.uniform_grid(exp.horizon_T, m), var, np.multiply)
 
 
 def _exact_uniform_m(exp, grid):
     """m when ``grid`` is exactly the samplers' uniform grid
     t_j = j T / m of ``exp``, else None."""
     m = grid.size - 1
-    if m >= 1 and np.array_equal(grid, np.arange(m + 1) * (exp.horizon_T / m)):
+    if m >= 1 and np.array_equal(grid, _engine.uniform_grid(exp.horizon_T, m)):
         return m
     return None
 
@@ -435,8 +435,7 @@ def rate_probe(model, Ns, replicates, grid_resolution, seed):
     T = model.horizon_T
     n_ref = 8 * Ns[-1]
     m = max(int(grid_resolution), 16 * Ns[-1])
-    series = fbm_coefficients(H, T, n_ref)
-    amps = np.sqrt(np.maximum(-series.values[1:] / 2.0, 0.0))
+    amps = build_fbm(H, T, n_ref, fbm_coefficients(H, T, n_ref)).sin_amp
     # the residual beyond N keeps the amplitudes of frequencies k > N only;
     # every residual has truncation n_ref, so all share one stream of draws
     resids = {}
@@ -444,7 +443,7 @@ def rate_probe(model, Ns, replicates, grid_resolution, seed):
         a = amps.copy()
         a[:n] = 0.0
         resids[n] = SeriesExpansion(
-            family="fbm_low", horizon_T=T, period_T=T, truncation_N=n_ref,
+            family="fbm_low", horizon_T=T, truncation_N=n_ref,
             drift_amp=0.0, sin_amp=a, cos_amp=a,
         )
     sups = {n: np.empty(replicates) for n in Ns}
@@ -503,9 +502,14 @@ def lemma1_check(spec, K, grid):
     target[~pos] = spec.gamma_at_zero
     recon = np.full(a.shape, spec.gamma_at_zero, dtype=float)
     w = math.pi / T
-    blk = 1 << 13
+    # frequencies in blocks of at most BLOCK_DOUBLES basis entries; one
+    # basis block is alive at a time and is transformed in place
+    blk = max(1, _engine.BLOCK_DOUBLES // g.size)
     for k0 in range(1, K + 1, blk):
         k1 = min(k0 + blk - 1, K)
-        ks = np.arange(k0, k1 + 1, dtype=float)
-        recon += (np.cos(np.outer(a, ks * w)) - 1.0) @ series.values[k0 : k1 + 1]
+        basis = np.outer(a, np.arange(k0, k1 + 1, dtype=float) * w)
+        np.cos(basis, out=basis)
+        basis -= 1.0
+        recon += basis @ series.values[k0 : k1 + 1]
+        del basis
     return float(np.max(np.abs(recon - target)))

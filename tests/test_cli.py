@@ -288,6 +288,15 @@ def test_quantize_stdout(capsys):
     assert out.splitlines()[1].startswith("# codebook label=")
 
 
+@pytest.mark.parametrize("flag", ["--alpha", "--mu"])
+def test_quantize_rejects_non_finite_gen_ou_means(tmp_path, flag):
+    out = tmp_path / "book.csv"
+    code = main(["quantize", "--model", "gen-ou", "--theta", "2", flag, "nan",
+                 "--budget", "4", "--out", str(out)])
+    assert code == 2
+    assert not out.exists() and not (tmp_path / "book.json").exists()
+
+
 def test_quantize_rejects_initial_value_noise(capsys):
     code = main(["quantize", "--model", "gen-ou", "--theta", "2.0",
                  "--sigma0", "0.5", "--budget", "4", "--N", "16"])

@@ -103,6 +103,29 @@ def test_fbm_argument_validation():
         build_fbm(0.3, 2.0, 16, s)  # horizon mismatch
 
 
+@pytest.mark.parametrize("build, spec_horizon", [
+    (lambda T, N: build_fbm(0.3, T, N, fbm_coefficients(0.3, 1.0, 16)), True),
+    (lambda T, N: build_type_a(builtin_gamma("power2H", 1.0, hurst=0.3), T, N), True),
+    (lambda T, N: build_type_b(
+        negate_spec(builtin_gamma("exp_decay", 1.0, theta=2.0, sigma2=4.0)), T, N
+    ), True),
+    (lambda T, N: build_type_c(builtin_gamma("linear", 2.0, slope=1.0), T, N), True),
+    (lambda T, N: build_generalized_ou(2.0, 0.0, 0.0, 1.0, 0.0, T, N), False),
+], ids=["fbm", "type_a", "type_b", "type_c", "gen_ou"])
+def test_builders_share_the_size_and_horizon_checks(build, spec_horizon):
+    for T in (0.0, -1.0, math.nan):
+        with pytest.raises(BadParameter):
+            build(T, 8)
+    with pytest.raises(BadParameter):
+        build(1.0, -1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ClampWarning)
+        assert build(1.0, 0).truncation_N == 0
+    if spec_horizon:
+        with pytest.raises(BadParameter):
+            build(2.0, 8)  # the coefficients were made for T = 1
+
+
 def test_type_builders_reject_wrong_admissible_side():
     with pytest.raises(StarViolated):
         build_type_b(builtin_gamma("exp_decay", 1.0, theta=2.0, sigma2=4.0), 1.0, 16)
@@ -125,6 +148,17 @@ def test_type_c_uses_doubled_period():
     assert exp.cos_amp is None
 
 
+def test_period_is_derived_from_family_and_horizon():
+    exps = all_family_expansions(8)
+    for name, exp in exps.items():
+        assert exp.period_T == (2.0 if exp.family == "type_c" else 1.0), name
+    with pytest.raises(TypeError):
+        expansion.SeriesExpansion(
+            family="fbm_low", horizon_T=1.0, period_T=1.0, truncation_N=1,
+            drift_amp=0.0, sin_amp=[1.0], cos_amp=[1.0],
+        )
+
+
 def test_gen_ou_validation():
     with pytest.raises(BadParameter):
         build_generalized_ou(0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 8)
@@ -132,6 +166,11 @@ def test_gen_ou_validation():
         build_generalized_ou(1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 8)
     with pytest.raises(BadParameter):
         build_generalized_ou(1.0, 0.0, 0.0, 1.0, -0.1, 1.0, 8)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(BadParameter):
+            build_generalized_ou(1.0, bad, 0.0, 1.0, 0.0, 1.0, 8)  # alpha
+        with pytest.raises(BadParameter):
+            build_generalized_ou(1.0, 0.0, bad, 1.0, 0.0, 1.0, 8)  # mu
 
 
 def test_path_batch_validation():
@@ -193,7 +232,7 @@ def test_fast_path_memory_is_bounded_by_the_block_budget():
     n = 1 << 16
     amps = np.arange(1, n + 1, dtype=float) ** -0.8
     exp = expansion.SeriesExpansion(
-        family="fbm_low", horizon_T=1.0, period_T=1.0, truncation_N=n,
+        family="fbm_low", horizon_T=1.0, truncation_N=n,
         drift_amp=0.0, sin_amp=amps, cos_amp=amps,
     )
     tracemalloc.start()
@@ -260,6 +299,8 @@ def test_sampling_argument_validation(exp_low):
             uniform(exp_low, 16, 5, 1.5)
         with pytest.raises(GridNotUniform):
             uniform(exp_low, np.array([0.0, 0.3, 1.0]), 5, 1)
+        with pytest.raises(GridNotUniform):
+            uniform(exp_low, np.array([0.0, math.nan, 1.0]), 5, 1)
         assert uniform(exp_low, np.linspace(0.0, 1.0, 9), 5, 1).grid.size == 9
     with pytest.raises(BadParameter):
         sample_paths(exp_low, np.array([0.0, 0.3, 0.2]), 5, 1)

@@ -3,6 +3,7 @@
 import math
 import os
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,7 +34,7 @@ from specgauss import (
     series_var_uniform,
     tail_sum,
 )
-from specgauss import validate
+from specgauss import _engine, validate
 from specgauss.expansion import PathBatch
 from test_expansion import all_family_expansions
 
@@ -341,6 +342,23 @@ def test_lemma1_reconstruction_small():
     err = lemma1_check(spec, K, grid)
     assert err <= 2.0 * tail_sum(coeffs_quadrature(spec, K), K)
     assert err > 0.0
+
+
+def test_lemma1_check_memory_is_bounded_by_the_block_budget():
+    from specgauss import coeffs_quadrature
+
+    spec = builtin_gamma("power2H", 1.0, hurst=0.3)
+    grid = np.linspace(-1.0, 1.0, 2049)
+    K = 8192
+    tracemalloc.start()
+    try:
+        err = lemma1_check(spec, K, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one basis of all K frequencies would be 2049 * 8192 doubles, 4x the budget
+    assert peak < 2 * 8 * _engine.BLOCK_DOUBLES, f"peak {peak / 2**20:.1f} MiB"
+    assert 0.0 < err <= 2.0 * tail_sum(coeffs_quadrature(spec, K), K)
 
 
 def test_lemma1_check_validation():
