@@ -27,7 +27,10 @@ sizes and thread counts.
 
 On a uniform grid the series is a fold plus a DST-I/DCT-I
 (:func:`fast_values`); :func:`direct_values` sums the basis at arbitrary
-points and is the reference the fast route is checked against.
+points and is the reference the fast route is checked against.  The rate
+probe's fBm residuals need no fold (their frequencies stay below the grid's
+Nyquist), so :func:`residual_sups` maps a whole ladder of them from one
+spectrum per block, one inverse real FFT per rung.
 
 One fold of the squared amplitudes (:func:`folded_variances`) serves both
 the sampler and the covariance: its root scales the aliased draws, and its
@@ -240,6 +243,43 @@ def aliased_values(exp, m, table, z):
     has the same law."""
     p, r = z.shape[0], table.shape[0]
     return _grid_values(exp, m, z[:, 1 : 2 * r + 1].reshape(p, r, 2) * table, z)
+
+
+def residual_sups(amps, m, Ns, z):
+    """Sup over the grid t_j = j T / m of each fBm residual along the
+    increasing ladder ``Ns``, from one block of draws of a reference
+    expansion with amplitudes ``amps`` (n_ref of them, n_ref < m).  Returns
+    the (len(Ns), paths) maxima of
+
+        |sum_{k > n} a_k (sin(pi k j / m) Z_k + (1 - cos(pi k j / m)) Z_-k)|.
+
+    No frequency aliases, so the residual is one spectrum
+    X_k = -(a_k / 2)(Z_-k + i Z_k) with bins k <= n zeroed, plus the constant
+    C_n = sum_{k > n} a_k Z_-k = -2 sum Re X_k.  The spectrum is built once
+    per row block and zeroed upward in place along the ladder; each rung is
+    one inverse real FFT of length 2m.  A row block holds the spectrum and
+    its transform within ``BLOCK_DOUBLES``.
+    """
+    n_ref = amps.size
+    half = -0.5 * amps
+    p = z.shape[0]
+    sups = np.empty((len(Ns), p))
+    rows = max(1, BLOCK_DOUBLES // (4 * m + 2))
+    for r0 in range(0, p, rows):
+        r1 = min(r0 + rows, p)
+        spec = np.zeros((r1 - r0, m + 1), dtype=complex)
+        np.multiply(z[r0:r1, 2 : 2 * n_ref + 1 : 2], half, out=spec.real[:, 1 : n_ref + 1])
+        np.multiply(z[r0:r1, 1 : 2 * n_ref + 1 : 2], half, out=spec.imag[:, 1 : n_ref + 1])
+        done = 0
+        for col, n in enumerate(Ns):
+            spec[:, done + 1 : n + 1] = 0.0
+            done = n
+            const = -2.0 * np.sum(spec.real[:, n + 1 : n_ref + 1], axis=1)
+            vals = scipy.fft.irfft(spec, n=2 * m, axis=1, norm="forward")[:, : m + 1]
+            vals += const[:, None]
+            np.abs(vals, out=vals)
+            np.max(vals, axis=1, out=sups[col, r0:r1])
+    return sups
 
 
 def _grid_values(exp, m, res, z):

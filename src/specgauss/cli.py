@@ -18,7 +18,9 @@ Common keys: ``command``, ``version``, ``config``, ``seed``, ``passed``.
 ``validate-cov`` adds the :func:`specgauss.validate.covariance_report` dict
 under ``report`` (named checks with statistic/bound/passed each).
 ``rate`` adds ``Ns``, ``sup_err_estimates``, ``sup_err_stderrs``,
-``fitted_slope``, ``reference_slope``, ``slope_tolerance``.
+``fitted_slope``, ``reference_slope``, ``slope_tolerance``, and the probe's
+``n_reference`` (reference truncation), ``grid_resolution`` (the sup grid's
+cells m actually used) and ``replicate_count``.
 """
 
 from __future__ import annotations
@@ -240,6 +242,9 @@ def _cmd_rate(parser, args):
         "fitted_slope": res.fitted_slope,
         "reference_slope": res.reference_slope,
         "slope_tolerance": args.slope_tol,
+        "n_reference": res.n_reference,
+        "grid_resolution": res.grid_resolution,
+        "replicate_count": res.replicate_count,
     }
     code = _write_report(args, cfg, seed, payload, gap <= args.slope_tol)
     print(("PASS" if code == 0 else "FAIL")

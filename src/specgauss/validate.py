@@ -20,7 +20,10 @@ the Gram product Xc^T Xc and the jackknife standard errors in closed form
 from the Gram product of the squared centred values, (Xc o Xc)^T (Xc o Xc).
 Scalar :func:`empirical_cov` stays as the per-pair reference.  The rate
 probe measures the decay of the uniform truncation error empirically against
-the expected N^(-H) sqrt(log N) law.
+the expected N^(-H) sqrt(log N) law.  Its ladder of truncations shares one
+stream of draws: per block of draws the engine builds one residual spectrum
+and takes one inverse real FFT per rung (``_engine.residual_sups``), so its
+memory is bounded by the block budget whatever the ladder.
 """
 
 import math
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import _engine
 from .errors import BadParameter, DeltaOutOfRange, TooFewPaths
-from .expansion import SeriesExpansion, build_fbm
+from .expansion import build_fbm
 from .fourier import coeffs_quadrature, fbm_coefficients, tail_sum
 from .gamma import GammaSpec
 
@@ -184,7 +187,10 @@ def series_cov_grid(exp, grid):
     cosine-channel basis at the grid points, plus the drift and
     initial-value outer products: :func:`series_cov` at every pair, as one
     product.  Frequencies are taken in blocks of at most
-    ``_engine.BLOCK_DOUBLES`` basis entries so the basis stays small.
+    ``_engine.BLOCK_DOUBLES`` basis entries, each built in place in one
+    scratch block (angles, then the weighted basis; the angles are rebuilt
+    for the cosine channel), so besides the output only that block and one
+    output-sized Gram product are alive.
     """
     T = exp.horizon_T
     t = np.asarray(grid, dtype=float)
@@ -195,15 +201,18 @@ def series_cov_grid(exp, grid):
     cov = np.zeros((t.size, t.size))
     n = exp.truncation_N
     blk = max(1, _engine.BLOCK_DOUBLES // t.size)
+    scratch = np.empty(t.size * min(blk, n))
     for k0 in range(0, n, blk):
         k1 = min(k0 + blk, n)
-        ang = np.outer(t, np.arange(k0 + 1, k1 + 1) * (math.pi / exp.period_T))
-        basis = np.sin(ang) * exp.sin_amp[k0:k1]
+        w = np.arange(k0 + 1, k1 + 1) * (math.pi / exp.period_T)
+        basis = scratch[: t.size * (k1 - k0)].reshape(t.size, k1 - k0)
+        np.sin(np.outer(t, w, out=basis), out=basis)
+        basis *= exp.sin_amp[k0:k1]
         cov += basis @ basis.T
         if exp.cos_amp is not None:
-            basis = np.cos(ang)
+            np.cos(np.outer(t, w, out=basis), out=basis)
             if exp.one_minus_cos:
-                basis = 1.0 - basis
+                np.subtract(1.0, basis, out=basis)
             basis *= exp.cos_amp[k0:k1]
             cov += basis @ basis.T
     return _add_deterministic_cov(exp, t, cov, np.outer)
@@ -225,8 +234,12 @@ def _add_deterministic_cov(exp, t, cov, pair):
     return cov
 
 
+def _is_integer(v):
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _resolution(m):
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+    if not _is_integer(m) or m < 1:
         raise BadParameter(f"m must be an integer >= 1, got {m!r}")
     return int(m)
 
@@ -422,42 +435,47 @@ def rate_probe(model, Ns, replicates, grid_resolution, seed):
     The sup over [0, T] is approximated by the max over a uniform grid of
     at least 16 * max(Ns) cells; the residual is band-limited, so the grid
     max converges quickly.
+
+    Every replicate draws the 2 n_ref + 1 normals of one reference expansion
+    (n_ref = 8 max(Ns)), so the whole ladder is coupled.  The residual beyond
+    N keeps the frequencies k > N only, and n_ref <= m / 2, so no frequency
+    aliases on the grid: per block of draws the engine builds one residual
+    spectrum, zeroes it upward along the ladder, and takes one inverse real
+    FFT per rung (``_engine.residual_sups``).  Memory stays within the draw
+    block plus one ``BLOCK_DOUBLES`` transform block.
     """
     if model.kind != "fbm":
         raise BadParameter("rate probe is defined for the fractional model")
+    try:
+        Ns = list(Ns)
+    except TypeError:
+        raise BadParameter("Ns must be a sequence of integers") from None
+    if not all(_is_integer(n) for n in Ns):
+        raise BadParameter(f"Ns must be integers, got {Ns!r}")
     Ns = [int(n) for n in Ns]
     if len(Ns) < 2 or any(b <= a for a, b in zip(Ns, Ns[1:])) or Ns[0] < 1:
         raise BadParameter("Ns must be a strictly increasing ladder of length >= 2")
+    if not _is_integer(replicates) or replicates < 100:
+        raise BadParameter(f"replicates must be an integer >= 100, got {replicates!r}")
+    if not _is_integer(grid_resolution) or grid_resolution < 0:
+        raise BadParameter(f"grid_resolution must be an integer >= 0, got {grid_resolution!r}")
+    if not _is_integer(seed):
+        raise BadParameter(f"seed must be an integer, got {seed!r}")
     replicates = int(replicates)
-    if replicates < 100:
-        raise BadParameter("need at least 100 replicates")
     H = model.hurst
     T = model.horizon_T
     n_ref = 8 * Ns[-1]
     m = max(int(grid_resolution), 16 * Ns[-1])
-    amps = build_fbm(H, T, n_ref, fbm_coefficients(H, T, n_ref)).sin_amp
-    # the residual beyond N keeps the amplitudes of frequencies k > N only;
-    # every residual has truncation n_ref, so all share one stream of draws
-    resids = {}
-    for n in Ns:
-        a = amps.copy()
-        a[:n] = 0.0
-        resids[n] = SeriesExpansion(
-            family="fbm_low", horizon_T=T, truncation_N=n_ref,
-            drift_amp=0.0, sin_amp=a, cos_amp=a,
-        )
-    sups = {n: np.empty(replicates) for n in Ns}
+    ref = build_fbm(H, T, n_ref, fbm_coefficients(H, T, n_ref))
+    sups = np.empty((len(Ns), replicates))
 
     def block(start, stop, z):
-        for n in Ns:
-            resid = _engine.fast_values(resids[n], m, z)
-            sups[n][start:stop] = np.max(np.abs(resid), axis=1)
+        sups[:, start:stop] = _engine.residual_sups(ref.sin_amp, m, Ns, z)
 
-    _engine.run_blocks(resids[Ns[0]], replicates, m + 1, seed, 1, block)
+    _engine.run_blocks(ref, replicates, m + 1, seed, 1, block)
     ests = []
     stderrs = []
-    for n in Ns:
-        vals = sups[n]
+    for vals in sups:
         ests.append(math.fsum(vals) / replicates)
         stderrs.append(float(np.std(vals, ddof=1)) / math.sqrt(replicates))
     x = np.log(np.array(Ns, dtype=float))

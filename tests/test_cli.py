@@ -248,6 +248,20 @@ def test_rate_report_schema(tmp_path, capsys):
     assert report["slope_tolerance"] == 5.0
 
 
+def test_rate_report_records_the_probe_sizes(tmp_path):
+    # the reference truncation is 8 max(Ns); the sup grid is at least
+    # 16 max(Ns) cells, so the requested 64 becomes 256
+    out = tmp_path / "rate.json"
+    code = main(["rate", "--hurst", "0.3", "--Ns", "8,16", "--replicates",
+                 "120", "--grid-resolution", "64", "--slope-tol", "5.0",
+                 "--seed", "21", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["n_reference"] == 128
+    assert report["grid_resolution"] == 256
+    assert report["replicate_count"] == 120
+
+
 def test_rate_tight_tolerance_can_fail(tmp_path):
     # two tiny truncations cannot land within 1e-6 of the asymptote
     out = tmp_path / "rate.json"

@@ -35,7 +35,7 @@ from specgauss import (
     tail_sum,
 )
 from specgauss import _engine, validate
-from specgauss.expansion import PathBatch
+from specgauss.expansion import PathBatch, SeriesExpansion
 from test_expansion import all_family_expansions
 
 
@@ -361,6 +361,25 @@ def test_lemma1_check_memory_is_bounded_by_the_block_budget():
     assert 0.0 < err <= 2.0 * tail_sum(coeffs_quadrature(spec, K), K)
 
 
+def test_series_cov_grid_memory_is_bounded_by_the_block_budget():
+    # 1025 non-uniform points and N = 8192: each frequency block is one
+    # BLOCK_DOUBLES basis; only that block, the output and the output-sized
+    # Gram product may be alive at once
+    exp = build_fbm(0.3, 1.0, 8192, fbm_coefficients(0.3, 1.0, 8192))
+    grid = np.linspace(0.0, 1.0, 1025) ** 1.5
+    out_bytes = 8 * grid.size**2
+    tracemalloc.start()
+    try:
+        cov = series_cov_grid(exp, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out_bytes + 2 * 8 * _engine.BLOCK_DOUBLES, f"peak {peak / 2**20:.1f} MiB"
+    pts = [0, 300, 1024]
+    ref = [[series_cov(exp, grid[i], grid[j]) for j in pts] for i in pts]
+    np.testing.assert_allclose(cov[np.ix_(pts, pts)], ref, rtol=1e-12, atol=1e-15)
+
+
 def test_lemma1_check_validation():
     spec = builtin_gamma("neg_power", 1.0, hurst=0.75)
     with pytest.raises(Exception):
@@ -387,3 +406,74 @@ def test_rate_probe_smoke_and_validation():
         rate_probe(model, [16, 8], 100, 0, seed=1)
     with pytest.raises(BadParameter):
         rate_probe(CovModel.brownian(1.0), [8, 16], 100, 0, seed=1)
+    # every size and the seed are integers (bool is not), never truncated
+    for bad in (
+        dict(Ns=[8.7, 16.2]),
+        dict(Ns=[8, True]),
+        dict(Ns=8),
+        dict(replicates=100.9),
+        dict(replicates=math.nan),
+        dict(replicates=True),
+        dict(grid_resolution=math.nan),
+        dict(grid_resolution=-1),
+        dict(grid_resolution=64.0),
+        dict(seed=None),
+        dict(seed=1.5),
+        dict(seed=False),
+    ):
+        args = {**dict(Ns=[8, 16], replicates=100, grid_resolution=0, seed=1), **bad}
+        with pytest.raises(BadParameter):
+            rate_probe(model, **args)
+
+
+def _rate_probe_per_rung(model, Ns, replicates, grid_resolution, seed):
+    """The rate probe's former route: one residual expansion per rung, each
+    folded and transformed by ``_engine.fast_values`` on every block."""
+    H, T = model.hurst, model.horizon_T
+    n_ref = 8 * Ns[-1]
+    m = max(grid_resolution, 16 * Ns[-1])
+    amps = build_fbm(H, T, n_ref, fbm_coefficients(H, T, n_ref)).sin_amp
+    resids = {}
+    for n in Ns:
+        a = amps.copy()
+        a[:n] = 0.0
+        resids[n] = SeriesExpansion(
+            family="fbm_low", horizon_T=T, truncation_N=n_ref,
+            drift_amp=0.0, sin_amp=a, cos_amp=a,
+        )
+    sups = {n: np.empty(replicates) for n in Ns}
+
+    def block(start, stop, z):
+        for n in Ns:
+            resid = _engine.fast_values(resids[n], m, z)
+            sups[n][start:stop] = np.max(np.abs(resid), axis=1)
+
+    _engine.run_blocks(resids[Ns[0]], replicates, m + 1, seed, 1, block)
+    ests = [math.fsum(sups[n]) / replicates for n in Ns]
+    stderrs = [float(np.std(sups[n], ddof=1)) / math.sqrt(replicates) for n in Ns]
+    return ests, stderrs
+
+
+@pytest.mark.parametrize("H, grid_resolution", [(0.3, 0), (0.75, 0), (0.3, 1000)])
+def test_rate_probe_ladder_matches_the_per_rung_route(H, grid_resolution):
+    model = CovModel.fbm(H, 1.0)
+    Ns = [8, 16, 32]
+    res = rate_probe(model, Ns, 100, grid_resolution, seed=17)
+    ests, stderrs = _rate_probe_per_rung(model, Ns, 100, grid_resolution, 17)
+    # grid_resolution 1000 is above 16 max(Ns) = 512 and not a power of two
+    assert res.grid_resolution == max(grid_resolution, 512)
+    np.testing.assert_allclose(res.sup_err_estimates, ests, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(res.sup_err_stderrs, stderrs, rtol=1e-12, atol=0)
+
+
+def test_rate_probe_memory_is_bounded_by_the_block_budget():
+    # 600 replicates fill a whole draw block of 511 paths at Ns up to 512
+    model = CovModel.fbm(0.3, 1.0)
+    tracemalloc.start()
+    try:
+        res = rate_probe(model, [64, 128, 256, 512], 600, 0, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * _engine.BLOCK_DOUBLES, f"peak {peak / 2**20:.1f} MiB"
+    assert res.sup_err_estimates[0] > res.sup_err_estimates[-1] > 0.0
