@@ -427,8 +427,9 @@ def test_rate_probe_smoke_and_validation():
 
 
 def _rate_probe_per_rung(model, Ns, replicates, grid_resolution, seed):
-    """The rate probe's former route: one residual expansion per rung, each
-    folded and transformed by ``_engine.fast_values`` on every block."""
+    """Per-rung reference for the rate probe: one residual expansion per
+    rung, each folded and transformed by ``_engine.fast_values`` on every
+    block of the shared draws."""
     H, T = model.hurst, model.horizon_T
     n_ref = 8 * Ns[-1]
     m = max(grid_resolution, 16 * Ns[-1])
