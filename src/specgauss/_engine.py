@@ -18,12 +18,16 @@ law on the grid, and for N <= 2L it draws and returns exactly what
 
 Sampling streams paths one bounded block at a time: normals are drawn
 straight into a block buffer of at most ``BLOCK_DOUBLES`` doubles (32 MiB)
-per worker, then weighted, folded onto the grid's residues and transformed
-before the next block is drawn.  Memory per worker is therefore bounded
-whatever N is (past N = 2^21 a block is one path, whose draws set the
-bound).  Because every path keeps its own stream and every per-path
-operation is row-independent, sampled values are byte-identical across block
-sizes and thread counts.
+per worker, then weighted in place, folded onto the grid's residues and
+transformed before the next block is drawn.  A worker holds one draw block
+plus one grid scratch block of max(L - 1, m + 1) columns per path, which
+both transforms and the deterministic terms share; values are written
+straight into the caller's output rows.  Past N = 2L the fold also keeps a
+residue table of 4L doubles per path, no larger than the draws.  Memory
+per worker is therefore bounded whatever N is (past N = 2^21 a block is one
+path, whose draws set the bound).  Because every path keeps its own stream
+and every per-path operation is row-independent, sampled values are
+byte-identical across block sizes and thread counts.
 
 On a uniform grid the series is a fold plus a DST-I/DCT-I
 (:func:`fast_values`); :func:`direct_values` sums the basis at arbitrary
@@ -66,8 +70,10 @@ def run_blocks(exp, n_paths, grid_size, seed, threads, block_fn, n_pairs=None):
     ``exp.truncation_N``) and the initial-value draw when present.  A block
     has ``BLOCK_DOUBLES // max(draws per path, grid_size)`` paths (at least
     one); each worker re-keys one bit generator per path, reuses one buffer
-    and takes every ``threads``-th block.  ``block_fn`` must not keep ``z``,
-    which the next block overwrites.
+    and takes every ``threads``-th block.  ``block_fn`` owns ``z`` for the
+    call and may overwrite it (the samplers weight it in place), so a caller
+    that needs the raw draws must read them before weighting; it must not
+    keep ``z``, which the next block overwrites.
     """
     if n_pairs is None:
         n_pairs = exp.truncation_N
@@ -108,13 +114,15 @@ def split_draws(exp, z):
     return block[:, 0], block[:, 1::2], block[:, 2::2], xi
 
 
-def _deterministic_terms(exp, tgrid, z, out):
+def _deterministic_terms(exp, tgrid, z, out, scratch):
+    """Add the drift, mean and initial-value terms of one block to ``out``;
+    the (paths, grid) outer products are formed in ``scratch``."""
     # Z_0 leads and the initial-value draw closes every layout of a path
     z0 = z[:, 0]
     xi = z[:, -1]
     if exp.drift_amp > 0.0:
         if exp.family == "fbm_high":
-            out += (exp.drift_amp * z0)[:, None] * tgrid[None, :]
+            out += np.multiply((exp.drift_amp * z0)[:, None], tgrid[None, :], out=scratch)
         elif exp.family == "type_b":
             out += (exp.drift_amp * z0)[:, None]
     if exp.mean_fn is not None:
@@ -122,34 +130,36 @@ def _deterministic_terms(exp, tgrid, z, out):
     if exp.init_coupling is not None:
         sigma0, theta = exp.init_coupling
         if sigma0 > 0.0:
-            out += (sigma0 * xi)[:, None] * np.exp(-theta * tgrid)[None, :]
+            out += np.multiply((sigma0 * xi)[:, None], np.exp(-theta * tgrid)[None, :], out=scratch)
     return out
 
 
-def direct_values(exp, tgrid, z):
-    """Path values at the points ``tgrid`` from one block of draws, summing
-    the sine and cosine-channel bases directly over frequency chunks of at
-    most ``BLOCK_DOUBLES`` basis entries."""
+def direct_values(exp, tgrid, z, out):
+    """Path values at the points ``tgrid`` from one block of draws, written
+    into ``out``, summing the sine and cosine-channel bases directly over
+    frequency chunks of at most ``BLOCK_DOUBLES`` basis entries."""
     _, zs, zc, _ = split_draws(exp, z)
-    out = np.zeros((z.shape[0], tgrid.size))
+    out[...] = 0.0
+    scratch = np.empty_like(out)
     n = exp.truncation_N
     base = math.pi / exp.period_T
     blk = max(1, BLOCK_DOUBLES // tgrid.size)
     for k0 in range(0, n, blk):
         k1 = min(k0 + blk, n)
         ang = np.outer(np.arange(k0 + 1, k1 + 1, dtype=np.float64) * base, tgrid)
-        out += (zs[:, k0:k1] * exp.sin_amp[k0:k1]) @ np.sin(ang)
+        out += np.matmul(zs[:, k0:k1] * exp.sin_amp[k0:k1], np.sin(ang), out=scratch)
         if exp.cos_amp is not None:
             c_basis = np.cos(ang)
             if exp.one_minus_cos:
                 c_basis = 1.0 - c_basis
-            out += (zc[:, k0:k1] * exp.cos_amp[k0:k1]) @ c_basis
-    return _deterministic_terms(exp, tgrid, z, out)
+            out += np.matmul(zc[:, k0:k1] * exp.cos_amp[k0:k1], c_basis, out=scratch)
+    return _deterministic_terms(exp, tgrid, z, out, scratch)
 
 
 def _fold(z, weights, length):
     """Residue sums of the amplitude-weighted draws on a grid with
-    ``length`` cells per half period.
+    ``length`` cells per half period.  The remainder band is weighted in
+    place in ``z``, and below N = 2 length the result is a view of ``z``.
 
     sin and cos of pi k j / length depend on k only through k mod 2 length,
     the aliasing identity behind circulant embedding.  The draws of
@@ -165,7 +175,7 @@ def _fold(z, weights, length):
     band = 2 * length
     pairs = z[:, 1 : 2 * n + 1].reshape(p, n, 2)
     full = n - n % band
-    rem = pairs[:, full:] * weights[full:]
+    rem = _scale_pairs(z[:, 2 * full + 1 : 2 * n + 1], weights[full:])
     if not full:
         return rem
     res = np.einsum(
@@ -175,6 +185,15 @@ def _fold(z, weights, length):
     )
     res[:, : n - full] += rem
     return res
+
+
+def _scale_pairs(cols, table):
+    """Scale the (sine, cosine) draw columns ``cols`` of a block in place by
+    the (pairs, 2) ``table`` and view them as (paths, pairs, 2).  The product
+    is taken on the 2-D columns, which numpy scales through small buffers;
+    on the 3-D view with a broadcast table it copies the whole operand."""
+    cols *= table.ravel()
+    return cols.reshape(cols.shape[0], -1, 2)
 
 
 def _weights(exp):
@@ -190,12 +209,13 @@ def _half_period_cells(exp, m):
     return 2 * m if exp.family == "type_c" else m
 
 
-def fast_values(exp, m, z):
-    """Path values on the uniform grid t_j = j T / m from one block of draws:
-    the amplitude-weighted draws folded onto the grid's residues, then
-    mapped onto the grid."""
+def fast_values(exp, m, z, out=None):
+    """Path values on the uniform grid t_j = j T / m from one block of draws,
+    written into ``out`` (allocated when None): the amplitude-weighted draws
+    folded onto the grid's residues, then mapped onto the grid.  The draws
+    are weighted in place, so ``z`` no longer holds them afterwards."""
     res = _fold(z, _weights(exp), _half_period_cells(exp, m))
-    return _grid_values(exp, m, res, z)
+    return _grid_values(exp, m, res, z, out)
 
 
 def folded_variances(exp, m):
@@ -235,14 +255,15 @@ def folded_cosine_sums(exp, m):
     return np.concatenate((phi, phi[-2::-1]))
 
 
-def aliased_values(exp, m, table, z):
+def aliased_values(exp, m, table, z, out=None):
     """Path values on the uniform grid t_j = j T / m from one block of
     aliased draws: (Z_0, one (sine, cosine) pair per residue, initial-value
-    draw).  Each residue sum of :func:`fast_values` is a sum of independent
-    Gaussians, so one normal scaled by ``table`` (:func:`folded_amplitudes`)
-    has the same law."""
-    p, r = z.shape[0], table.shape[0]
-    return _grid_values(exp, m, z[:, 1 : 2 * r + 1].reshape(p, r, 2) * table, z)
+    draw), written into ``out`` (allocated when None).  Each residue sum of
+    :func:`fast_values` is a sum of independent Gaussians, so one normal
+    scaled by ``table`` (:func:`folded_amplitudes`) has the same law.  The
+    pairs are scaled in place in ``z``."""
+    res = _scale_pairs(z[:, 1 : 2 * table.shape[0] + 1], table)
+    return _grid_values(exp, m, res, z, out)
 
 
 def residual_sups(amps, m, Ns, z):
@@ -282,34 +303,44 @@ def residual_sups(amps, m, Ns, z):
     return sups
 
 
-def _grid_values(exp, m, res, z):
-    """Map residue sums ``res`` (the layout of :func:`_fold`) onto the grid.
+def _grid_values(exp, m, res, z, out):
+    """Map residue sums ``res`` (the layout of :func:`_fold`) onto the grid,
+    into ``out`` (allocated when None).
 
     Of the 2L residues, r and 2L - r alias onto DST-I slot r with opposite
     sine signs, and onto DCT-I entry r in phase, where residue 0 (the
     constant) and L (Nyquist) sit at the two ends and interior entries are
     halved so the transform returns the plain cosine sum.  Type C's sine
     frequencies are k pi / (2T), living on a virtual grid of L = 2m cells of
-    which the first half is returned.
+    which the first half is returned.  Both transforms run in place in one
+    scratch block of max(L - 1, m + 1) columns, which the deterministic
+    terms then reuse.
     """
     doubled = exp.family == "type_c"
     p = z.shape[0]
-    out = np.zeros((p, m + 1))
+    if out is None:
+        out = np.empty((p, m + 1))
     lng = _half_period_cells(exp, m)
+    scratch = np.empty((p, max(lng - 1, m + 1)))
     k = res.shape[1]
     a = min(k, lng - 1)  # residues 1 .. a land on their own slot
     b = min(k, 2 * lng - 1)  # residues L+1 .. b alias onto slots 2L-b .. L-1
-    if lng > 1:
-        x = np.zeros((p, lng - 1))
+    cols = min(lng - 1, m)  # DST slots that are grid points
+    out[:, 0] = 0.0
+    out[:, cols + 1 :] = 0.0
+    if cols:
+        x = scratch[:, : lng - 1]
         x[:, :a] = res[:, :a, 0]
+        x[:, a:] = 0.0
         if b > lng:
             x[:, 2 * lng - 1 - b :] -= res[:, lng:b, 0][:, ::-1]
-        y = scipy.fft.dst(x, type=1, axis=1)
-        cols = min(lng - 1, m)  # slots that are grid points
+        y = scipy.fft.dst(x, type=1, axis=1, overwrite_x=True)
         np.multiply(y[:, :cols], 0.5, out=out[:, 1 : cols + 1])
     if not doubled:
-        x = np.zeros((p, m + 1))
+        x = scratch[:, : m + 1]
+        x[:, 0] = 0.0
         x[:, 1 : a + 1] = res[:, :a, 1]
+        x[:, a + 1 :] = 0.0
         if b > m:
             x[:, 2 * m - b : m] += res[:, m:b, 1][:, ::-1]
         x[:, 1:m] *= 0.5
@@ -317,10 +348,12 @@ def _grid_values(exp, m, res, z):
             x[:, m] = res[:, m - 1, 1]
         if k == 2 * m:
             x[:, 0] = res[:, -1, 1]
-        cos_part = scipy.fft.dct(x, type=1, axis=1)
+        cos_part = scipy.fft.dct(x, type=1, axis=1, overwrite_x=True)
         if exp.one_minus_cos:
             out -= cos_part
             out += np.sum(res[:, :, 1], axis=1)[:, None]
         else:
             out += cos_part
-    return _deterministic_terms(exp, uniform_grid(exp.horizon_T, m), z, out)
+    return _deterministic_terms(
+        exp, uniform_grid(exp.horizon_T, m), z, out, scratch[:, : m + 1]
+    )

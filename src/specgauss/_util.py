@@ -17,14 +17,16 @@ def config_hash(d):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def atomic_write_bytes(path, data):
-    """Write bytes to `path` via a temp file in the same directory plus rename."""
+def atomic_write_bytes(path, buffers):
+    """Write a list of bytes-like buffers, in order, to `path` via a temp
+    file in the same directory plus rename."""
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for buf in buffers:
+                fh.write(buf)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -35,4 +37,4 @@ def atomic_write_bytes(path, data):
 
 
 def atomic_write_text(path, text):
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, [text.encode("utf-8")])

@@ -14,6 +14,7 @@ direct synthesis on arbitrary grids.
 
 import io
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -48,6 +49,8 @@ _FAMILIES = ("fbm_low", "fbm_high", "type_a", "type_b", "type_c")
 
 _BINARY_MAGIC = b"SGPB"
 _BINARY_VERSION = 1
+_BINARY_HEAD = "<4sIIIQ"
+_BINARY_HEAD_SIZE = struct.calcsize(_BINARY_HEAD)
 
 
 @dataclass(frozen=True)
@@ -179,24 +182,42 @@ class PathBatch:
                             elif tok.startswith("expansion="):
                                 ref = tok[10:]
                         continue
-                    row = [float(x) for x in line.split(",")]
+                    parts = line.split(",")
+                    row = np.fromiter(map(float, parts), float, count=len(parts))
                 except ValueError as exc:
                     raise BadParameter(f"{path}: line {lineno}: {exc}") from None
-                if rows and len(row) != len(rows[0]):
+                if rows and row.size != rows[0].size:
                     raise BadParameter(
-                        f"{path}: line {lineno}: {len(row)} fields, expected {len(rows[0])}"
+                        f"{path}: line {lineno}: {row.size} fields, expected {rows[0].size}"
                     )
                 rows.append(row)
         if not rows:
             raise BadParameter(f"{path}: no data rows")
-        data = np.array(rows)
+        # one column per CSV row: the grid, then each path, already contiguous
+        data = np.column_stack(rows)
         return cls(
-            grid=data[:, 0],
-            values=data[:, 1:].T,
+            grid=data[0],
+            values=data[1:],
             seed=seed,
             expansion_ref=ref,
             truncation_N=trunc,
         )
+
+    def _binary_parts(self):
+        """The header and the grid and value buffers of the binary format,
+        without copying the data (little-endian doubles are views of the
+        batch on a little-endian machine)."""
+        head = struct.pack(
+            _BINARY_HEAD,
+            _BINARY_MAGIC,
+            _BINARY_VERSION,
+            self.grid.size,
+            self.n_paths,
+            int(self.seed) % (1 << 64),
+        )
+        grid = np.ascontiguousarray(self.grid, dtype="<f8")
+        values = np.ascontiguousarray(self.values, dtype="<f8")
+        return [head, grid, values]
 
     def to_binary_bytes(self):
         """Header (magic, version, M, n_paths, seed) then little-endian
@@ -205,44 +226,51 @@ class PathBatch:
         The header stores the seed as an unsigned 64-bit word, ``seed mod
         2^64``, which is also the word the sampler keys its streams on; a
         negative seed therefore reads back as ``seed + 2^64``."""
-        head = struct.pack(
-            "<4sIIIQ",
-            _BINARY_MAGIC,
-            _BINARY_VERSION,
-            self.grid.size,
-            self.n_paths,
-            int(self.seed) % (1 << 64),
-        )
-        body = [np.asarray(self.grid, dtype="<f8").tobytes()]
-        for p in range(self.n_paths):
-            body.append(np.asarray(self.values[p], dtype="<f8").tobytes())
-        return head + b"".join(body)
+        return b"".join(self._binary_parts())
 
     def to_binary(self, path):
-        atomic_write_bytes(path, self.to_binary_bytes())
+        """Write :meth:`to_binary_bytes` to ``path`` buffer by buffer, with
+        no joined copy of the batch."""
+        atomic_write_bytes(path, self._binary_parts())
 
     @classmethod
     def from_binary_bytes(cls, blob):
-        head = struct.calcsize("<4sIIIQ")
-        if len(blob) < head:
-            raise BadParameter("binary path batch: truncated header")
-        magic, version, m, n_paths, seed = struct.unpack("<4sIIIQ", blob[:head])
-        if magic != _BINARY_MAGIC:
-            raise BadParameter(f"binary path batch: bad magic {magic!r}")
-        if version != _BINARY_VERSION:
-            raise BadParameter(f"binary path batch: unsupported version {version}")
-        need = head + 8 * m * (n_paths + 1)
-        if len(blob) != need:
-            raise BadParameter(f"binary path batch: {len(blob)} bytes, expected {need}")
-        flat = np.frombuffer(blob, dtype="<f8", count=m * (n_paths + 1), offset=head)
+        m, n_paths, seed = _binary_header(blob[:_BINARY_HEAD_SIZE], len(blob))
+        flat = np.frombuffer(blob, dtype="<f8", count=m * (n_paths + 1), offset=_BINARY_HEAD_SIZE)
         grid = flat[:m].copy()
         values = flat[m:].reshape(n_paths, m).copy()
         return cls(grid=grid, values=values, seed=seed)
 
     @classmethod
     def from_binary(cls, path):
+        """Read a binary batch straight into its grid and value arrays,
+        after checking the header against the file size."""
         with open(path, "rb") as fh:
-            return cls.from_binary_bytes(fh.read())
+            size = os.fstat(fh.fileno()).st_size
+            m, n_paths, seed = _binary_header(fh.read(_BINARY_HEAD_SIZE), size)
+            grid = np.empty(m, dtype="<f8")
+            values = np.empty((n_paths, m), dtype="<f8")
+            for arr in (grid, values):
+                if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+                    raise BadParameter(f"binary path batch: {path} shrank while being read")
+        return cls(grid=grid, values=values, seed=seed)
+
+
+def _binary_header(head, size):
+    """(M, n_paths, seed) from the header of a binary batch of ``size``
+    bytes, rejecting a truncated header, a bad magic or version, and a size
+    that does not match."""
+    if len(head) < _BINARY_HEAD_SIZE:
+        raise BadParameter("binary path batch: truncated header")
+    magic, version, m, n_paths, seed = struct.unpack(_BINARY_HEAD, head)
+    if magic != _BINARY_MAGIC:
+        raise BadParameter(f"binary path batch: bad magic {magic!r}")
+    if version != _BINARY_VERSION:
+        raise BadParameter(f"binary path batch: unsupported version {version}")
+    need = _BINARY_HEAD_SIZE + 8 * m * (n_paths + 1)
+    if size != need:
+        raise BadParameter(f"binary path batch: {size} bytes, expected {need}")
+    return m, n_paths, seed
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +484,7 @@ def _run_paths(exp, tgrid, n_paths, seed, threads, synth, n_pairs=None):
     values = np.empty((n_paths, tgrid.size))
 
     def block(start, stop, z):
-        values[start:stop] = synth(z)
+        synth(z, values[start:stop])
 
     _engine.run_blocks(exp, n_paths, tgrid.size, seed, threads, block, n_pairs)
     return PathBatch(
@@ -494,7 +522,7 @@ def sample_paths(exp, grid, n_paths, seed, threads=1):
         raise BadParameter("grid must lie inside [0, T]")
     return _run_paths(
         exp, tgrid, int(n_paths), seed, int(threads),
-        lambda z: _engine.direct_values(exp, tgrid, z),
+        lambda z, out: _engine.direct_values(exp, tgrid, z, out),
     )
 
 
@@ -535,7 +563,7 @@ def sample_paths_fast(exp, M, n_paths, seed, threads=1):
     m, tgrid = _uniform_grid(exp, M)
     return _run_paths(
         exp, tgrid, int(n_paths), seed, int(threads),
-        lambda z: _engine.fast_values(exp, m, z),
+        lambda z, out: _engine.fast_values(exp, m, z, out),
     )
 
 
@@ -558,7 +586,8 @@ def sample_paths_aliased(exp, M, n_paths, seed, threads=1):
     table = _engine.folded_amplitudes(exp, m)
     return _run_paths(
         exp, tgrid, int(n_paths), seed, int(threads),
-        lambda z: _engine.aliased_values(exp, m, table, z), table.shape[0],
+        lambda z, out: _engine.aliased_values(exp, m, table, z, out),
+        table.shape[0],
     )
 
 

@@ -691,8 +691,9 @@ def distortion_mc(q, exp, n_paths, seed, grid_points=257):
     sq = np.empty(n_paths)
 
     def block(start, stop, z):
-        paths = _engine.fast_values(exp, m_panels, z)
+        # the coordinates first: fast_values weights the draws in place
         y = _coordinate_draws(exp, red, z) @ cmat.T
+        paths = _engine.fast_values(exp, m_panels, z)
         coeffs = q.project_coords(y) * root_mu[None, :]
         code = coeffs @ fmat
         if exp.mean_fn is not None:

@@ -245,6 +245,57 @@ def test_fast_path_memory_is_bounded_by_the_block_budget():
     assert peak < 2 * 8 * _engine.BLOCK_DOUBLES, f"peak {peak / 2**20:.1f} MiB"
 
 
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def _assert_within_two_blocks(batch, peak):
+    bound = batch.values.nbytes + 2 * 8 * _engine.BLOCK_DOUBLES
+    assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+
+
+def test_grid_heavy_fast_sampling_writes_in_place_within_two_blocks():
+    # N = M: one block of 2000 paths whose draws and grid values are both
+    # large, so every block-sized temporary would show
+    exp = build_fbm(0.75, 1.0, 1024, fbm_coefficients(0.75, 1.0, 1024))
+    _assert_within_two_blocks(*_traced_peak(lambda: sample_paths_fast(exp, 1024, 2000, 1)))
+
+
+def test_aliased_sampling_writes_in_place_within_two_blocks():
+    # five blocks of 4088 paths, with the initial-value term of gen-OU
+    exp = build_generalized_ou(2.0, 0.0, 0.0, 2.0, 0.5, 1.0, 512)
+    _assert_within_two_blocks(*_traced_peak(lambda: sample_paths_aliased(exp, 128, 20000, 2)))
+
+
+@pytest.fixture(scope="module")
+def wide_batch(exp_ou):
+    return sample_paths_fast(exp_ou, 1024, 400, 3)
+
+
+def test_binary_writer_makes_no_copy_of_the_batch(tmp_path, wide_batch):
+    path = tmp_path / "paths.bin"
+    _, peak = _traced_peak(lambda: wide_batch.to_binary(path))
+    assert peak < 2**20, f"to_binary peak {peak / 2**20:.2f} MiB"
+    assert path.read_bytes() == wide_batch.to_binary_bytes()
+
+
+def test_binary_reader_reads_straight_into_the_batch(tmp_path, wide_batch):
+    path = tmp_path / "paths.bin"
+    path.write_bytes(wide_batch.to_binary_bytes())
+    back, peak = _traced_peak(lambda: PathBatch.from_binary(path))
+    nbytes = wide_batch.grid.nbytes + wide_batch.values.nbytes
+    assert peak < nbytes + 2**20, f"from_binary peak {peak / 2**20:.2f} MiB"
+    assert back.values.tobytes() == wide_batch.values.tobytes()
+    assert back.grid.tobytes() == wide_batch.grid.tobytes()
+    assert back.seed == wide_batch.seed
+
+
 def test_sampling_is_deterministic_and_extends_by_path(exp_low):
     a = sample_paths_fast(exp_low, 32, 12, 7)
     b = sample_paths_fast(exp_low, 32, 12, 7)

@@ -315,6 +315,17 @@ def test_distortion_mc_matches_analytic_at_budget_one(exp_fbm04):
     assert abs(est - target) <= 4.0 * se
 
 
+def test_distortion_mc_matches_analytic_at_budget_20(exp_fbm04):
+    # past budget one the codebook reads the reduced coordinates, so this
+    # catches coordinates read from draws the sampler has already weighted
+    from specgauss.quantize import _tail_variance_integral
+
+    q = product_quantizer(None, exp_fbm04, 20)
+    est, se = distortion_mc(q, exp_fbm04, 4000, seed=321)
+    target = q.distortion_sq - _tail_variance_integral(exp_fbm04)
+    assert abs(est - target) <= 4.0 * se
+
+
 def test_distortion_mc_strictly_decreasing(exp_fbm04):
     ests = []
     for budget in (5, 10, 20):

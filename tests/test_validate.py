@@ -446,7 +446,7 @@ def _rate_probe_per_rung(model, Ns, replicates, grid_resolution, seed):
 
     def block(start, stop, z):
         for n in Ns:
-            resid = _engine.fast_values(resids[n], m, z)
+            resid = _engine.fast_values(resids[n], m, z.copy())
             sups[n][start:stop] = np.max(np.abs(resid), axis=1)
 
     _engine.run_blocks(resids[Ns[0]], replicates, m + 1, seed, 1, block)
