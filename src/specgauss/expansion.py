@@ -235,31 +235,21 @@ class PathBatch:
 
     @classmethod
     def from_binary_bytes(cls, blob):
-        m, n_paths, seed = _binary_header(blob[:_BINARY_HEAD_SIZE], len(blob))
-        flat = np.frombuffer(blob, dtype="<f8", count=m * (n_paths + 1), offset=_BINARY_HEAD_SIZE)
-        grid = flat[:m].copy()
-        values = flat[m:].reshape(n_paths, m).copy()
-        return cls(grid=grid, values=values, seed=seed)
+        return cls(**_read_binary(io.BytesIO(blob), len(blob)))
 
     @classmethod
     def from_binary(cls, path):
         """Read a binary batch straight into its grid and value arrays,
         after checking the header against the file size."""
         with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            m, n_paths, seed = _binary_header(fh.read(_BINARY_HEAD_SIZE), size)
-            grid = np.empty(m, dtype="<f8")
-            values = np.empty((n_paths, m), dtype="<f8")
-            for arr in (grid, values):
-                if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
-                    raise BadParameter(f"binary path batch: {path} shrank while being read")
-        return cls(grid=grid, values=values, seed=seed)
+            return cls(**_read_binary(fh, os.fstat(fh.fileno()).st_size))
 
 
-def _binary_header(head, size):
-    """(M, n_paths, seed) from the header of a binary batch of ``size``
-    bytes, rejecting a truncated header, a bad magic or version, and a size
-    that does not match."""
+def _read_binary(fh, size):
+    """The grid, values and seed of the binary batch of ``size`` bytes open
+    in ``fh``, read into preallocated arrays.  Rejects a truncated header, a
+    bad magic or version, and a size that does not match the header."""
+    head = fh.read(_BINARY_HEAD_SIZE)
     if len(head) < _BINARY_HEAD_SIZE:
         raise BadParameter("binary path batch: truncated header")
     magic, version, m, n_paths, seed = struct.unpack(_BINARY_HEAD, head)
@@ -270,7 +260,12 @@ def _binary_header(head, size):
     need = _BINARY_HEAD_SIZE + 8 * m * (n_paths + 1)
     if size != need:
         raise BadParameter(f"binary path batch: {size} bytes, expected {need}")
-    return m, n_paths, seed
+    grid = np.empty(m, dtype="<f8")
+    values = np.empty((n_paths, m), dtype="<f8")
+    for arr in (grid, values):
+        if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+            raise BadParameter("binary path batch: shrank while being read")
+    return dict(grid=grid, values=values, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import struct
 import tempfile
 import tracemalloc
 import warnings
@@ -374,9 +375,24 @@ def test_csv_and_binary_round_trips(tmp_path, exp_ou):
     assert np.array_equal(back2.grid, batch.grid)
     assert back2.seed == batch.seed
 
-    blob = batch.to_binary_bytes()
-    for bad in (blob + b"junk", blob[:-1]):
-        with pytest.raises(BadParameter):
+
+def _corrupt_blobs(blob):
+    """(message fragment, corrupted blob) for each rejection of the format."""
+    yield "bytes, expected", blob + b"junk"
+    yield "bytes, expected", blob[:-1]
+    yield "truncated header", blob[:10]
+    yield "bad magic", b"XXXX" + blob[4:]
+    yield "unsupported version", blob[:4] + struct.pack("<I", 2) + blob[8:]
+
+
+def test_binary_readers_reject_corrupt_batches(tmp_path, exp_ou):
+    blob = sample_paths_fast(exp_ou, 16, 9, 77).to_binary_bytes()
+    for why, bad in _corrupt_blobs(blob):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(bad)
+        with pytest.raises(BadParameter, match=why):
+            PathBatch.from_binary(path)
+        with pytest.raises(BadParameter, match=why):
             PathBatch.from_binary_bytes(bad)
 
 
