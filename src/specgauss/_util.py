@@ -1,14 +1,98 @@
-"""Small shared helpers: atomic file writes, canonical float text, config hashing."""
+"""Small shared helpers: integer argument checks, atomic file writes,
+canonical float text, config hashing, and the one CSV table format.
+
+Every CSV artifact (coefficient tables, sampled paths, codebooks) is written
+by :func:`csv_table_text` and read by :func:`read_csv_table`.  A table is
+``#`` comment lines carrying ``key=value`` metadata tokens, one header row of
+column names, then one row per grid point or index with shortest round-trip
+floats, so a table reads back exactly.
+"""
 
 import hashlib
+import itertools
 import json
 import os
 import tempfile
+
+import numpy as np
+
+from .errors import BadParameter
+
+
+def check_int(value, name, minimum=None):
+    """``value`` as an int: an int or numpy integer, not a bool, and at
+    least ``minimum`` when one is given; anything else (a float, NaN, None)
+    is a BadParameter rather than a silent truncation."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or (minimum is not None and value < minimum)
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise BadParameter(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
 
 
 def float_text(x):
     """Shortest round-trip decimal text for a float (repr of a Python float)."""
     return repr(float(x))
+
+
+def csv_table_text(head, names, columns):
+    """The CSV text of a table: ``# `` plus each line of ``head``, the
+    header row ``names``, then one row per index.
+
+    ``columns`` is a sequence of arrays of equal length along their last
+    axis: a 1-D array is one column, each row of a 2-D array one more.
+    Values are written as Python ``repr``: shortest round-trip text for
+    floats, plain digits for integer arrays.  Each row is converted and
+    joined on its own, so the text is the only table-sized allocation.
+    """
+    blocks = [np.atleast_2d(c) for c in columns]
+    lines = [f"# {h}\n" for h in head]
+    lines.append(",".join(names) + "\n")
+    for j in range(blocks[0].shape[1]):
+        row = itertools.chain.from_iterable(b[:, j].tolist() for b in blocks)
+        lines.append(",".join(map(repr, row)) + "\n")
+    return "".join(lines)
+
+
+def read_csv_table(path, meta_types):
+    """The metadata and columns of the CSV table at ``path``.
+
+    ``meta_types`` maps each metadata key to read to its type; a ``#`` line's
+    ``key=value`` tokens with other keys are ignored, and a later token wins.
+    The first other nonblank line is the header row and fixes the width;
+    every row after it must hold that many floats.  Returns ``(meta,
+    data)`` with ``data`` of shape (width, rows), one contiguous row per
+    column.  A malformed line raises ``BadParameter("<path>: line N: ...")``.
+    """
+    meta = {}
+    rows = []
+    width = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                if line.startswith("#"):
+                    for key, sep, value in (tok.partition("=") for tok in line[1:].split()):
+                        if sep and key in meta_types:
+                            meta[key] = meta_types[key](value)
+                    continue
+                fields = line.split(",")
+                if width is None:
+                    width = len(fields)
+                    continue
+                if len(fields) != width:
+                    raise ValueError(f"{len(fields)} fields, expected {width}")
+                rows.append(np.fromiter(map(float, fields), float, count=width))
+            except ValueError as exc:
+                raise BadParameter(f"{path}: line {lineno}: {exc}") from None
+    if not rows:
+        raise BadParameter(f"{path}: no data rows")
+    return meta, np.column_stack(rows)
 
 
 def config_hash(d):

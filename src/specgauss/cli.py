@@ -16,7 +16,11 @@ JSON report schema (validate-cov, rate)
 ---------------------------------------
 Common keys: ``command``, ``version``, ``config``, ``seed``, ``passed``.
 ``validate-cov`` adds the :func:`specgauss.validate.covariance_report` dict
-under ``report`` (named checks with statistic/bound/passed each).
+under ``report`` (named checks with statistic/bound/passed each).  Its
+``empirical_vs_analytic`` check compares the sample covariance with the
+untruncated covariance, so ``--N`` must push the ``series_vs_analytic``
+statistic (the truncation gap) well below the Monte Carlo standard error at
+``--paths``; otherwise the check fails for some seeds on correct paths.
 ``rate`` adds ``Ns``, ``sup_err_estimates``, ``sup_err_stderrs``,
 ``fitted_slope``, ``reference_slope``, ``slope_tolerance``, and the probe's
 ``n_reference`` (reference truncation), ``grid_resolution`` (the sup grid's
@@ -265,8 +269,7 @@ def _cmd_quantize(parser, args):
     exp = _expansion(args, args.N)
     q = product_quantizer(model, exp, args.budget, m=args.m)
     tgrid = np.linspace(0.0, args.T, args.grid)
-    text = f"# {_header_line(cfg, None)}\n" + q.to_csv_text(tgrid)
-    _emit_text(args.out, text)
+    _emit_text(args.out, q.to_csv_text(tgrid, comments=[_header_line(cfg, None)]))
     if args.out is not None:
         sidecar = dict(q.sidecar_dict())
         sidecar.update(version=__version__, config=config_hash(cfg))

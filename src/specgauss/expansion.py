@@ -23,7 +23,13 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import _engine
-from ._util import atomic_write_bytes, atomic_write_text, float_text
+from ._util import (
+    atomic_write_bytes,
+    atomic_write_text,
+    check_int,
+    csv_table_text,
+    read_csv_table,
+)
 from .errors import (
     BadParameter,
     BranchMismatch,
@@ -144,63 +150,25 @@ class PathBatch:
 
     def to_csv_text(self, comments=()):
         """CSV ``t,path_0,path_1,...`` preceded by metadata comments."""
-        buf = io.StringIO()
-        for c in comments:
-            buf.write(f"# {c}\n")
-        buf.write(
-            f"# seed={self.seed} truncation_N={self.truncation_N} "
-            f"expansion={self.expansion_ref}\n"
-        )
-        buf.write("t," + ",".join(f"path_{p}" for p in range(self.n_paths)) + "\n")
-        for j in range(self.grid.size):
-            row = [float_text(self.grid[j])]
-            row.extend(float_text(x) for x in self.values[:, j])
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+        head = [*comments, f"seed={self.seed} truncation_N={self.truncation_N} "
+                           f"expansion={self.expansion_ref}"]
+        names = ["t", *(f"path_{p}" for p in range(self.n_paths))]
+        return csv_table_text(head, names, [self.grid, self.values])
 
     def to_csv(self, path, comments=()):
         atomic_write_text(path, self.to_csv_text(comments))
 
     @classmethod
     def from_csv(cls, path):
-        seed = 0
-        trunc = 0
-        ref = ""
-        rows = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("t,"):
-                    continue
-                try:
-                    if line.startswith("#"):
-                        for tok in line[1:].split():
-                            if tok.startswith("seed="):
-                                seed = int(tok[5:])
-                            elif tok.startswith("truncation_N="):
-                                trunc = int(tok[13:])
-                            elif tok.startswith("expansion="):
-                                ref = tok[10:]
-                        continue
-                    parts = line.split(",")
-                    row = np.fromiter(map(float, parts), float, count=len(parts))
-                except ValueError as exc:
-                    raise BadParameter(f"{path}: line {lineno}: {exc}") from None
-                if rows and row.size != rows[0].size:
-                    raise BadParameter(
-                        f"{path}: line {lineno}: {row.size} fields, expected {rows[0].size}"
-                    )
-                rows.append(row)
-        if not rows:
-            raise BadParameter(f"{path}: no data rows")
-        # one column per CSV row: the grid, then each path, already contiguous
-        data = np.column_stack(rows)
+        meta, data = read_csv_table(
+            path, {"seed": int, "truncation_N": int, "expansion": str}
+        )
         return cls(
             grid=data[0],
             values=data[1:],
-            seed=seed,
-            expansion_ref=ref,
-            truncation_N=trunc,
+            seed=meta.get("seed", 0),
+            expansion_ref=meta.get("expansion", ""),
+            truncation_N=meta.get("truncation_N", 0),
         )
 
     def _binary_parts(self):
@@ -296,13 +264,10 @@ def _amps_from_radicands(r, what):
 
 def _check_size(T, N, what):
     """The truncation N as an int, after the checks every builder shares:
-    T > 0 and N >= 0."""
+    T > 0 and N an integer >= 0."""
     if not (T > 0):
         raise BadParameter(f"{what}: T must be positive")
-    N = int(N)
-    if N < 0:
-        raise BadParameter(f"{what}: N must be >= 0")
-    return N
+    return check_int(N, f"{what}: N", 0)
 
 
 def _check_horizon(series, horizon, what):
@@ -476,6 +441,9 @@ def build_generalized_ou(theta, alpha, mu, sigma, sigma0, T, N):
 
 
 def _run_paths(exp, tgrid, n_paths, seed, threads, synth, n_pairs=None):
+    n_paths = check_int(n_paths, "n_paths", 1)
+    seed = check_int(seed, "seed")
+    threads = check_int(threads, "threads", 1)
     values = np.empty((n_paths, tgrid.size))
 
     def block(start, stop, z):
@@ -485,17 +453,10 @@ def _run_paths(exp, tgrid, n_paths, seed, threads, synth, n_pairs=None):
     return PathBatch(
         grid=tgrid,
         values=values,
-        seed=int(seed),
+        seed=seed,
         expansion_ref=exp.label,
         truncation_N=exp.truncation_N,
     )
-
-
-def _validate_sampling_args(n_paths, seed):
-    if not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
-        raise BadParameter("n_paths must be a positive integer")
-    if not isinstance(seed, (int, np.integer)):
-        raise BadParameter("seed must be an integer")
 
 
 def sample_paths(exp, grid, n_paths, seed, threads=1):
@@ -504,7 +465,6 @@ def sample_paths(exp, grid, n_paths, seed, threads=1):
     Deterministic given the seed; the per-path Philox streams make the
     result independent of blocking and thread count.
     """
-    _validate_sampling_args(n_paths, seed)
     tgrid = np.ascontiguousarray(np.asarray(grid, dtype=float))
     if tgrid.ndim != 1 or tgrid.size == 0:
         raise BadParameter("grid must be a nonempty 1-D array")
@@ -516,7 +476,7 @@ def sample_paths(exp, grid, n_paths, seed, threads=1):
     if tgrid[0] < -1e-12 * T or tgrid[-1] > T * (1.0 + 1e-12):
         raise BadParameter("grid must lie inside [0, T]")
     return _run_paths(
-        exp, tgrid, int(n_paths), seed, int(threads),
+        exp, tgrid, n_paths, seed, threads,
         lambda z, out: _engine.direct_values(exp, tgrid, z, out),
     )
 
@@ -538,9 +498,7 @@ def _uniform_grid(exp, M):
     if isinstance(M, (list, tuple, np.ndarray)):
         m = _uniform_resolution(M, exp.horizon_T)
     else:
-        m = int(M)
-        if m < 1:
-            raise BadParameter("M must be >= 1")
+        m = check_int(M, "M", 1)
     return m, _engine.uniform_grid(exp.horizon_T, m)
 
 
@@ -554,10 +512,9 @@ def sample_paths_fast(exp, M, n_paths, seed, threads=1):
     sizes and thread counts.  Matches :func:`sample_paths` on the same grid
     and seed to 1e-10 absolute.
     """
-    _validate_sampling_args(n_paths, seed)
     m, tgrid = _uniform_grid(exp, M)
     return _run_paths(
-        exp, tgrid, int(n_paths), seed, int(threads),
+        exp, tgrid, n_paths, seed, threads,
         lambda z, out: _engine.fast_values(exp, m, z, out),
     )
 
@@ -576,11 +533,10 @@ def sample_paths_aliased(exp, M, n_paths, seed, threads=1):
     return identical values.  Arguments, blocking and byte-identity across
     block sizes and thread counts are as in :func:`sample_paths_fast`.
     """
-    _validate_sampling_args(n_paths, seed)
     m, tgrid = _uniform_grid(exp, M)
     table = _engine.folded_amplitudes(exp, m)
     return _run_paths(
-        exp, tgrid, int(n_paths), seed, int(threads),
+        exp, tgrid, n_paths, seed, threads,
         lambda z, out: _engine.aliased_values(exp, m, table, z, out),
         table.shape[0],
     )

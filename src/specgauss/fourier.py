@@ -13,13 +13,12 @@ trapezoid used to anchor reference values; it shares no code with the
 production route.
 """
 
-import io
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import atomic_write_text, float_text
+from ._util import atomic_write_text, check_int, csv_table_text, float_text, read_csv_table
 from .errors import (
     BadParameter,
     InsufficientData,
@@ -35,6 +34,8 @@ _GL8 = np.polynomial.legendre.leggauss(8)
 _GL32 = np.polynomial.legendre.leggauss(32)
 
 _EVAL_CHUNK = 1 << 22
+# relative error-bound target per coefficient of the production quadrature
+_QUAD_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -72,65 +73,37 @@ class CosineSeries:
 
     def to_csv_text(self, comments=()):
         """CSV text ``k,c_k,err_bound`` with shortest round-trip floats."""
-        buf = io.StringIO()
-        for c in comments:
-            buf.write(f"# {c}\n")
-        buf.write(
-            f"# T={float_text(self.horizon_T)} method={self.method} "
-            f"has_c0={int(self.has_c0)} label={self.source_label}\n"
+        head = [*comments, f"T={float_text(self.horizon_T)} method={self.method} "
+                           f"has_c0={int(self.has_c0)} label={self.source_label}"]
+        return csv_table_text(
+            head, ["k", "c_k", "err_bound"],
+            [np.arange(self.k_max + 1), self.values, self.error_bounds],
         )
-        buf.write("k,c_k,err_bound\n")
-        for k in range(self.k_max + 1):
-            buf.write(f"{k},{float_text(self.values[k])},{float_text(self.error_bounds[k])}\n")
-        return buf.getvalue()
 
     def to_csv(self, path, comments=()):
         atomic_write_text(path, self.to_csv_text(comments))
 
     @classmethod
     def from_csv(cls, path):
-        horizon = None
-        method = "quadrature"
-        has_c0 = True
-        label = ""
-        ks, vals, errs = [], [], []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("k,"):
-                    continue
-                try:
-                    if line.startswith("#"):
-                        for tok in line[1:].split():
-                            if tok.startswith("T="):
-                                horizon = float(tok[2:])
-                            elif tok.startswith("method="):
-                                method = tok[7:]
-                            elif tok.startswith("has_c0="):
-                                has_c0 = bool(int(tok[7:]))
-                            elif tok.startswith("label="):
-                                label = tok[6:]
-                        continue
-                    fields = line.split(",")
-                    if len(fields) != 3:
-                        raise ValueError(f"{len(fields)} fields, expected 3 (k,c_k,err_bound)")
-                    ks.append(int(fields[0]))
-                    vals.append(float(fields[1]))
-                    errs.append(float(fields[2]))
-                except ValueError as exc:
-                    raise BadParameter(f"{path}: line {lineno}: {exc}") from None
-        if horizon is None:
+        meta, data = read_csv_table(
+            path,
+            {"T": float, "method": str, "has_c0": lambda v: bool(int(v)), "label": str},
+        )
+        if data.shape[0] != 3:
+            raise BadParameter(f"{path}: {data.shape[0]} columns, expected k,c_k,err_bound")
+        ks, values, bounds = data
+        if "T" not in meta:
             raise BadParameter(f"{path}: missing T= metadata comment")
-        if ks != list(range(len(ks))):
+        if not np.array_equal(ks, np.arange(ks.size)):
             raise BadParameter(f"{path}: rows must cover k = 0..k_max in order")
         return cls(
-            horizon_T=horizon,
-            k_max=len(ks) - 1,
-            values=np.array(vals),
-            method=method,
-            error_bounds=np.array(errs),
-            source_label=label,
-            has_c0=has_c0,
+            horizon_T=meta["T"],
+            k_max=ks.size - 1,
+            values=values,
+            method=meta.get("method", "quadrature"),
+            error_bounds=bounds,
+            source_label=meta.get("label", ""),
+            has_c0=meta.get("has_c0", True),
         )
 
 
@@ -280,8 +253,7 @@ def power_series_coeffs(amp, exponent, T, k_max, label=None):
     """Coefficient series of amp * t**exponent on (0, T], exponent > -1."""
     if exponent <= -1.0:
         raise SingularityTooStrong(f"t**{exponent} is not integrable at 0")
-    if k_max < 0:
-        raise BadParameter("k_max must be >= 0")
+    k_max = check_int(k_max, "k_max", 0)
     T = float(T)
     values = np.empty(k_max + 1)
     bounds = np.empty(k_max + 1)
@@ -345,19 +317,16 @@ def _generic_coeff(spec, k, depth, gl_hi, gl_lo):
     return val, err
 
 
-def coeffs_quadrature(spec, k_max, tol=1e-11):
+def coeffs_quadrature(spec, k_max):
     """Panel quadrature of the coefficient series of ``spec``.
 
     Exact power laws (``spec.power_amp`` set) ride the shared panel table;
     everything else gets per-coefficient half-period panels, geometrically
     refined toward the origin, with an embedded lower-order rule providing
     the per-entry error bound.  Raises QuadratureNonConvergence when a bound
-    stays above ``tol * max(1, |c_k|)`` after one escalation.
+    stays above ``_QUAD_TOL * max(1, |c_k|)`` after one escalation.
     """
-    if k_max < 0:
-        raise BadParameter("k_max must be >= 0")
-    if not (tol > 0):
-        raise BadParameter("tol must be positive")
+    k_max = check_int(k_max, "k_max", 0)
     if spec.delta >= 2.0:
         raise SingularityTooStrong(f"delta={spec.delta} makes the coefficients divergent")
 
@@ -366,7 +335,7 @@ def coeffs_quadrature(spec, k_max, tol=1e-11):
             spec.power_amp, spec.power_exponent, spec.horizon_T, k_max,
             label=spec.label or None,
         )
-        bad = series.error_bounds[1:] > tol * np.maximum(1.0, np.abs(series.values[1:]))
+        bad = series.error_bounds[1:] > _QUAD_TOL * np.maximum(1.0, np.abs(series.values[1:]))
         if np.any(bad):
             raise QuadratureNonConvergence(
                 f"power route bound exceeds tol at k={int(np.argmax(bad)) + 1}"
@@ -378,9 +347,9 @@ def coeffs_quadrature(spec, k_max, tol=1e-11):
     bounds = np.empty(k_max + 1)
     for k in range(k_max + 1):
         val, err = _generic_coeff(spec, k, depth, _GL16, _GL8)
-        if err > tol * max(1.0, abs(val)):
+        if err > _QUAD_TOL * max(1.0, abs(val)):
             val, err = _generic_coeff(spec, k, depth + 120, _GL32, _GL16)
-            if err > tol * max(1.0, abs(val)):
+            if err > _QUAD_TOL * max(1.0, abs(val)):
                 raise QuadratureNonConvergence(
                     f"error estimate {err:.3e} stalled above tol at k={k}"
                 )
@@ -407,8 +376,7 @@ def coeffs_closed(model, T, k_max, *, theta=None, sigma2=None):
     ``brownian_example``   : generating function -|t|; c_k = (1-(-1)^k) (2/(k pi))^2 T.
     ``generalized_ou``     : generating function (sigma2/theta) exp(-theta t).
     """
-    if k_max < 0:
-        raise BadParameter("k_max must be >= 0")
+    k_max = check_int(k_max, "k_max", 0)
     if not (T > 0):
         raise BadParameter("T must be positive")
     k = np.arange(0, k_max + 1, dtype=float)
@@ -465,7 +433,7 @@ def lemma2_transform(series, T):
     )
 
 
-def fbm_coefficients(H, T, k_max, tol=1e-11):
+def fbm_coefficients(H, T, k_max):
     """The fractional-Brownian coefficient series for either parameter branch.
 
     H < 1/2: series of t^(2H) directly.  H > 1/2: series of the negated

@@ -168,6 +168,12 @@ def builtin_gamma(kind, T, *, hurst=None, theta=None, sigma2=None, slope=1.0):
     raise BadParameter(f"unknown builtin kind {kind!r}")
 
 
+# largest relative derivative and concavity violation the star probe passes
+_STAR_TOL = 1e-9
+# geometric window (x_lo, x_hi, points) of the singularity-exponent fit
+_FIT_WINDOW = (1e-8, 1e-4, 64)
+
+
 def _star_grid(T, grid_size):
     # geometric tail T*2^-j down to T*2^-40 catches the endpoint behavior,
     # the rest of the budget samples [T/2, T] uniformly
@@ -176,13 +182,13 @@ def _star_grid(T, grid_size):
     return np.unique(np.concatenate([geo, uni])), geo
 
 
-def check_star(spec, grid_size=1024, tol=1e-9):
+def check_star(spec, grid_size=1024):
     """Probe increasingness, concavity and the derivative's singular bound.
 
     Violations are measured relative to the local derivative scale so that the
     huge derivative values near a singular origin do not drown the check in
-    rounding noise.  ``passed`` requires both violations <= tol and a finite
-    singular-bound estimate.
+    rounding noise.  ``passed`` requires both violations <= ``_STAR_TOL`` and
+    a finite singular-bound estimate.
     """
     if grid_size < 16:
         raise BadParameter("grid_size must be at least 16")
@@ -202,7 +208,7 @@ def check_star(spec, grid_size=1024, tol=1e-9):
     d_geo = np.asarray(spec.derivative(geo), dtype=float)
     sing = float(np.max(geo**spec.delta * d_geo))
 
-    passed = deriv_viol <= tol and conc_viol <= tol and np.isfinite(sing)
+    passed = deriv_viol <= _STAR_TOL and conc_viol <= _STAR_TOL and np.isfinite(sing)
     return StarReport(
         passed=bool(passed),
         max_derivative_violation=deriv_viol,
@@ -212,12 +218,13 @@ def check_star(spec, grid_size=1024, tol=1e-9):
     )
 
 
-def fit_singularity_exponent(spec, x_lo=1e-8, x_hi=1e-4, n=64):
-    """Least-squares slope of log g' against log x; returns the fitted -slope.
+def fit_singularity_exponent(spec):
+    """Least-squares slope of log g' against log x on ``_FIT_WINDOW``;
+    returns the fitted -slope.
 
     For an admissible spec this recovers ``delta`` up to grid effects.
     """
-    x = np.geomspace(x_lo, x_hi, n)
+    x = np.geomspace(*_FIT_WINDOW)
     d = np.asarray(spec.derivative(x), dtype=float)
     if np.any(~np.isfinite(d)) or np.any(d <= 0):
         raise NonFiniteEvaluation("derivative must be positive finite on the fit window")

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import _engine
-from ._util import float_text
+from ._util import check_int, csv_table_text
 from .errors import (
     BadParameter,
     GramSingularWarning,
@@ -45,6 +45,8 @@ __all__ = [
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _LLOYD_CYCLES = 12
 _NEWTON_CAP = 60
+# largest Lloyd move or stationarity residual at which a quantizer is done
+_LLOYD_TOL = 1e-10
 
 
 def _phi(x):
@@ -147,19 +149,16 @@ def _newton_delta(y):
     return r, -solve_banded((1, 1), ab, r)
 
 
-def gauss1d_quantizer(n, tol=1e-10):
+def gauss1d_quantizer(n):
     """Optimal n-level quantizer of a standard normal.
 
     Lloyd iteration with componentwise Aitken extrapolation does the
     bulk of the work; because plain Lloyd contracts at 1 - O(1/n^2), a
     damped Newton corrector on the stationarity system finishes large n
-    off, rejecting any step that breaks the level ordering.
+    off, rejecting any step that breaks the level ordering.  Iteration
+    stops once a move or the stationarity residual is below ``_LLOYD_TOL``.
     """
-    n = int(n)
-    if n < 1:
-        raise BadParameter("quantizer needs n >= 1")
-    if not (tol > 0):
-        raise BadParameter("tol must be positive")
+    n = check_int(n, "n", 1)
     if n == 1:
         return Quantizer1D(1, np.zeros(1), np.zeros(0), 1.0)
     # high-resolution quantizers have point density ~ phi^(1/3), whose
@@ -171,7 +170,7 @@ def gauss1d_quantizer(n, tol=1e-10):
         y1 = _lloyd_step(y)
         y2 = _lloyd_step(y1)
         move = float(np.max(np.abs(y2 - y1)))
-        if move < tol:
+        if move < _LLOYD_TOL:
             y = y2
             converged = True
             break
@@ -187,7 +186,7 @@ def gauss1d_quantizer(n, tol=1e-10):
             resid = float(np.max(np.abs(y3 - acc)))
             if resid < move:
                 y = y3
-                if resid < tol:
+                if resid < _LLOYD_TOL:
                     converged = True
                     break
     if not converged:
@@ -195,7 +194,7 @@ def gauss1d_quantizer(n, tol=1e-10):
         for _ in range(_NEWTON_CAP):
             r, delta = _newton_delta(y)
             resid = float(np.max(np.abs(r)))
-            if resid < tol:
+            if resid < _LLOYD_TOL:
                 converged = True
                 break
             if resid >= best:
@@ -250,9 +249,7 @@ def allocate_levels(mu, budget_N):
         raise BadParameter("mu entries must be positive and finite")
     if np.any(np.diff(mu) > 1e-12 * mu[0]):
         raise BadParameter("mu must be non-increasing")
-    budget = int(budget_N)
-    if budget < 1:
-        raise BadParameter("budget_N must be >= 1")
+    budget = check_int(budget_N, "budget_N", 1)
     d = mu.size
     tails = np.concatenate((np.cumsum(mu[::-1])[::-1], [0.0]))
     best_cost = math.inf
@@ -502,7 +499,7 @@ class ReducedKL:
 def kl_reduce(exp, m):
     """Eigenreduction of the truncated covariance on the span of the
     first m frequencies (plus the drift coordinate when present)."""
-    m = int(m)
+    m = check_int(m, "m", 1)
     terms, lams = _basis_terms(exp, m)
     gram = _gram_of_terms(terms, exp.horizon_T)
     g = gram.entries
@@ -600,17 +597,15 @@ class FunctionalQuantizer:
             out[:, j] = q.levels[q.quantize(y[:, j])]
         return out
 
-    def to_csv_text(self, tgrid):
+    def to_csv_text(self, tgrid, comments=()):
+        """CSV ``t,cw_0,cw_1,...`` of the codeword paths on ``tgrid``,
+        preceded by metadata comments."""
         t = np.asarray(tgrid, dtype=float)
         paths = self.codebook_paths(t)
-        k = paths.shape[0]
-        lines = [
-            f"# codebook label={self.label} budget_levels={'x'.join(str(n) for n in self.levels_per_dim)}",
-            "t," + ",".join(f"cw_{i}" for i in range(k)),
-        ]
-        for j in range(t.size):
-            lines.append(float_text(t[j]) + "," + ",".join(float_text(v) for v in paths[:, j]))
-        return "\n".join(lines) + "\n"
+        levels = "x".join(str(n) for n in self.levels_per_dim)
+        head = [*comments, f"codebook label={self.label} budget_levels={levels}"]
+        names = ["t", *(f"cw_{i}" for i in range(paths.shape[0]))]
+        return csv_table_text(head, names, [t, paths])
 
     def sidecar_dict(self):
         return {
@@ -623,13 +618,11 @@ class FunctionalQuantizer:
 def product_quantizer(model, exp, budget_N, m=None):
     """Rate-optimal product quantizer of an expansion under a codebook
     budget.  ``m`` defaults to max(1, ceil(log2 budget))."""
-    budget = int(budget_N)
-    if budget < 1:
-        raise BadParameter("budget_N must be >= 1")
+    budget = check_int(budget_N, "budget_N", 1)
     if m is None:
         m = max(1, math.ceil(math.log2(budget)))
-    m = int(m)
     red = kl_reduce(exp, m)
+    m = red.m
     nvec = allocate_levels(red.mu, budget)
     quants = tuple(gauss1d_quantizer(int(n)) for n in nvec)
     scalar_term = float(np.sum(red.mu * np.array([q.distortion for q in quants])))
@@ -677,12 +670,11 @@ def distortion_mc(q, exp, n_paths, seed, grid_points=257):
     the reduced coordinates, and integrates the squared gap by the
     trapezoid rule.  Returns (estimate, stderr).
     """
-    n_paths = int(n_paths)
+    n_paths = check_int(n_paths, "n_paths")
+    seed = check_int(seed, "seed")
     if n_paths < 100:
         raise TooFewPaths(f"distortion estimate needs >= 100 paths, got {n_paths}")
-    if grid_points < 257:
-        raise BadParameter("need a grid of at least 257 points (256 panels)")
-    m_panels = int(grid_points) - 1
+    m_panels = check_int(grid_points, "grid_points", 257) - 1
     tgrid = _engine.uniform_grid(exp.horizon_T, m_panels)
     red = q.reduced
     fmat = red.reduced_functions(tgrid)

@@ -33,6 +33,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import _engine
+from ._util import check_int
 from .errors import BadParameter, DeltaOutOfRange, TooFewPaths
 from .expansion import build_fbm
 from .fourier import coeffs_quadrature, fbm_coefficients, tail_sum
@@ -234,16 +235,6 @@ def _add_deterministic_cov(exp, t, cov, pair):
     return cov
 
 
-def _is_integer(v):
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _resolution(m):
-    if not _is_integer(m) or m < 1:
-        raise BadParameter(f"m must be an integer >= 1, got {m!r}")
-    return int(m)
-
-
 def _folded_cov(exp, m, i, j):
     """The series part of the covariance at grid indices (i, j) of
     t_j = j T / m, broadcast, from the folded cosine sums Phi of each
@@ -280,7 +271,7 @@ def series_cov_uniform(exp, m):
     each channel's covariance is a combination of its folded cosine sums
     Phi(d).  The error is a few ulps of the total variance.
     """
-    m = _resolution(m)
+    m = check_int(m, "m", 1)
     i = np.arange(m + 1)
     cov = _folded_cov(exp, m, i[:, None], i[None, :])
     return _add_deterministic_cov(exp, _engine.uniform_grid(exp.horizon_T, m), cov, np.outer)
@@ -289,7 +280,7 @@ def series_cov_uniform(exp, m):
 def series_var_uniform(exp, m):
     """The diagonal of :func:`series_cov_uniform`, the series variance at
     each of the m + 1 points t_j = j T / m, in O(N + L log L + m)."""
-    m = _resolution(m)
+    m = check_int(m, "m", 1)
     i = np.arange(m + 1)
     var = _folded_cov(exp, m, i, i)
     return _add_deterministic_cov(exp, _engine.uniform_grid(exp.horizon_T, m), var, np.multiply)
@@ -450,22 +441,16 @@ def rate_probe(model, Ns, replicates, grid_resolution, seed):
         Ns = list(Ns)
     except TypeError:
         raise BadParameter("Ns must be a sequence of integers") from None
-    if not all(_is_integer(n) for n in Ns):
-        raise BadParameter(f"Ns must be integers, got {Ns!r}")
-    Ns = [int(n) for n in Ns]
-    if len(Ns) < 2 or any(b <= a for a, b in zip(Ns, Ns[1:])) or Ns[0] < 1:
+    Ns = [check_int(n, "each of Ns", 1) for n in Ns]
+    if len(Ns) < 2 or any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise BadParameter("Ns must be a strictly increasing ladder of length >= 2")
-    if not _is_integer(replicates) or replicates < 100:
-        raise BadParameter(f"replicates must be an integer >= 100, got {replicates!r}")
-    if not _is_integer(grid_resolution) or grid_resolution < 0:
-        raise BadParameter(f"grid_resolution must be an integer >= 0, got {grid_resolution!r}")
-    if not _is_integer(seed):
-        raise BadParameter(f"seed must be an integer, got {seed!r}")
-    replicates = int(replicates)
+    replicates = check_int(replicates, "replicates", 100)
+    grid_resolution = check_int(grid_resolution, "grid_resolution", 0)
+    seed = check_int(seed, "seed")
     H = model.hurst
     T = model.horizon_T
     n_ref = 8 * Ns[-1]
-    m = max(int(grid_resolution), 16 * Ns[-1])
+    m = max(grid_resolution, 16 * Ns[-1])
     ref = build_fbm(H, T, n_ref, fbm_coefficients(H, T, n_ref))
     sups = np.empty((len(Ns), replicates))
 
@@ -508,9 +493,7 @@ def lemma1_check(spec, K, grid):
         raise BadParameter("grid must be a nonempty 1-D array")
     if not np.all(np.abs(g) <= T * (1.0 + 1e-12)):
         raise BadParameter("grid must lie inside [-T, T]")
-    K = int(K)
-    if K < 0:
-        raise BadParameter("K must be >= 0")
+    K = check_int(K, "K", 0)
     series = coeffs_quadrature(spec, K)
     a = np.abs(g)
     target = np.empty_like(a)

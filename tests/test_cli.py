@@ -12,9 +12,11 @@ from specgauss import (
     build_fbm,
     covariance_report,
     fbm_coefficients,
+    product_quantizer,
     sample_paths_aliased,
     sample_paths_fast,
 )
+from specgauss._util import read_csv_table
 from specgauss.cli import main
 from specgauss.expansion import PathBatch
 from specgauss.fourier import CosineSeries
@@ -293,6 +295,20 @@ def test_quantize_writes_codebook_and_sidecar(tmp_path):
     assert "levels_per_dim" in sidecar and "mu" in sidecar
     assert sidecar["version"] == specgauss.__version__
     assert int(np.prod(sidecar["levels_per_dim"])) <= 6
+
+
+def test_quantize_codebook_reads_back_exactly(tmp_path):
+    out = tmp_path / "book.csv"
+    assert main(["quantize", "--model", "fbm", "--hurst", "0.4", "--budget", "20",
+                 "--out", str(out)]) == 0
+    meta, data = read_csv_table(out, {"version": str, "budget_levels": str})
+    exp = build_fbm(0.4, 1.0, 64, fbm_coefficients(0.4, 1.0, 64))
+    q = product_quantizer(CovModel.fbm(0.4, 1.0), exp, 20)
+    tgrid = np.linspace(0.0, 1.0, 65)
+    assert meta["budget_levels"] == "x".join(str(n) for n in q.levels_per_dim)
+    assert data.shape == (1 + q.n_codewords, tgrid.size)
+    assert np.array_equal(data[0], tgrid)
+    assert np.array_equal(data[1:], q.codebook_paths(tgrid))
 
 
 def test_quantize_stdout(capsys):

@@ -416,16 +416,19 @@ def test_truncation_for_tolerance():
 def test_path_csv_rejects_malformed_rows(tmp_path, exp_ou):
     good = sample_paths_fast(exp_ou, 4, 3, 1).to_csv_text().splitlines()
     first_data = next(i for i, line in enumerate(good) if line[0].isdigit())
-    bad_rows = {
-        "non-numeric": good[first_data].replace(",", ",abc,", 1),
-        "ragged": good[first_data] + ",0.5",
+    # (0-based index of the edited line, its new text, 1-based line reported)
+    bad_lines = {
+        "non-numeric": (first_data + 1, good[first_data].replace(",", ",abc,", 1), first_data + 2),
+        "ragged": (first_data + 1, good[first_data] + ",0.5", first_data + 2),
+        # every data row agrees with the others, but not with the header
+        "header-width": (first_data - 1, good[first_data - 1] + ",path_3", first_data + 1),
     }
-    for kind, bad in bad_rows.items():
+    for kind, (index, bad, lineno) in bad_lines.items():
         lines = list(good)
-        lines[first_data + 1] = bad
+        lines[index] = bad
         path = tmp_path / f"{kind}.csv"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(BadParameter, match=rf"{kind}\.csv: line {first_data + 2}"):
+        with pytest.raises(BadParameter, match=rf"{kind}\.csv: line {lineno}"):
             PathBatch.from_csv(path)
 
 
