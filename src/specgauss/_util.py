@@ -46,7 +46,8 @@ def csv_table_text(head, names, columns):
     axis: a 1-D array is one column, each row of a 2-D array one more.
     Values are written as Python ``repr``: shortest round-trip text for
     floats, plain digits for integer arrays.  Each row is converted and
-    joined on its own, so the text is the only table-sized allocation.
+    joined on its own, so no list of the whole table's Python floats is
+    ever built.
     """
     blocks = [np.atleast_2d(c) for c in columns]
     lines = [f"# {h}\n" for h in head]

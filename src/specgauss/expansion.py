@@ -143,6 +143,8 @@ class PathBatch:
         v.flags.writeable = False
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "seed", check_int(self.seed, "seed"))
+        object.__setattr__(self, "truncation_N", check_int(self.truncation_N, "truncation_N", 0))
 
     @property
     def n_paths(self):
@@ -181,7 +183,7 @@ class PathBatch:
             _BINARY_VERSION,
             self.grid.size,
             self.n_paths,
-            int(self.seed) % (1 << 64),
+            self.seed % (1 << 64),
         )
         grid = np.ascontiguousarray(self.grid, dtype="<f8")
         values = np.ascontiguousarray(self.values, dtype="<f8")

@@ -56,8 +56,7 @@ class CosineSeries:
     has_c0: bool = True
 
     def __post_init__(self):
-        if self.k_max < 0:
-            raise BadParameter("k_max must be >= 0")
+        object.__setattr__(self, "k_max", check_int(self.k_max, "k_max", 0))
         if not (self.horizon_T > 0):
             raise BadParameter("horizon_T must be positive")
         v = np.ascontiguousarray(np.asarray(self.values, dtype=float))

@@ -12,6 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._util import check_int
 from .errors import BadParameter, NonFiniteEvaluation
 
 
@@ -190,9 +191,7 @@ def check_star(spec, grid_size=1024):
     rounding noise.  ``passed`` requires both violations <= ``_STAR_TOL`` and
     a finite singular-bound estimate.
     """
-    if grid_size < 16:
-        raise BadParameter("grid_size must be at least 16")
-    grid, geo = _star_grid(spec.horizon_T, grid_size)
+    grid, geo = _star_grid(spec.horizon_T, check_int(grid_size, "grid_size", 16))
     g = np.asarray(spec.evaluate(grid), dtype=float)
     d = np.asarray(spec.derivative(grid), dtype=float)
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(d))):

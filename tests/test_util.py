@@ -21,6 +21,8 @@ from specgauss import (
     sample_paths_fast,
 )
 from specgauss._util import csv_table_text, read_csv_table
+from specgauss.expansion import PathBatch
+from specgauss.fourier import CosineSeries
 
 _FBM = build_fbm(0.3, 1.0, 16, fbm_coefficients(0.3, 1.0, 16))
 _LINEAR = builtin_gamma("linear", 1.0, slope=1.0)
@@ -41,6 +43,11 @@ _INTEGER_ARGS = {
     "power_series_coeffs-k_max": (lambda v: power_series_coeffs(1.0, 0.6, 1.0, v), 0),
     "coeffs_closed-k_max": (lambda v: coeffs_closed("brownian_example", 1.0, v), 0),
     "fbm_coefficients-k_max": (lambda v: fbm_coefficients(0.3, 1.0, v), 0),
+    "CosineSeries-k_max": (lambda v: CosineSeries(1.0, v, np.zeros(2), "x", np.zeros(2)), 0),
+    "PathBatch-seed": (lambda v: PathBatch(np.zeros(1), np.zeros((1, 1)), v), None),
+    "PathBatch-truncation_N": (
+        lambda v: PathBatch(np.zeros(1), np.zeros((1, 1)), 0, truncation_N=v), 0
+    ),
 }
 
 
