@@ -19,26 +19,26 @@ law on the grid, and for N <= 2L it draws and returns exactly what
 Sampling streams paths one bounded block at a time: normals are drawn
 straight into a block buffer of at most ``BLOCK_DOUBLES`` doubles (32 MiB)
 per worker, then weighted in place, folded onto the grid's residues and
-transformed before the next block is drawn.  A worker holds one draw block
-plus one grid scratch block of max(L - 1, m + 1) columns per path, which
-both transforms and the deterministic terms share; values are written
-straight into the caller's output rows.  Past N = 2L the fold also keeps a
-residue table of 4L doubles per path, no larger than the draws.  Memory
-per worker is therefore bounded whatever N is (past N = 2^21 a block is one
-path, whose draws set the bound).  Because every path keeps its own stream
-and every per-path operation is row-independent, sampled values are
-byte-identical across block sizes and thread counts.
+transformed, one row sub-block of ``BLOCK_DOUBLES // 8`` doubles at a time,
+straight into the caller's output rows before the next block is drawn.
+Past N = 2L the fold also keeps a residue table of 4L doubles per path, no
+larger than the draws.  Memory per worker is therefore bounded whatever N
+is (past N = 2^21 a block is one path, whose draws set the bound).  Because
+every path keeps its own stream and every per-path operation is
+row-independent, sampled values are byte-identical across block sizes and
+thread counts.
 
-On a uniform grid the series is a fold plus a DST-I/DCT-I
-(:func:`fast_values`); :func:`direct_values` sums the basis at arbitrary
-points and is the reference the fast route is checked against.  The rate
-probe's fBm residuals need no fold (their frequencies stay below the grid's
-Nyquist), so :func:`residual_sups` maps a whole ladder of them from one
-spectrum per block, one inverse real FFT per rung.
+On a uniform grid the series is a fold plus one inverse real FFT of one
+Hermitian spectrum (:func:`fast_values`, :func:`_spectra`);
+:func:`direct_values` sums the basis at arbitrary points and is the
+reference the fast route is checked against.  The rate probe's fBm
+residuals need no fold (their frequencies stay below the grid's Nyquist),
+so :func:`residual_sups` maps a whole ladder of them from one spectrum,
+one inverse real FFT per rung.
 
 One fold of the squared amplitudes (:func:`folded_variances`) serves both
 the sampler and the covariance: its root scales the aliased draws, and its
-cosine transform (:func:`folded_cosine_sums`) gives the covariance of the
+real FFT (:func:`folded_cosine_sums`) gives the covariance of the
 series on the grid, from which :mod:`specgauss.validate` reads every pair
 without evaluating a sine or cosine per frequency.
 """
@@ -47,11 +47,11 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import scipy.fft
 
 # A block of paths holds at most this many doubles per worker (32 MiB) in
-# draws, and in grid values, so sampling memory does not grow with N or M.
-# Direct synthesis also bounds its basis block by it.
+# draws, so sampling memory does not grow with N or M; a transform sub-block
+# holds an eighth of it (:func:`_spectra`).  Direct synthesis also bounds its
+# basis block by it.
 BLOCK_DOUBLES = 1 << 22
 
 
@@ -106,12 +106,10 @@ def run_blocks(exp, n_paths, grid_size, seed, threads, block_fn, n_pairs=None):
 
 
 def split_draws(exp, z):
-    """Views (Z_0, sine draws, cosine draws, initial-value draw or None) of
-    one block of draws, each indexed by path first."""
-    n = exp.truncation_N
-    block = z[:, : 2 * n + 1]
-    xi = z[:, 2 * n + 1] if exp.init_coupling is not None else None
-    return block[:, 0], block[:, 1::2], block[:, 2::2], xi
+    """Views (Z_0, sine draws, cosine draws) of one block of draws, each
+    indexed by path first."""
+    block = z[:, : 2 * exp.truncation_N + 1]
+    return block[:, 0], block[:, 1::2], block[:, 2::2]
 
 
 def _deterministic_terms(exp, tgrid, z, out, scratch):
@@ -138,7 +136,7 @@ def direct_values(exp, tgrid, z, out):
     """Path values at the points ``tgrid`` from one block of draws, written
     into ``out``, summing the sine and cosine-channel bases directly over
     frequency chunks of at most ``BLOCK_DOUBLES`` basis entries."""
-    _, zs, zc, _ = split_draws(exp, z)
+    _, zs, zc = split_draws(exp, z)
     out[...] = 0.0
     scratch = np.empty_like(out)
     n = exp.truncation_N
@@ -238,20 +236,15 @@ def folded_cosine_sums(exp, m):
     """The (2L + 1, 2) table Phi[d, c] = sum over residues r of
     V_c(r) cos(pi r d / L), d = 0 .. 2L, with V the folded variances.
 
-    Residues r and 2L - r share a cosine, so each channel is one DCT-I of
-    length L + 1 over the pair sums, with residue 0 and L (Nyquist) at the
-    two ends and interior entries halved, as in :func:`_grid_values`; d > L
-    is the mirror Phi(2L - d) = Phi(d).  Row 0 is the total variance.
-    O(N + L log L).
+    With V laid out by residue mod 2L, Phi(d) for d <= L is the real part of
+    one real FFT per channel, and d > L is the mirror Phi(2L - d) = Phi(d).
+    Row 0 is the total variance.  O(N + L log L).
     """
     lng = _half_period_cells(exp, m)
     var = folded_variances(exp, m)
     full = np.zeros((2 * lng, 2))
     full[np.arange(1, var.shape[0] + 1) % (2 * lng)] = var
-    x = full[: lng + 1]
-    x[1:lng] += full[:lng:-1]
-    x[1:lng] *= 0.5
-    phi = scipy.fft.dct(x, type=1, axis=0)
+    phi = np.fft.rfft(full, axis=0).real
     return np.concatenate((phi, phi[-2::-1]))
 
 
@@ -266,94 +259,77 @@ def aliased_values(exp, m, table, z, out=None):
     return _grid_values(exp, m, res, z, out)
 
 
-def residual_sups(amps, m, Ns, z):
+def _spectra(res, lng, one_minus_cos):
+    """Per row sub-block of the residue sums ``res`` (the layout of
+    :func:`_fold`), yield its rows, its half spectrum X (bins 0 .. L, L =
+    ``lng``) and a (rows, 2L) buffer for ``irfft(X, norm="forward")``, which
+    is sum over residues r of S_r sin(pi r j / L) + C_r cos(pi r j / L).
+
+    With Y_r = C_r - i S_r, bin r holds (Y_r + conj Y_{2L-r}) / 2: residues
+    1 .. L land on their own bin, L + 1 .. 2L (2L is residue 0) reflect onto
+    bins L - 1 .. 0, and the transform reads only the real part of bins 0
+    and L, C_0 and C_L.  A (1 - cos) family is its constant sum of C less the
+    cosine series.  Spectrum and buffer, reused by every sub-block, hold at
+    most ``BLOCK_DOUBLES // 8`` doubles.
+    """
+    p, k = res.shape[:2]
+    own = min(k, lng)
+    top = min(k, 2 * lng)
+    step = max(1, BLOCK_DOUBLES // 8 // (4 * lng + 2))
+    spec = np.empty((min(step, p), lng + 1), dtype=complex)
+    vals = np.empty((min(step, p), 2 * lng))
+    for r0 in range(0, p, step):
+        rows = slice(r0, min(r0 + step, p))
+        r = res[rows]
+        x = spec[: r.shape[0]]
+        x[:, 0] = 0.0
+        x.real[:, 1 : own + 1] = r[:, :own, 1]
+        np.negative(r[:, :own, 0], out=x.imag[:, 1 : own + 1])
+        x[:, own + 1 :] = 0.0
+        x.real[:, 2 * lng - top : lng] += r[:, lng:top, 1][:, ::-1]
+        x.imag[:, 2 * lng - top : lng] += r[:, lng:top, 0][:, ::-1]
+        x[:, 1:lng] *= 0.5
+        if one_minus_cos:
+            np.negative(x.real, out=x.real)
+            x.real[:, 0] += np.sum(r[:, :, 1], axis=1)
+        yield rows, x, vals[: r.shape[0]]
+
+
+def residual_sups(exp, m, Ns, z):
     """Sup over the grid t_j = j T / m of each fBm residual along the
-    increasing ladder ``Ns``, from one block of draws of a reference
-    expansion with amplitudes ``amps`` (n_ref of them, n_ref < m).  Returns
-    the (len(Ns), paths) maxima of
+    increasing ladder ``Ns``, from one block of draws of a reference fBm
+    expansion ``exp`` with N < m amplitudes a_k.  Returns the
+    (len(Ns), paths) maxima of
 
         |sum_{k > n} a_k (sin(pi k j / m) Z_k + (1 - cos(pi k j / m)) Z_-k)|.
 
-    No frequency aliases, so the residual is one spectrum
-    X_k = -(a_k / 2)(Z_-k + i Z_k) with bins k <= n zeroed, plus the constant
-    C_n = sum_{k > n} a_k Z_-k = -2 sum Re X_k.  The spectrum is built once
-    per row block and zeroed upward in place along the ladder; each rung is
-    one inverse real FFT of length 2m.  A row block holds the spectrum and
-    its transform within ``BLOCK_DOUBLES``.
+    No frequency aliases, so the draws, weighted in place, are the residue
+    sums of one spectrum per row sub-block (:func:`_spectra`).  Along the
+    ladder its bins k <= n are zeroed and bin 0 is reset to the constant
+    sum_{k > n} a_k Z_-k = -2 sum Re X_k; each rung is one inverse real FFT.
     """
-    n_ref = amps.size
-    half = -0.5 * amps
-    p = z.shape[0]
-    sups = np.empty((len(Ns), p))
-    rows = max(1, BLOCK_DOUBLES // (4 * m + 2))
-    for r0 in range(0, p, rows):
-        r1 = min(r0 + rows, p)
-        spec = np.zeros((r1 - r0, m + 1), dtype=complex)
-        np.multiply(z[r0:r1, 2 : 2 * n_ref + 1 : 2], half, out=spec.real[:, 1 : n_ref + 1])
-        np.multiply(z[r0:r1, 1 : 2 * n_ref + 1 : 2], half, out=spec.imag[:, 1 : n_ref + 1])
-        done = 0
+    sups = np.empty((len(Ns), z.shape[0]))
+    for rows, x, buf in _spectra(_fold(z, _weights(exp), m), m, exp.one_minus_cos):
         for col, n in enumerate(Ns):
-            spec[:, done + 1 : n + 1] = 0.0
-            done = n
-            const = -2.0 * np.sum(spec.real[:, n + 1 : n_ref + 1], axis=1)
-            vals = scipy.fft.irfft(spec, n=2 * m, axis=1, norm="forward")[:, : m + 1]
-            vals += const[:, None]
-            np.abs(vals, out=vals)
-            np.max(vals, axis=1, out=sups[col, r0:r1])
+            x[:, 1 : n + 1] = 0.0
+            x.real[:, 0] = -2.0 * np.sum(x.real[:, n + 1 :], axis=1)
+            v = np.fft.irfft(x, norm="forward", out=buf)[:, : m + 1]
+            np.max(np.abs(v, out=v), axis=1, out=sups[col, rows])
     return sups
 
 
 def _grid_values(exp, m, res, z, out):
     """Map residue sums ``res`` (the layout of :func:`_fold`) onto the grid,
-    into ``out`` (allocated when None).
-
-    Of the 2L residues, r and 2L - r alias onto DST-I slot r with opposite
-    sine signs, and onto DCT-I entry r in phase, where residue 0 (the
-    constant) and L (Nyquist) sit at the two ends and interior entries are
-    halved so the transform returns the plain cosine sum.  Type C's sine
-    frequencies are k pi / (2T), living on a virtual grid of L = 2m cells of
-    which the first half is returned.  Both transforms run in place in one
-    scratch block of max(L - 1, m + 1) columns, which the deterministic
-    terms then reuse.
+    into ``out`` (allocated when None): per row sub-block, one inverse real
+    FFT of length 2L (:func:`_spectra`), whose first m + 1 values are the
+    grid's; type C's sine frequencies k pi / (2T) live on a virtual grid of
+    L = 2m cells.  The deterministic terms reuse the transform's buffer.
     """
-    doubled = exp.family == "type_c"
-    p = z.shape[0]
     if out is None:
-        out = np.empty((p, m + 1))
-    lng = _half_period_cells(exp, m)
-    scratch = np.empty((p, max(lng - 1, m + 1)))
-    k = res.shape[1]
-    a = min(k, lng - 1)  # residues 1 .. a land on their own slot
-    b = min(k, 2 * lng - 1)  # residues L+1 .. b alias onto slots 2L-b .. L-1
-    cols = min(lng - 1, m)  # DST slots that are grid points
-    out[:, 0] = 0.0
-    out[:, cols + 1 :] = 0.0
-    if cols:
-        x = scratch[:, : lng - 1]
-        x[:, :a] = res[:, :a, 0]
-        x[:, a:] = 0.0
-        if b > lng:
-            x[:, 2 * lng - 1 - b :] -= res[:, lng:b, 0][:, ::-1]
-        y = scipy.fft.dst(x, type=1, axis=1, overwrite_x=True)
-        np.multiply(y[:, :cols], 0.5, out=out[:, 1 : cols + 1])
-    if not doubled:
-        x = scratch[:, : m + 1]
-        x[:, 0] = 0.0
-        x[:, 1 : a + 1] = res[:, :a, 1]
-        x[:, a + 1 :] = 0.0
-        if b > m:
-            x[:, 2 * m - b : m] += res[:, m:b, 1][:, ::-1]
-        x[:, 1:m] *= 0.5
-        if k >= m:
-            x[:, m] = res[:, m - 1, 1]
-        if k == 2 * m:
-            x[:, 0] = res[:, -1, 1]
-        cos_part = scipy.fft.dct(x, type=1, axis=1, overwrite_x=True)
-        if exp.one_minus_cos:
-            out -= cos_part
-            out += np.sum(res[:, :, 1], axis=1)[:, None]
-        else:
-            out += cos_part
-    return _deterministic_terms(
-        exp, uniform_grid(exp.horizon_T, m), z, out, scratch[:, : m + 1]
-    )
+        out = np.empty((z.shape[0], m + 1))
+    tgrid = uniform_grid(exp.horizon_T, m)
+    for rows, x, buf in _spectra(res, _half_period_cells(exp, m), exp.one_minus_cos):
+        v = np.fft.irfft(x, norm="forward", out=buf)[:, : m + 1]
+        out[rows] = v
+        _deterministic_terms(exp, tgrid, z[rows], out[rows], v)
+    return out

@@ -5,14 +5,17 @@ Every CSV artifact (coefficient tables, sampled paths, codebooks) is written
 by :func:`csv_table_text` and read by :func:`read_csv_table`.  A table is
 ``#`` comment lines carrying ``key=value`` metadata tokens, one header row of
 column names, then one row per grid point or index with shortest round-trip
-floats, so a table reads back exactly.
+floats, so a table reads back exactly.  Whitespace and ``%`` in a metadata
+value are percent-escaped (UTF-8 bytes), so every value reads back whole.
 """
 
 import hashlib
 import itertools
 import json
 import os
+import re
 import tempfile
+from urllib.parse import quote, unquote
 
 import numpy as np
 
@@ -38,10 +41,22 @@ def float_text(x):
     return repr(float(x))
 
 
+def _meta_token(token):
+    """A metadata token's text: a string as it is, a (key, value) pair as
+    key=value with whitespace and % in the value percent-escaped."""
+    if isinstance(token, str):
+        return token
+    key, value = token
+    return f"{key}=" + re.sub(r"[\s%]", lambda c: quote(c.group()), str(value))
+
+
 def csv_table_text(head, names, columns):
     """The CSV text of a table: ``# `` plus each line of ``head``, the
     header row ``names``, then one row per index.
 
+    A ``head`` line is a string, written as it is, or a sequence of tokens
+    joined by spaces: a string token as it is, a (key, value) pair as
+    ``key=value`` with the value escaped for :func:`read_csv_table`.
     ``columns`` is a sequence of arrays of equal length along their last
     axis: a 1-D array is one column, each row of a 2-D array one more.
     Values are written as Python ``repr``: shortest round-trip text for
@@ -50,7 +65,7 @@ def csv_table_text(head, names, columns):
     ever built.
     """
     blocks = [np.atleast_2d(c) for c in columns]
-    lines = [f"# {h}\n" for h in head]
+    lines = [f"# {h if isinstance(h, str) else ' '.join(map(_meta_token, h))}\n" for h in head]
     lines.append(",".join(names) + "\n")
     for j in range(blocks[0].shape[1]):
         row = itertools.chain.from_iterable(b[:, j].tolist() for b in blocks)
@@ -62,7 +77,8 @@ def read_csv_table(path, meta_types):
     """The metadata and columns of the CSV table at ``path``.
 
     ``meta_types`` maps each metadata key to read to its type; a ``#`` line's
-    ``key=value`` tokens with other keys are ignored, and a later token wins.
+    ``key=value`` tokens with other keys are ignored, a later token wins, and
+    percent escapes in a value are decoded.
     The first other nonblank line is the header row and fixes the width;
     every row after it must hold that many floats.  Returns ``(meta,
     data)`` with ``data`` of shape (width, rows), one contiguous row per
@@ -80,7 +96,7 @@ def read_csv_table(path, meta_types):
                 if line.startswith("#"):
                     for key, sep, value in (tok.partition("=") for tok in line[1:].split()):
                         if sep and key in meta_types:
-                            meta[key] = meta_types[key](value)
+                            meta[key] = meta_types[key](unquote(value))
                     continue
                 fields = line.split(",")
                 if width is None:

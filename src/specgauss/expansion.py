@@ -87,6 +87,7 @@ class SeriesExpansion:
             raise BadParameter(f"unknown family {self.family!r}")
         if not (self.horizon_T > 0 and np.isfinite(self.horizon_T)):
             raise BadParameter("horizon_T must be positive")
+        object.__setattr__(self, "truncation_N", check_int(self.truncation_N, "truncation_N", 0))
         sa = np.ascontiguousarray(np.asarray(self.sin_amp, dtype=float))
         if sa.shape != (self.truncation_N,):
             raise BadParameter("sin_amp must have length truncation_N")
@@ -152,8 +153,9 @@ class PathBatch:
 
     def to_csv_text(self, comments=()):
         """CSV ``t,path_0,path_1,...`` preceded by metadata comments."""
-        head = [*comments, f"seed={self.seed} truncation_N={self.truncation_N} "
-                           f"expansion={self.expansion_ref}"]
+        meta = [("seed", self.seed), ("truncation_N", self.truncation_N),
+                ("expansion", self.expansion_ref)]
+        head = [*comments, meta]
         names = ["t", *(f"path_{p}" for p in range(self.n_paths))]
         return csv_table_text(head, names, [self.grid, self.values])
 

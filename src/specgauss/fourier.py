@@ -72,8 +72,9 @@ class CosineSeries:
 
     def to_csv_text(self, comments=()):
         """CSV text ``k,c_k,err_bound`` with shortest round-trip floats."""
-        head = [*comments, f"T={float_text(self.horizon_T)} method={self.method} "
-                           f"has_c0={int(self.has_c0)} label={self.source_label}"]
+        meta = [("T", float_text(self.horizon_T)), ("method", self.method),
+                ("has_c0", int(self.has_c0)), ("label", self.source_label)]
+        head = [*comments, meta]
         return csv_table_text(
             head, ["k", "c_k", "err_bound"],
             [np.arange(self.k_max + 1), self.values, self.error_bounds],

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import _engine
 from ._util import check_int, csv_table_text
@@ -96,6 +95,8 @@ def _cell_mass(a, b):
     # Phi(b) - Phi(a); right-half cells go through the complementary
     # form, where ndtr keeps relative accuracy instead of cancelling
     # against 1
+    from scipy.special import ndtr
+
     direct = ndtr(b) - ndtr(a)
     flipped = ndtr(-a) - ndtr(-b)
     return np.where(a + b > 0, flipped, direct)
@@ -158,6 +159,8 @@ def gauss1d_quantizer(n):
     off, rejecting any step that breaks the level ordering.  Iteration
     stops once a move or the stationarity residual is below ``_LLOYD_TOL``.
     """
+    from scipy.special import ndtri
+
     n = check_int(n, "n", 1)
     if n == 1:
         return Quantizer1D(1, np.zeros(1), np.zeros(0), 1.0)
@@ -603,7 +606,7 @@ class FunctionalQuantizer:
         t = np.asarray(tgrid, dtype=float)
         paths = self.codebook_paths(t)
         levels = "x".join(str(n) for n in self.levels_per_dim)
-        head = [*comments, f"codebook label={self.label} budget_levels={levels}"]
+        head = [*comments, ["codebook", ("label", self.label), ("budget_levels", levels)]]
         names = ["t", *(f"cw_{i}" for i in range(paths.shape[0]))]
         return csv_table_text(head, names, [t, paths])
 
@@ -653,7 +656,7 @@ def product_quantizer(model, exp, budget_N, m=None):
 
 def _coordinate_draws(exp, red, z):
     """Columns of z for the reduced basis, in basis order."""
-    z0, zs, zc, _ = _engine.split_draws(exp, z)
+    z0, zs, zc = _engine.split_draws(exp, z)
     cols = []
     if exp.drift_amp > 0.0:
         cols.append(z0[:, None])

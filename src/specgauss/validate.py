@@ -6,7 +6,7 @@ deterministically from its amplitudes, and :func:`series_cov_grid` does so on
 an arbitrary grid as one matrix product.  On the samplers' uniform grid
 t_j = j T / m the series covariance needs no sine or cosine per frequency:
 the fold of the squared amplitudes onto the grid's residues that scales the
-aliased draws also fixes the covariance, through one DCT-I per channel
+aliased draws also fixes the covariance, through one real FFT per channel
 (``_engine.folded_cosine_sums``).  :func:`series_cov_uniform` reads the
 whole matrix off it in O(N + L log L + m^2), :func:`series_var_uniform` its
 diagonal in O(N + L log L + m), and the report takes that route whenever
@@ -21,9 +21,9 @@ from the Gram product of the squared centred values, (Xc o Xc)^T (Xc o Xc).
 Scalar :func:`empirical_cov` stays as the per-pair reference.  The rate
 probe measures the decay of the uniform truncation error empirically against
 the expected N^(-H) sqrt(log N) law.  Its ladder of truncations shares one
-stream of draws: per block of draws the engine builds one residual spectrum
-and takes one inverse real FFT per rung (``_engine.residual_sups``), so its
-memory is bounded by the block budget whatever the ladder.
+stream of draws: per row sub-block of draws the engine builds one residual
+spectrum and takes one inverse real FFT per rung (``_engine.residual_sups``),
+so its memory is bounded by the block budget whatever the ladder.
 """
 
 import math
@@ -112,15 +112,18 @@ def _gamma_value(spec, x):
     return float(spec.evaluate(np.array([x]))[0])
 
 
+def _points_in_horizon(T, s, t):
+    """(s, t) as floats, each inside [0, T] up to rounding."""
+    s, t = float(s), float(t)
+    # negated so that NaN fails the range check
+    if not all(-1e-12 * T <= x <= T * (1.0 + 1e-12) for x in (s, t)):
+        raise BadParameter("s, t must lie inside [0, T]")
+    return s, t
+
+
 def analytic_cov(model, s, t):
     """Exact covariance of ``model`` at (s, t) in [0, T]^2."""
-    T = model.horizon_T
-    s = float(s)
-    t = float(t)
-    for x in (s, t):
-        # negated so that NaN fails the range check
-        if not -1e-12 * T <= x <= T * (1.0 + 1e-12):
-            raise BadParameter("s, t must lie inside [0, T]")
+    s, t = _points_in_horizon(model.horizon_T, s, t)
     if model.kind == "fbm":
         h2 = 2.0 * model.hurst
         return 0.5 * (abs(s) ** h2 + abs(t) ** h2 - abs(t - s) ** h2)
@@ -147,12 +150,7 @@ def series_cov(exp, s, t):
     Sums a_k^2 sin sin + b_k^2 phi phi over k <= N (phi the cosine-channel
     basis), plus the drift and initial-value contributions.  No sampling.
     """
-    T = exp.horizon_T
-    s = float(s)
-    t = float(t)
-    for x in (s, t):
-        if not -1e-12 * T <= x <= T * (1.0 + 1e-12):
-            raise BadParameter("s, t must lie inside [0, T]")
+    s, t = _points_in_horizon(exp.horizon_T, s, t)
     total = 0.0
     n = exp.truncation_N
     if n > 0:
@@ -433,7 +431,7 @@ def rate_probe(model, Ns, replicates, grid_resolution, seed):
     aliases on the grid: per block of draws the engine builds one residual
     spectrum, zeroes it upward along the ladder, and takes one inverse real
     FFT per rung (``_engine.residual_sups``).  Memory stays within the draw
-    block plus one ``BLOCK_DOUBLES`` transform block.
+    block plus one transform sub-block of ``BLOCK_DOUBLES // 8`` doubles.
     """
     if model.kind != "fbm":
         raise BadParameter("rate probe is defined for the fractional model")
@@ -455,7 +453,7 @@ def rate_probe(model, Ns, replicates, grid_resolution, seed):
     sups = np.empty((len(Ns), replicates))
 
     def block(start, stop, z):
-        sups[:, start:stop] = _engine.residual_sups(ref.sin_amp, m, Ns, z)
+        sups[:, start:stop] = _engine.residual_sups(ref, m, Ns, z)
 
     _engine.run_blocks(ref, replicates, m + 1, seed, 1, block)
     ests = []

@@ -2,7 +2,9 @@
 
 import ast
 import dataclasses
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -133,7 +135,10 @@ def test_aliased_sampler_draws_each_path_from_its_own_philox_stream(
         draws = np.array([np.random.Generator(np.random.Philox(key=hi + i)).standard_normal(width)
                           for i in range(n_paths)])
         ref = _engine.aliased_values(exp, _M, table, draws)
-        for budget in (width, _engine.BLOCK_DOUBLES):
+        # the last budget draws all paths in one block that spans several
+        # transform sub-blocks of BLOCK_DOUBLES // 8 doubles: six of two rows
+        # for fBm, eleven of one on gen-OU's doubled grid (type C)
+        for budget in (width, _engine.BLOCK_DOUBLES, 8 * (4 * _M + 2) * 2):
             with monkeypatch.context() as mp:
                 mp.setattr(_engine, "BLOCK_DOUBLES", budget)
                 for threads in (1, 3):
@@ -188,3 +193,15 @@ def test_modules_take_no_private_name_from_a_sibling():
         if (found := _boundary_breaches(path.read_text(encoding="utf-8")))
     }
     assert not breaches
+
+
+def test_importing_the_cli_loads_neither_scipy_fft_nor_scipy_special():
+    # numpy.fft does every transform, and quantize imports scipy.special
+    # inside the functions that call it, so a command starts without either
+    code = "import sys, specgauss.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.')))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(_SRC.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    loaded = ast.literal_eval(done.stdout)
+    assert not {"scipy.fft", "scipy.special"} & set(loaded), loaded

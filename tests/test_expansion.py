@@ -220,7 +220,10 @@ def test_fast_path_is_byte_identical_across_blocks_and_threads(monkeypatch):
     for name, exp in all_family_expansions().items():
         ref = sample_paths_fast(exp, 8, n_paths, 6).values
         width = 2 * exp.truncation_N + 1 + (exp.init_coupling is not None)
-        for rows in (1, 7, None):
+        # at 12 rows each draw block spans several transform sub-blocks of
+        # BLOCK_DOUBLES // 8 doubles: 5 rows at L = 8 cells per half period,
+        # 2 at type C's L = 16 (gen-OU is type C)
+        for rows in (1, 7, 12, None):
             budget = _engine.BLOCK_DOUBLES if rows is None else rows * width
             with monkeypatch.context() as mp:
                 mp.setattr(_engine, "BLOCK_DOUBLES", budget)

@@ -1,6 +1,7 @@
 """Shared helpers: the integer check at every size, count and seed argument,
 and the one CSV table format."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,10 +19,11 @@ from specgauss import (
     kl_reduce,
     lemma1_check,
     power_series_coeffs,
+    product_quantizer,
     sample_paths_fast,
 )
 from specgauss._util import csv_table_text, read_csv_table
-from specgauss.expansion import PathBatch
+from specgauss.expansion import PathBatch, SeriesExpansion
 from specgauss.fourier import CosineSeries
 
 _FBM = build_fbm(0.3, 1.0, 16, fbm_coefficients(0.3, 1.0, 16))
@@ -44,6 +46,9 @@ _INTEGER_ARGS = {
     "coeffs_closed-k_max": (lambda v: coeffs_closed("brownian_example", 1.0, v), 0),
     "fbm_coefficients-k_max": (lambda v: fbm_coefficients(0.3, 1.0, v), 0),
     "CosineSeries-k_max": (lambda v: CosineSeries(1.0, v, np.zeros(2), "x", np.zeros(2)), 0),
+    "SeriesExpansion-truncation_N": (
+        lambda v: SeriesExpansion("fbm_low", 1.0, v, 0.0, np.ones(1), np.ones(1)), 0
+    ),
     "PathBatch-seed": (lambda v: PathBatch(np.zeros(1), np.zeros((1, 1)), v), None),
     "PathBatch-truncation_N": (
         lambda v: PathBatch(np.zeros(1), np.zeros((1, 1)), 0, truncation_N=v), 0
@@ -99,3 +104,25 @@ def test_csv_table_reader_names_the_bad_line(tmp_path):
     path.write_text("# a=1\nt,x\n")
     with pytest.raises(BadParameter, match="no data rows"):
         read_csv_table(path, {})
+
+
+@pytest.mark.parametrize("label", ["my gamma", "5% of 100%25", "tab\tnbsp\u00a0line\u2028end", ""])
+def test_csv_metadata_values_with_whitespace_and_percent_round_trip(tmp_path, label):
+    path = tmp_path / "table.csv"
+    batch = PathBatch(np.array([0.0, 1.0]), np.zeros((1, 2)), 3,
+                      expansion_ref=f"type_a({label},N=8)", truncation_N=8)
+    batch.to_csv(path)
+    assert PathBatch.from_csv(path).expansion_ref == batch.expansion_ref
+    series = dataclasses.replace(fbm_coefficients(0.3, 1.0, 4), source_label=label)
+    series.to_csv(path)
+    assert CosineSeries.from_csv(path).source_label == label
+    quantizer = dataclasses.replace(product_quantizer(None, _FBM, 4), label=label)
+    path.write_text(quantizer.to_csv_text(np.linspace(0.0, 1.0, 3)))
+    meta, _ = read_csv_table(path, {"label": str, "budget_levels": str})
+    assert meta == {"label": label, "budget_levels": "x".join(map(str, quantizer.levels_per_dim))}
+
+
+def test_csv_metadata_escapes_only_whitespace_and_percent():
+    head = [["codebook", ("label", "fbm_low(H=0.3,T=1.0,N=8)"), ("x", "a b%\u00e9\u3000")]]
+    line = csv_table_text(head, ["t"], [np.zeros(1)]).splitlines()[0]
+    assert line == "# codebook label=fbm_low(H=0.3,T=1.0,N=8) x=a%20b%25\u00e9%E3%80%80"
