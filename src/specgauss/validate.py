@@ -2,8 +2,14 @@
 
 :func:`analytic_cov` evaluates the exact covariance of each supported model;
 :func:`series_cov` evaluates the covariance implied by a truncated expansion
-deterministically from its amplitudes, and :func:`series_cov_grid` does so on
-an arbitrary grid as one matrix product.  On the samplers' uniform grid
+deterministically from its amplitudes at one pair of points, and
+:func:`series_cov_grid` does so on an arbitrary grid as one matrix product.
+The scalar route takes no sine or cosine per frequency: it builds
+e^{i k theta} for k = 1..N as the outer product of two exact tables of about
+sqrt(N) phases (the split twiddle table of FFT libraries), reads sin and cos
+off its imaginary and real parts and takes one dot product per channel.  The
+grid route keeps exact per-entry sines and cosines, so the two stay
+independent cross-checks of each other.  On the samplers' uniform grid
 t_j = j T / m the series covariance needs no sine or cosine per frequency:
 the fold of the squared amplitudes onto the grid's residues that scales the
 aliased draws also fixes the covariance, through one real FFT per channel
@@ -27,6 +33,7 @@ so its memory is bounded by the block budget whatever the ladder.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -59,36 +66,42 @@ class CovModel:
     sigma0: Optional[float] = None
     spec: Optional[GammaSpec] = None
 
+    def __post_init__(self):
+        T = _real(self.horizon_T, "horizon_T")
+        if not (T > 0.0 and math.isfinite(T)):
+            raise BadParameter(f"horizon_T must be finite and positive, got {T!r}")
+        object.__setattr__(self, "horizon_T", T)
+
     @classmethod
     def fbm(cls, hurst, T):
         if not (0.0 < hurst < 1.0):
             raise BadParameter("fbm model needs H in (0, 1)")
-        return cls(kind="fbm", horizon_T=float(T), hurst=float(hurst))
+        return cls(kind="fbm", horizon_T=T, hurst=float(hurst))
 
     @classmethod
     def brownian(cls, T):
-        return cls(kind="brownian", horizon_T=float(T))
+        return cls(kind="brownian", horizon_T=T)
 
     @classmethod
     def gen_ou(cls, theta, alpha, mu, sigma, sigma0, T):
         if not (theta > 0 and sigma > 0 and sigma0 >= 0):
             raise BadParameter("gen_ou model needs theta > 0, sigma > 0, sigma0 >= 0")
         return cls(
-            kind="gen_ou", horizon_T=float(T), theta=float(theta), alpha=float(alpha),
+            kind="gen_ou", horizon_T=T, theta=float(theta), alpha=float(alpha),
             mu=float(mu), sigma=float(sigma), sigma0=float(sigma0),
         )
 
     @classmethod
     def type_a(cls, spec, T):
-        return cls(kind="type_a", horizon_T=float(T), spec=spec)
+        return cls(kind="type_a", horizon_T=T, spec=spec)
 
     @classmethod
     def type_b(cls, spec_neg, T):
-        return cls(kind="type_b", horizon_T=float(T), spec=spec_neg)
+        return cls(kind="type_b", horizon_T=T, spec=spec_neg)
 
     @classmethod
     def type_c(cls, spec_neg, T):
-        return cls(kind="type_c", horizon_T=float(T), spec=spec_neg)
+        return cls(kind="type_c", horizon_T=T, spec=spec_neg)
 
     @property
     def label(self):
@@ -112,9 +125,31 @@ def _gamma_value(spec, x):
     return float(spec.evaluate(np.array([x]))[0])
 
 
+def _real(x, name):
+    """``x`` as a float when it is a real number (a Python or numpy real
+    scalar, or a 0-d array of one), else BadParameter: no string is parsed
+    and no complex value loses its imaginary part."""
+    if isinstance(x, np.ndarray) and x.ndim == 0:
+        x = x[()]
+    if not isinstance(x, numbers.Real):
+        raise BadParameter(f"{name} must be a real number, got {x!r}")
+    return float(x)
+
+
+def _grid_array(grid):
+    """``grid`` as a nonempty 1-D float array, else BadParameter."""
+    try:
+        g = np.asarray(grid, dtype=float)
+    except (TypeError, ValueError):
+        raise BadParameter("grid must be a nonempty 1-D array of real numbers") from None
+    if g.ndim != 1 or g.size == 0:
+        raise BadParameter("grid must be a nonempty 1-D array")
+    return g
+
+
 def _points_in_horizon(T, s, t):
     """(s, t) as floats, each inside [0, T] up to rounding."""
-    s, t = float(s), float(t)
+    s, t = _real(s, "s"), _real(t, "t")
     # negated so that NaN fails the range check
     if not all(-1e-12 * T <= x <= T * (1.0 + 1e-12) for x in (s, t)):
         raise BadParameter("s, t must lie inside [0, T]")
@@ -144,30 +179,48 @@ def analytic_cov(model, s, t):
     raise BadParameter(f"unknown model kind {model.kind!r}")
 
 
+def _unit_phases(theta, n):
+    """e^{i k theta} for k = 1..n, from two exact tables of about sqrt(n)
+    entries each: with B = isqrt(n) and k = q B + r (0 <= r < B),
+    e^{i k theta} = e^{i q B theta} e^{i r theta}, one outer product.  Each
+    table angle is theta times an exact integer, rounded once, so each phase
+    is within a few ulps; no sine or cosine is taken per frequency."""
+    b = math.isqrt(n)
+    coarse = np.exp(1j * (theta * np.arange(0, n + 1, b)))
+    fine = np.exp(1j * (theta * np.arange(b)))
+    return np.multiply.outer(coarse, fine).ravel()[1 : n + 1]
+
+
 def series_cov(exp, s, t):
     """Covariance implied by the truncated expansion, from its amplitudes.
 
     Sums a_k^2 sin sin + b_k^2 phi phi over k <= N (phi the cosine-channel
     basis), plus the drift and initial-value contributions.  No sampling.
+    The basis at a point is read off e^{i k theta}, theta = pi s / period_T,
+    built by :func:`_unit_phases` from two tables of about sqrt(N) phases
+    (sin the imaginary part, cos the real part), and each channel is one dot
+    product with its squared amplitudes: O(N) multiplications and O(sqrt N)
+    complex exponentials per point.
     """
     s, t = _points_in_horizon(exp.horizon_T, s, t)
     total = 0.0
     n = exp.truncation_N
     if n > 0:
-        w = (np.arange(1, n + 1) * (math.pi / exp.period_T))
-        a2 = exp.sin_amp**2
-        # on the diagonal the basis is evaluated once and used twice
-        ss = np.sin(w * s)
-        st = ss if t == s else np.sin(w * t)
-        total += float(np.sum(a2 * ss * st))
+        w = math.pi / exp.period_T
+        # on the diagonal the phases are built once and used twice
+        es = _unit_phases(w * s, n)
+        et = es if t == s else _unit_phases(w * t, n)
+        basis = es.imag * et.imag
+        total += float(np.dot(exp.sin_amp**2, basis))
         if exp.cos_amp is not None:
-            b2 = exp.cos_amp**2
-            cs = np.cos(w * s)
-            ct = cs if t == s else np.cos(w * t)
+            # reusing the sine channel's buffer keeps the peak at the phase
+            # tables plus one product buffer
             if exp.one_minus_cos:
-                total += float(np.sum(b2 * (1.0 - cs) * (1.0 - ct)))
+                np.subtract(1.0, es.real, out=basis)
+                basis *= 1.0 - et.real
             else:
-                total += float(np.sum(b2 * cs * ct))
+                np.multiply(es.real, et.real, out=basis)
+            total += float(np.dot(exp.cos_amp**2, basis))
     if exp.drift_amp > 0.0:
         if exp.family == "fbm_high":
             total += exp.drift_amp**2 * s * t
@@ -192,9 +245,7 @@ def series_cov_grid(exp, grid):
     output-sized Gram product are alive.
     """
     T = exp.horizon_T
-    t = np.asarray(grid, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise BadParameter("grid must be a nonempty 1-D array")
+    t = _grid_array(grid)
     if not np.all((t >= -1e-12 * T) & (t <= T * (1.0 + 1e-12))):
         raise BadParameter("grid must lie inside [0, T]")
     cov = np.zeros((t.size, t.size))
@@ -302,8 +353,13 @@ def _require_paths(batch):
 
 def empirical_cov(batch, i, j):
     """Unbiased sample covariance of grid columns i, j with a jackknife
-    standard error.  Needs at least 100 paths."""
+    standard error.  Needs at least 100 paths; i and j are column indices
+    in [0, grid size)."""
     n = _require_paths(batch)
+    m = batch.grid.size
+    for name, k in (("i", i), ("j", j)):
+        if check_int(k, name, 0) >= m:
+            raise BadParameter(f"{name} must be a column index below {m}, got {k}")
     x = batch.values[:, i]
     y = batch.values[:, j]
     dx = x - x.mean()
@@ -486,9 +542,7 @@ def lemma1_check(spec, K, grid):
     if spec.delta >= 1.0:
         raise DeltaOutOfRange(f"reconstruction check needs delta < 1, got {spec.delta}")
     T = spec.horizon_T
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size == 0:
-        raise BadParameter("grid must be a nonempty 1-D array")
+    g = _grid_array(grid)
     if not np.all(np.abs(g) <= T * (1.0 + 1e-12)):
         raise BadParameter("grid must lie inside [-T, T]")
     K = check_int(K, "K", 0)

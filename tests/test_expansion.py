@@ -54,19 +54,23 @@ def exp_ou():
     return build_generalized_ou(2.0, 0.5, 1.0, 2.0, 0.0, 1.0, 64)
 
 
+# one builder per family, each taking the truncation N
+FAMILY_BUILDERS = {
+    "fbm_low": lambda n: build_fbm(0.3, 1.0, n, fbm_coefficients(0.3, 1.0, n)),
+    "fbm_high": lambda n: build_fbm(0.75, 1.0, n, fbm_coefficients(0.75, 1.0, n)),
+    "type_a": lambda n: build_type_a(builtin_gamma("power2H", 1.0, hurst=0.3), 1.0, n),
+    "type_b": lambda n: build_type_b(
+        negate_spec(builtin_gamma("exp_decay", 1.0, theta=2.0, sigma2=4.0)), 1.0, n
+    ),
+    "type_c": lambda n: build_type_c(builtin_gamma("linear", 2.0, slope=1.0), 1.0, n),
+    "gen_ou": lambda n: build_generalized_ou(2.0, 0.0, 0.0, 2.0, 0.5, 1.0, n),
+}
+
+
 def all_family_expansions(n=64):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ClampWarning)
-        return {
-            "fbm_low": build_fbm(0.3, 1.0, n, fbm_coefficients(0.3, 1.0, n)),
-            "fbm_high": build_fbm(0.75, 1.0, n, fbm_coefficients(0.75, 1.0, n)),
-            "type_a": build_type_a(builtin_gamma("power2H", 1.0, hurst=0.3), 1.0, n),
-            "type_b": build_type_b(
-                negate_spec(builtin_gamma("exp_decay", 1.0, theta=2.0, sigma2=4.0)), 1.0, n
-            ),
-            "type_c": build_type_c(builtin_gamma("linear", 2.0, slope=1.0), 1.0, n),
-            "gen_ou": build_generalized_ou(2.0, 0.0, 0.0, 2.0, 0.5, 1.0, n),
-        }
+        return {name: build(n) for name, build in FAMILY_BUILDERS.items()}
 
 
 def test_fbm_low_amplitudes_and_drift(exp_low):

@@ -1,5 +1,6 @@
 """Covariance cross-checks, the report harness, and the convergence probes."""
 
+import dataclasses
 import math
 import os
 import tempfile
@@ -19,6 +20,7 @@ from specgauss import (
     build_generalized_ou,
     build_type_c,
     builtin_gamma,
+    coeffs_closed,
     covariance_report,
     empirical_cov,
     empirical_cov_grid,
@@ -36,7 +38,7 @@ from specgauss import (
 )
 from specgauss import _engine, validate
 from specgauss.expansion import PathBatch, SeriesExpansion
-from test_expansion import all_family_expansions
+from test_expansion import FAMILY_BUILDERS, all_family_expansions, truncated
 
 
 def test_analytic_cov_closed_forms():
@@ -54,6 +56,22 @@ def test_analytic_cov_closed_forms():
 
     with pytest.raises(BadParameter):
         analytic_cov(m, -0.5, 0.5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda T: CovModel.fbm(0.3, T),
+    lambda T: CovModel.brownian(T),
+    lambda T: CovModel.gen_ou(2.0, 0.0, 0.0, 2.0, 0.5, T),
+    lambda T: CovModel.type_a(builtin_gamma("power2H", 1.0, hurst=0.3), T),
+    lambda T: CovModel.type_b(builtin_gamma("exp_decay", 1.0, theta=2.0, sigma2=4.0), T),
+    lambda T: CovModel.type_c(builtin_gamma("linear", 2.0, slope=1.0), T),
+], ids=["fbm", "brownian", "gen_ou", "type_a", "type_b", "type_c"])
+def test_cov_model_needs_a_finite_positive_horizon(make):
+    for T in (-1.0, 0.0, math.inf, math.nan, "1.0", None):
+        with pytest.raises(BadParameter):
+            make(T)
+    model = make(np.int64(1))
+    assert type(model.horizon_T) is float and model.horizon_T == 1.0
 
 
 def test_series_cov_tracks_analytic_within_tail():
@@ -119,16 +137,116 @@ def test_series_var_uniform_matches_scalar_series_cov():
             assert err <= 1e-13, f"H={h} N={n}: relative error {err:.2e}"
 
 
+# a point that is not a real number, beside NaN
+_NON_REAL_POINTS = ["a", None, 0.1 + 1j, np.array([0.1, 0.2])]
+
+
 @pytest.mark.parametrize("call", [
     lambda exp: series_cov(exp, math.nan, 0.5),
     lambda exp: series_cov_grid(exp, [0.1, math.nan]),
     lambda exp: analytic_cov(CovModel.fbm(0.3, 1.0), 0.5, math.nan),
     lambda exp: lemma1_check(builtin_gamma("power2H", 1.0, hurst=0.3), 10, [0.1, math.nan]),
-], ids=["series_cov", "series_cov_grid", "analytic_cov", "lemma1_check"])
+    lambda exp: series_cov_grid(exp, ["a"]),
+    lambda exp: lemma1_check(builtin_gamma("power2H", 1.0, hurst=0.3), 10, ["a"]),
+] + [
+    lambda exp, x=x: series_cov(exp, x, 0.5) for x in _NON_REAL_POINTS
+] + [
+    lambda exp, x=x: analytic_cov(CovModel.fbm(0.3, 1.0), 0.5, x) for x in _NON_REAL_POINTS
+], ids=["series_cov", "series_cov_grid", "analytic_cov", "lemma1_check",
+        "series_cov_grid-str", "lemma1_check-str"]
+   + [f"{f}-{k}" for f in ("series_cov", "analytic_cov")
+      for k in ("str", "None", "complex", "size2")])
 def test_nan_point_is_outside_the_horizon(call):
     exp = build_fbm(0.3, 1.0, 8, fbm_coefficients(0.3, 1.0, 8))
     with pytest.raises(BadParameter):
         call(exp)
+
+
+# (N, points): N below, at and above a perfect square, for the two tables of
+# the scalar kernel; the points cover s = t, s != t, s = 0 and s = T
+_KERNEL_NS = (1, 2, 3, 63, 64, 65, 4096, 4097, 32768)
+_KERNEL_POINTS = ((0.37, 0.37), (0.37, 0.81), (0.0, 0.0), (0.0, 0.6), (1.0, 1.0), (1.0, 0.45))
+
+
+def _type_b_closed_form(n):
+    """The type_b member of all_family_expansions at n terms, from the
+    closed-form coefficients of its exp_decay kernel (theta = 2, sigma2 = 4,
+    T = 1): ``coeffs_closed("generalized_ou", T / 2, ...)`` is that series on
+    the doubled interval 2 (T / 2) = T.  The generic quadrature behind
+    build_type_b costs O(n^2), minutes at n = 32768."""
+    c = coeffs_closed("generalized_ou", 0.5, n, theta=2.0, sigma2=4.0).values
+    amps = np.sqrt(c[1:])
+    return SeriesExpansion(family="type_b", horizon_T=1.0, truncation_N=n,
+                           drift_amp=math.sqrt(c[0] / 2.0), sin_amp=amps, cos_amp=amps)
+
+
+@pytest.fixture(scope="module")
+def kernel_families():
+    """Every family of all_family_expansions at the largest kernel N."""
+    n = _KERNEL_NS[-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ClampWarning)
+        fams = {name: build(n) for name, build in FAMILY_BUILDERS.items() if name != "type_b"}
+    fams["type_b"] = _type_b_closed_form(n)
+    return fams
+
+
+def _series_cov_longdouble(exp, s, t):
+    """series_cov as a direct sum in long double, sin and cos per frequency."""
+    ld = np.longdouble
+    w = np.arange(1, exp.truncation_N + 1, dtype=ld) * (4 * np.arctan(ld(1)) / ld(exp.period_T))
+    ws, wt = w * ld(s), w * ld(t)
+    total = np.sum(exp.sin_amp.astype(ld) ** 2 * np.sin(ws) * np.sin(wt))
+    if exp.cos_amp is not None:
+        cs, ct = np.cos(ws), np.cos(wt)
+        if exp.one_minus_cos:
+            cs, ct = 1 - cs, 1 - ct
+        total += np.sum(exp.cos_amp.astype(ld) ** 2 * cs * ct)
+    if exp.family == "fbm_high":
+        total += ld(exp.drift_amp) ** 2 * ld(s) * ld(t)
+    elif exp.family == "type_b":
+        total += ld(exp.drift_amp) ** 2
+    if exp.init_coupling is not None:
+        sigma0, theta = map(ld, exp.init_coupling)
+        total += sigma0**2 * np.exp(-theta * (ld(s) + ld(t)))
+    return total
+
+
+def test_type_b_closed_form_matches_the_builder():
+    built = all_family_expansions(65)["type_b"]
+    closed = _type_b_closed_form(65)
+    # the builder's amplitudes carry its quadrature error
+    np.testing.assert_allclose(closed.sin_amp, built.sin_amp, rtol=1e-10)
+    assert closed.drift_amp == pytest.approx(built.drift_amp, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", _KERNEL_NS)
+def test_series_cov_matches_a_longdouble_direct_sum(kernel_families, n):
+    # the bound of the grid test: each pair's terms are bounded by
+    # sqrt(var(s) var(t)) (Cauchy-Schwarz), exactly 0 where a variance is
+    for name, full in kernel_families.items():
+        exp = truncated(full, n)
+        for s, t in _KERNEL_POINTS:
+            ref = _series_cov_longdouble(exp, s, t)
+            scale = np.sqrt(_series_cov_longdouble(exp, s, s) * _series_cov_longdouble(exp, t, t))
+            err = abs(np.longdouble(series_cov(exp, s, t)) - ref)
+            assert err <= 1e-13 * scale, f"{name} N={n} ({s}, {t}): error {float(err):.2e}"
+
+
+def test_series_cov_memory_at_a_million_frequencies():
+    # (1 - cos) channel off the diagonal, the costliest layout; the two
+    # phase tables are 16 MiB each and one product buffer 8 MiB
+    n = 2**20
+    amps = 1.0 / np.arange(1, n + 1)
+    exp = dataclasses.replace(all_family_expansions(8)["fbm_low"], truncation_N=n,
+                              sin_amp=amps, cos_amp=amps, coeff_series=None)
+    tracemalloc.start()
+    try:
+        series_cov(exp, 0.37, 0.81)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("fn", [series_cov_uniform, series_var_uniform])
@@ -220,6 +338,13 @@ def test_empirical_cov_identity_and_guard():
     small = PathBatch(grid=np.array([0.0, 1.0]), values=vals[:50, :2], seed=0)
     with pytest.raises(TooFewPaths):
         empirical_cov(small, 0, 1)
+
+    assert empirical_cov(batch, np.int64(2), 2) == empirical_cov(batch, 2, 2)
+    # a negative index would read from the end, a float would truncate
+    for i in (-1, 3, 0.5, 1.0, True, None, "0"):
+        for args in ((i, 0), (0, i)):
+            with pytest.raises(BadParameter):
+                empirical_cov(batch, *args)
 
 
 def _report_batches():
