@@ -1,4 +1,4 @@
-"""Small shared helpers: integer argument checks, atomic file writes,
+"""Small shared helpers: integer and real argument checks, atomic file writes,
 canonical float text, config hashing, and the one CSV table format.
 
 Every CSV artifact (coefficient tables, sampled paths, codebooks) is written
@@ -12,6 +12,8 @@ value are percent-escaped (UTF-8 bytes), so every value reads back whole.
 import hashlib
 import itertools
 import json
+import math
+import numbers
 import os
 import re
 import tempfile
@@ -34,6 +36,26 @@ def check_int(value, name, minimum=None):
         bound = "" if minimum is None else f" >= {minimum}"
         raise BadParameter(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
+
+
+def check_real(value, name):
+    """``value`` as a float when it is a real number (a Python or numpy real
+    scalar, or a 0-d array of one), else BadParameter: no string is parsed
+    and no complex value loses its imaginary part."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
+    if not isinstance(value, numbers.Real):
+        raise BadParameter(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def check_positive(value, name):
+    """``value`` as a float when it is a finite positive real number, else
+    BadParameter: the check of a horizon, a rate or a variance."""
+    x = check_real(value, name)
+    if not (0.0 < x < math.inf):
+        raise BadParameter(f"{name} must be finite and positive, got {value!r}")
+    return x
 
 
 def float_text(x):

@@ -555,17 +555,20 @@ def truncation_for_tolerance(series, eps):
     """Smallest N with sqrt(2 * tail_sum(N)) <= eps.
 
     The factor 2 bounds the basis functions; the result is monotone in eps
-    with minimum 1.  When no N inside the table suffices, the power-law
-    model behind the tail estimate is inverted to extend the search beyond
-    k_max.
+    with minimum 1.  A series that records its power law has an exact tail
+    at every N, so N is found by bisection, inside the table or beyond it.
+    Otherwise, when no N inside the table suffices, the power-law model
+    behind the tail estimate is inverted to extend the search beyond k_max.
     """
     if not (eps > 0):
         raise BadParameter("eps must be positive")
+    # tiny relative slack so eps = sqrt(2 tail_sum(N)) round-trips to N
+    target = eps * eps / 2.0 * (1.0 + 1e-12)
+    if series.power_law is not None:
+        return _bisect_tail(series, target)
     beyond = tail_sum(series, series.k_max)
     if not np.isfinite(beyond):
         raise TailEstimateUnavailable("tail decay fit failed; cannot bound the remainder")
-    # tiny relative slack so eps = sqrt(2 tail_sum(N)) round-trips to N
-    target = eps * eps / 2.0 * (1.0 + 1e-12)
     absv = np.abs(series.values)
     # suffix[N] = sum of |c_k| for k > N within the table
     suffix = np.concatenate([np.cumsum(absv[::-1])[::-1], [0.0]])
@@ -587,3 +590,26 @@ def truncation_for_tolerance(series, eps):
     while beyond * (n / k_max) ** (p + 1.0) > target:
         n += 1
     return n
+
+
+# beyond this N a coefficient index is no longer an exact float
+_MAX_TRUNCATION = 1 << 53
+
+
+def _bisect_tail(series, target):
+    """Smallest N >= 1 with tail_sum(series, N) <= target, by doubling then
+    bisection; tail_sum of a power-law series is nonincreasing in N."""
+    lo, hi = 0, 1
+    while (tail := tail_sum(series, hi)) > target:
+        if tail == math.inf:
+            raise TailEstimateUnavailable("the power-law tail diverges; no N bounds it")
+        if hi >= _MAX_TRUNCATION:
+            raise TailEstimateUnavailable("no N <= 2^53 meets the tolerance")
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if tail_sum(series, mid) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -4,21 +4,34 @@ For a generating function g on (0, T] the coefficients are
 
     c_k = (2/T) * integral_0^T g(t) cos(k pi t / T) dt,   k = 0, 1, 2, ...
 
-Production values come from singularity-aware panel quadrature: an exact
-power law is integrated through a shared per-half-period Gauss-Legendre
-table of ``v^a cos v`` (O(k_max) work for a whole series), anything else
-through per-coefficient half-period panels with geometric refinement toward
-the origin.  :func:`oracle_coeff` is an independent brute-force graded
-trapezoid used to anchor reference values; it shares no code with the
-production route.
+An exact power law amp * t^a has two routes.  Entries k <= ``_K0`` come from
+a shared per-half-period Gauss-Legendre table of ``v^a cos v``.  Above
+``_K0``, for -1 < a < 5, each entry is evaluated in closed form from the
+integration-by-parts expansion of its Fourier integral, whose remainder is
+bounded rigorously; other exponents stay on the table.  Such a series
+records its power law, so :func:`tail_sum` sums its tail exactly from the
+same expansion with Hurwitz zeta values.  Any other generating function
+gets per-coefficient half-period panels with geometric refinement toward
+the origin, and its tail is extrapolated from a fitted decay.
+:func:`oracle_coeff` is an independent brute-force graded trapezoid used to
+anchor reference values; it shares no code with the production routes.
 """
 
 import math
 from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ._util import atomic_write_text, check_int, csv_table_text, float_text, read_csv_table
+from ._util import (
+    atomic_write_text,
+    check_int,
+    check_positive,
+    check_real,
+    csv_table_text,
+    float_text,
+    read_csv_table,
+)
 from .errors import (
     BadParameter,
     InsufficientData,
@@ -36,6 +49,15 @@ _GL32 = np.polynomial.legendre.leggauss(32)
 _EVAL_CHUNK = 1 << 22
 # relative error-bound target per coefficient of the production quadrature
 _QUAD_TOL = 1e-11
+# entries of an exact power law above this index are closed-form
+_K0 = 128
+# the closed form and the exact tail hold for exponents in this open interval
+_ASYMPTOTIC_EXPONENTS = (-1.0, 5.0)
+_EPS = float(np.finfo(float).eps)
+
+
+def _flag(text):
+    return bool(int(text))
 
 
 @dataclass(frozen=True)
@@ -45,6 +67,9 @@ class CosineSeries:
     ``values[k]`` holds c_k in the (2/T)-normalization for every k including
     k = 0.  ``has_c0`` is False for series produced by the second-derivative
     transform, whose k = 0 entry is undefined (stored as 0).
+    ``power_law`` is ``(amp, exponent, lifted)`` when the entries are those
+    of amp * t^exponent, times (T / k pi)^2 when ``lifted``; it is the tail
+    rule :func:`tail_sum` sums beyond the table.
     """
 
     horizon_T: float
@@ -54,11 +79,22 @@ class CosineSeries:
     error_bounds: np.ndarray
     source_label: str = ""
     has_c0: bool = True
+    power_law: Optional[Tuple[float, float, bool]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "k_max", check_int(self.k_max, "k_max", 0))
-        if not (self.horizon_T > 0):
-            raise BadParameter("horizon_T must be positive")
+        object.__setattr__(self, "horizon_T", check_positive(self.horizon_T, "horizon_T"))
+        if self.power_law is not None:
+            amp, exponent, lifted = self.power_law
+            amp = check_real(amp, "power_law amp")
+            exponent = check_real(exponent, "power_law exponent")
+            lo, hi = _ASYMPTOTIC_EXPONENTS
+            if not (math.isfinite(amp) and lo < exponent < hi
+                    and isinstance(lifted, (bool, np.bool_))):
+                raise BadParameter(
+                    f"power_law must be (finite amp, exponent in ({lo}, {hi}), bool)"
+                )
+            object.__setattr__(self, "power_law", (amp, exponent, bool(lifted)))
         v = np.ascontiguousarray(np.asarray(self.values, dtype=float))
         b = np.ascontiguousarray(np.asarray(self.error_bounds, dtype=float))
         if v.shape != (self.k_max + 1,) or b.shape != (self.k_max + 1,):
@@ -74,6 +110,10 @@ class CosineSeries:
         """CSV text ``k,c_k,err_bound`` with shortest round-trip floats."""
         meta = [("T", float_text(self.horizon_T)), ("method", self.method),
                 ("has_c0", int(self.has_c0)), ("label", self.source_label)]
+        if self.power_law is not None:
+            amp, exponent, lifted = self.power_law
+            meta += [("power_amp", float_text(amp)), ("power_exponent", float_text(exponent)),
+                     ("power_lifted", int(lifted))]
         head = [*comments, meta]
         return csv_table_text(
             head, ["k", "c_k", "err_bound"],
@@ -85,9 +125,12 @@ class CosineSeries:
 
     @classmethod
     def from_csv(cls, path):
+        """Read a table written by :meth:`to_csv`; a table without the
+        power-law tokens reads back with no tail rule."""
         meta, data = read_csv_table(
             path,
-            {"T": float, "method": str, "has_c0": lambda v: bool(int(v)), "label": str},
+            {"T": float, "method": str, "has_c0": _flag, "label": str,
+             "power_amp": float, "power_exponent": float, "power_lifted": _flag},
         )
         if data.shape[0] != 3:
             raise BadParameter(f"{path}: {data.shape[0]} columns, expected k,c_k,err_bound")
@@ -96,6 +139,10 @@ class CosineSeries:
             raise BadParameter(f"{path}: missing T= metadata comment")
         if not np.array_equal(ks, np.arange(ks.size)):
             raise BadParameter(f"{path}: rows must cover k = 0..k_max in order")
+        keys = ("power_amp", "power_exponent", "power_lifted")
+        power = [meta[key] for key in keys if key in meta]
+        if len(power) not in (0, 3):
+            raise BadParameter(f"{path}: power_amp, power_exponent and power_lifted go together")
         return cls(
             horizon_T=meta["T"],
             k_max=ks.size - 1,
@@ -104,6 +151,7 @@ class CosineSeries:
             error_bounds=bounds,
             source_label=meta.get("label", ""),
             has_c0=meta.get("has_c0", True),
+            power_law=tuple(power) or None,
         )
 
 
@@ -149,9 +197,8 @@ def oracle_coeff(spec, T, k, refine_limit=23):
     Deliberately naive: this is the reference implementation the panel
     quadrature is tested against, so it shares no machinery with it.
     """
-    if k < 0:
-        raise BadParameter("k must be >= 0")
-    T = float(T)
+    k = check_int(k, "k", 0)
+    T = check_positive(T, "T")
     w = k * math.pi / T
     q = max(4.0, 3.0 / max(0.05, 2.0 - spec.delta) + 1.0)
     t_cut = T / 8.0
@@ -249,29 +296,121 @@ def _power_cumulative(a, k_max):
     return g, gerr
 
 
+def _asymptotic_terms(a):
+    """The expansion of G(X) = integral_0^X v^a cos v dv at X = k pi.
+
+    Integrating by parts (Erdelyi, Asymptotic Expansions, 1956, 2.8),
+
+        G(k pi) = C + (-1)^k (a X^(a-1) - a(a-1)(a-2) X^(a-3)
+                      + a(a-1)(a-2)(a-3)(a-4) X^(a-5)) + R,
+        C = -Gamma(a+1) sin(pi a / 2),
+        R = a(a-1)...(a-5) integral_X^inf v^(a-6) cos v dv.
+
+    For -1 < a < 5, v^(a-6) decreases to 0, so the second mean value
+    theorem gives |R| <= |a(a-1)...(a-5)| X^(a-6); the bound used is twice
+    that.  Returns ``(C, alternating, remainder, Gamma(a+1))`` with the
+    three alternating coefficients in the order of the powers above.
+    """
+    falling = [1.0]  # falling[j] = a (a-1) ... (a-j+1)
+    for j in range(6):
+        falling.append(falling[-1] * (a - j))
+    gamma = math.gamma(a + 1.0)
+    c_inf = -gamma * math.sin(math.pi * a / 2.0)
+    return c_inf, (falling[1], -falling[3], falling[5]), 2.0 * abs(falling[6]), gamma
+
+
+def _asymptotic_entries(amp, a, T, k_lo, values, bounds):
+    """Closed-form c_k of amp * t^a for k >= k_lo, written into ``values[k_lo:]``
+    and ``bounds[k_lo:]``.
+
+    With X = k pi, c_k = amp (2/T) (T/X)^(a+1) G(X) is
+
+        A (C X^-(a+1) + (-1)^k (b1 X^-2 + b3 X^-4 + b5 X^-6)) + A R X^-(a+1),
+
+    A = 2 amp T^a, so one power per entry suffices, and the remainder term is
+    at most |A| r X^-7.  The bound adds that to a rounding term: 16 eps
+    (2 + |a|) on Gamma(a+1) X^-(a+1) for Gamma, the sine, the power and the
+    rounding of X; 8 eps on the alternating terms; 4 eps of the entry.
+    Every temporary is one array of the entries' length, three at most.
+    """
+    c_inf, (b1, b3, b5), rem, gamma = _asymptotic_terms(a)
+    scale = 2.0 * amp * T**a
+    vals, bnd = values[k_lo:], bounds[k_lo:]
+    x = np.arange(k_lo, k_lo + vals.size, dtype=float)
+    x *= np.pi
+    q = x ** -(a + 1.0)
+    w = x * x
+    np.reciprocal(w, out=w)
+    # alternating part and its absolute sum, by Horner in X^-2
+    np.multiply(w, b5, out=vals)
+    vals += b3
+    vals *= w
+    vals += b1
+    vals *= w
+    vals[(k_lo + 1) % 2 :: 2] *= -1.0
+    np.multiply(w, abs(b5), out=bnd)
+    bnd += abs(b3)
+    bnd *= w
+    bnd += abs(b1)
+    bnd *= w
+    bnd *= 8.0 * _EPS
+    # remainder r X^-7 = r w^3 / X, in the storage of X
+    np.divide(w, x, out=x)
+    x *= w
+    x *= w
+    x *= rem
+    bnd += x
+    np.multiply(q, c_inf, out=w)
+    vals += w
+    q *= 16.0 * _EPS * (2.0 + abs(a)) * gamma
+    bnd += q
+    vals *= scale
+    bnd *= abs(scale)
+    np.abs(vals, out=q)
+    q *= 4.0 * _EPS
+    bnd += q
+
+
 def power_series_coeffs(amp, exponent, T, k_max, label=None):
-    """Coefficient series of amp * t**exponent on (0, T], exponent > -1."""
+    """Coefficient series of amp * t**exponent on (0, T], exponent > -1.
+
+    Entries k <= ``_K0`` come from the panel table of ``v^a cos v``.  For
+    -1 < exponent < 5, entries above ``_K0`` are closed-form (see
+    :func:`_asymptotic_entries`), each bounded by the expansion's remainder
+    plus its rounding, and the series records its power law so that
+    :func:`tail_sum` is exact; other exponents stay on the table.
+    """
+    amp = check_real(amp, "amp")
+    exponent = check_real(exponent, "exponent")
+    if not (math.isfinite(amp) and math.isfinite(exponent)):
+        raise BadParameter(f"amp and exponent must be finite, got {amp!r}, {exponent!r}")
     if exponent <= -1.0:
         raise SingularityTooStrong(f"t**{exponent} is not integrable at 0")
     k_max = check_int(k_max, "k_max", 0)
-    T = float(T)
+    T = check_positive(T, "T")
+    lo, hi = _ASYMPTOTIC_EXPONENTS
+    closed = lo < exponent < hi
+    k_head = min(k_max, _K0) if closed else k_max
     values = np.empty(k_max + 1)
     bounds = np.empty(k_max + 1)
     values[0] = amp * 2.0 * T**exponent / (exponent + 1.0)
     bounds[0] = abs(values[0]) * 5e-16
-    if k_max >= 1:
-        g, gerr = _power_cumulative(exponent, k_max)
-        k = np.arange(1, k_max + 1, dtype=float)
+    if k_head >= 1:
+        g, gerr = _power_cumulative(exponent, k_head)
+        k = np.arange(1, k_head + 1, dtype=float)
         scale = (2.0 / T) * (T / (k * np.pi)) ** (exponent + 1.0)
-        values[1:] = amp * scale * g
-        bounds[1:] = abs(amp) * scale * (gerr + 1e-15 * (1.0 + np.abs(g)))
+        values[1 : k_head + 1] = amp * scale * g
+        bounds[1 : k_head + 1] = abs(amp) * scale * (gerr + 1e-15 * (1.0 + np.abs(g)))
+    if k_max > k_head:
+        _asymptotic_entries(amp, exponent, T, k_head + 1, values, bounds)
     return CosineSeries(
         horizon_T=T,
         k_max=k_max,
         values=values,
-        method="quadrature",
+        method="quadrature+asymptotic" if k_max > k_head else "quadrature",
         error_bounds=bounds,
         source_label=label or f"power(amp={amp},p={exponent},T={T})",
+        power_law=(amp, exponent, False) if closed else None,
     )
 
 
@@ -377,8 +516,7 @@ def coeffs_closed(model, T, k_max, *, theta=None, sigma2=None):
     ``generalized_ou``     : generating function (sigma2/theta) exp(-theta t).
     """
     k_max = check_int(k_max, "k_max", 0)
-    if not (T > 0):
-        raise BadParameter("T must be positive")
+    check_positive(T, "T")  # T, theta and sigma2 stay as given: they spell the label
     k = np.arange(0, k_max + 1, dtype=float)
     sign = np.where(np.arange(k_max + 1) % 2 == 0, 1.0, -1.0)
     if model == "brownian_example":
@@ -388,10 +526,8 @@ def coeffs_closed(model, T, k_max, *, theta=None, sigma2=None):
             values[1:] = (1.0 - sign[1:]) * (2.0 / (k[1:] * np.pi)) ** 2 * T
         label = f"brownian_example(T={T})"
     elif model == "generalized_ou":
-        if theta is None or not (theta > 0):
-            raise BadParameter("generalized_ou requires theta > 0")
-        if sigma2 is None or not (sigma2 > 0):
-            raise BadParameter("generalized_ou requires sigma2 > 0")
+        check_positive(theta, "generalized_ou theta")
+        check_positive(sigma2, "generalized_ou sigma2")
         damp = 1.0 / (1.0 + (k * np.pi / (2.0 * theta * T)) ** 2)
         values = (sigma2 / theta) * damp * (1.0 - sign * math.exp(-2.0 * theta * T)) / (theta * T)
         label = f"generalized_ou(theta={theta},sigma2={sigma2},T={T})"
@@ -412,16 +548,20 @@ def lemma2_transform(series, T):
 
     Turns the coefficient series of the (negated) second derivative into the
     series of the function itself, up to the quadratic correction that the
-    construction removes.
+    construction removes.  A power-law series keeps its power law, lifted.
     """
+    T = check_positive(T, "T")
     if abs(series.horizon_T - T) > 1e-12 * max(1.0, T):
         raise BadParameter(f"series horizon {series.horizon_T} does not match T={T}")
-    k = np.arange(1, series.k_max + 1, dtype=float)
-    factor = (T / (k * np.pi)) ** 2
+    factor = np.arange(1, series.k_max + 1, dtype=float)
+    factor *= np.pi
+    np.divide(T, factor, out=factor)
+    np.square(factor, out=factor)
     values = np.zeros(series.k_max + 1)
     bounds = np.zeros(series.k_max + 1)
-    values[1:] = series.values[1:] * factor
-    bounds[1:] = series.error_bounds[1:] * factor
+    np.multiply(series.values[1:], factor, out=values[1:])
+    np.multiply(series.error_bounds[1:], factor, out=bounds[1:])
+    law = series.power_law
     return CosineSeries(
         horizon_T=series.horizon_T,
         k_max=series.k_max,
@@ -430,6 +570,8 @@ def lemma2_transform(series, T):
         error_bounds=bounds,
         source_label=f"lemma2({series.source_label})",
         has_c0=False,
+        # a twice-lifted law has no tail rule
+        power_law=None if law is None or law[2] else (law[0], law[1], True),
     )
 
 
@@ -441,6 +583,7 @@ def fbm_coefficients(H, T, k_max):
     correction transform.  H = 1/2 is rejected; plain Brownian motion is
     covered by the linear generating function.
     """
+    H = check_real(H, "H")
     if not (0.0 < H < 1.0) or H == 0.5:
         raise BadParameter("H must lie in (0, 1) with H != 1/2")
     if H < 0.5:
@@ -476,7 +619,8 @@ def decay_fit(series, k_lo, k_hi):
     particular the parity-suppressed ones) are skipped; fewer than 8 usable
     points raises InsufficientData.
     """
-    if not (1 <= k_lo < k_hi <= series.k_max):
+    k_lo, k_hi = check_int(k_lo, "k_lo", 1), check_int(k_hi, "k_hi", 1)
+    if not (k_lo < k_hi <= series.k_max):
         raise BadParameter("need 1 <= k_lo < k_hi <= k_max")
     if k_hi < 4 * k_lo:
         raise BadParameter("fit window must span at least a factor of 4")
@@ -524,11 +668,96 @@ def _tail_extrapolation(series):
     return 2.0 * est
 
 
+# B_2j / (2j)! for j = 1..8, the Euler-Maclaurin correction coefficients
+_EM_COEFFS = (
+    1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0, 1.0 / 47900160.0,
+    -691.0 / 1307674368000.0, 1.0 / 74724249600.0, -3617.0 / 10670622842880000.0,
+)
+# terms summed directly before the Euler-Maclaurin tail takes over at q + n
+_EM_START = 20.0
+
+
+def _hurwitz_zeta(s, q):
+    """zeta(s, q) = sum_{j>=0} (q + j)^-s for 1 < s <= 10, q > 0.
+
+    Direct terms up to q + n >= 20, then the Euler-Maclaurin formula with
+    eight Bernoulli corrections (Johansson, Numer. Algorithms 69, 2015); the
+    first omitted correction is below 1e-15 of the result.  Summed with
+    ``math.fsum``.
+    """
+    n = max(0, math.ceil(_EM_START - q))
+    x = q + n
+    terms = [(q + j) ** -s for j in range(n)]
+    terms += [x ** (1.0 - s) / (s - 1.0), 0.5 * x**-s]
+    rising = s * x ** (-s - 1.0)  # s (s+1) ... (s+2j-2) x^(-s-2j+1)
+    for j, coeff in enumerate(_EM_COEFFS):
+        terms.append(coeff * rising)
+        rising *= (s + 2 * j + 1.0) * (s + 2 * j + 2.0) / (x * x)
+    return math.fsum(terms)
+
+
+def _power_tail(series, m):
+    """Upper bound on sum_{k>m} |c_k| for a series that records its power law.
+
+    Past the table every c_k is A (sum_i alpha_i k^-s_i + R_k) with the
+    expansion's terms (:func:`_asymptotic_terms`), |R_k| <= rho k^-s_R, and
+    (-1)^k fixed on each parity class.  On a class k = k0 + 2j each power
+    sums to 2^-s zeta(s, k0 / 2).  When the slowest term outweighs all the
+    others plus the remainder at k0 (so at every later k) the class keeps
+    one sign and its sum is |sum_i alpha_i Z_i|; otherwise the bound is
+    sum_i |alpha_i| Z_i.  Every class adds rho Z_R and a rounding allowance
+    of 64 eps (3 + |a|) times its absolute terms and Gamma(a+1)'s.  Returns
+    inf when a term decays no faster than 1/k.
+    """
+    amp, a, lifted = series.power_law
+    T = series.horizon_T
+    c_inf, alternating, rem, gamma = _asymptotic_terms(a)
+    lift = 2.0 if lifted else 0.0
+    scale = abs(2.0 * amp * T**a * (T * T if lifted else 1.0))
+    s_inf, s_rem = a + 1.0 + lift, 7.0 + lift
+    rho = rem * math.pi**-s_rem
+    total = 0.0
+    for k0 in (m + 1, m + 2):
+        sign = 1.0 if k0 % 2 == 0 else -1.0
+        coeffs = {s_inf: c_inf}
+        for j, b in enumerate(alternating):
+            s = 2.0 * j + 2.0 + lift
+            coeffs[s] = coeffs.get(s, 0.0) + sign * b
+        terms = sorted((s, c * math.pi**-s) for s, c in coeffs.items() if c != 0.0)
+        if terms and terms[0][0] <= 1.0:
+            return math.inf
+        # C = 0 exactly when s_inf <= 1 here (a = 0); then it carries no rounding
+        z = {s: 2.0**-s * _hurwitz_zeta(s, k0 / 2.0) for s in {*coeffs, s_rem} if s > 1.0}
+        sums = [c * z[s] for s, c in terms]
+        lead = abs(terms[0][1]) * k0 ** -terms[0][0] if terms else 0.0
+        rest = sum(abs(c) * k0**-s for s, c in terms[1:]) + rho * k0**-s_rem
+        magnitude = math.fsum(map(abs, sums))
+        total += abs(math.fsum(sums)) if lead > 1.001 * rest else magnitude
+        magnitude += gamma * math.pi**-s_inf * z.get(s_inf, 0.0)
+        total += rho * z[s_rem] + 64.0 * _EPS * (3.0 + abs(a)) * magnitude
+    return scale * total
+
+
 def tail_sum(series, N):
-    """Sum of |c_k| for k > N: exact within the table plus an extrapolated
-    remainder beyond k_max.  Returns inf when the tail decays too slowly to
-    extrapolate."""
-    if not (0 <= N <= series.k_max):
-        raise BadParameter("need 0 <= N <= k_max")
-    computed = float(np.sum(np.abs(series.values[N + 1 :])))
-    return computed + _tail_extrapolation(series)
+    """Sum of |c_k| for k > N, as an upper bound.
+
+    For a series that records its power law (``series.power_law``) the sum
+    is exact: entries up to min(k_max, ``_K0``) are summed from the table
+    with their error bounds, and everything beyond from the closed-form
+    expansion with Hurwitz zeta values (:func:`_power_tail`), rounded up;
+    any N >= 0 is accepted.  For any other series N <= k_max, the table is
+    summed and the remainder beyond k_max is extrapolated from a fitted
+    power law with a safety factor of 2; inf when the tail decays too slowly
+    to extrapolate.
+    """
+    N = check_int(N, "N", 0)
+    if series.power_law is None:
+        if N > series.k_max:
+            raise BadParameter("need 0 <= N <= k_max")
+        computed = float(np.sum(np.abs(series.values[N + 1 :])))
+        return computed + _tail_extrapolation(series)
+    m = max(N, min(series.k_max, _K0))
+    head = math.fsum(np.abs(series.values[N + 1 : m + 1])) + math.fsum(
+        series.error_bounds[N + 1 : m + 1]
+    )
+    return (head + _power_tail(series, m)) * (1.0 + 4.0 * _EPS)

@@ -551,7 +551,8 @@ def kl_reduce(exp, m):
 
 def _tail_variance_integral(exp):
     """Integral over [0,T] of the variance carried by frequencies beyond
-    the truncation, from the stored coefficient tail estimate."""
+    the truncation, from the tail sum of the stored coefficient series
+    (exact for a power law, extrapolated otherwise)."""
     if exp.coeff_series is None:
         raise BadParameter("expansion carries no coefficient series")
     per_k = tail_sum(exp.coeff_series, exp.truncation_N)

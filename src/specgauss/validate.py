@@ -33,14 +33,13 @@ so its memory is bounded by the block budget whatever the ladder.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _engine
-from ._util import check_int
+from ._util import check_int, check_positive, check_real
 from .errors import BadParameter, DeltaOutOfRange, TooFewPaths
 from .expansion import build_fbm
 from .fourier import coeffs_quadrature, fbm_coefficients, tail_sum
@@ -67,10 +66,7 @@ class CovModel:
     spec: Optional[GammaSpec] = None
 
     def __post_init__(self):
-        T = _real(self.horizon_T, "horizon_T")
-        if not (T > 0.0 and math.isfinite(T)):
-            raise BadParameter(f"horizon_T must be finite and positive, got {T!r}")
-        object.__setattr__(self, "horizon_T", T)
+        object.__setattr__(self, "horizon_T", check_positive(self.horizon_T, "horizon_T"))
 
     @classmethod
     def fbm(cls, hurst, T):
@@ -125,17 +121,6 @@ def _gamma_value(spec, x):
     return float(spec.evaluate(np.array([x]))[0])
 
 
-def _real(x, name):
-    """``x`` as a float when it is a real number (a Python or numpy real
-    scalar, or a 0-d array of one), else BadParameter: no string is parsed
-    and no complex value loses its imaginary part."""
-    if isinstance(x, np.ndarray) and x.ndim == 0:
-        x = x[()]
-    if not isinstance(x, numbers.Real):
-        raise BadParameter(f"{name} must be a real number, got {x!r}")
-    return float(x)
-
-
 def _grid_array(grid):
     """``grid`` as a nonempty 1-D float array, else BadParameter."""
     try:
@@ -149,7 +134,7 @@ def _grid_array(grid):
 
 def _points_in_horizon(T, s, t):
     """(s, t) as floats, each inside [0, T] up to rounding."""
-    s, t = _real(s, "s"), _real(t, "t")
+    s, t = check_real(s, "s"), check_real(t, "t")
     # negated so that NaN fails the range check
     if not all(-1e-12 * T <= x <= T * (1.0 + 1e-12) for x in (s, t)):
         raise BadParameter("s, t must lie inside [0, T]")

@@ -420,6 +420,18 @@ def test_truncation_for_tolerance():
         truncation_for_tolerance(s, 0.0)
 
 
+@pytest.mark.parametrize("H, eps", [(0.3, 0.1), (0.3, 0.02), (0.75, 1e-3)])
+def test_truncation_for_tolerance_searches_the_exact_fbm_tail_beyond_the_table(H, eps):
+    from specgauss import tail_sum
+
+    s = fbm_coefficients(H, 1.0, 64)
+    n = truncation_for_tolerance(s, eps)
+    assert n > s.k_max
+    assert math.sqrt(2.0 * tail_sum(s, n)) <= eps < math.sqrt(2.0 * tail_sum(s, n - 1))
+    # the tail rule is the table's own: a table reaching n has the same tail there
+    assert tail_sum(fbm_coefficients(H, 1.0, n), n) == tail_sum(s, n)
+
+
 def test_path_csv_rejects_malformed_rows(tmp_path, exp_ou):
     good = sample_paths_fast(exp_ou, 4, 3, 1).to_csv_text().splitlines()
     first_data = next(i for i, line in enumerate(good) if line[0].isdigit())

@@ -2,10 +2,13 @@
 
 Golden values below were produced by the brute-force oracle (graded
 trapezoid, refined until two levels agree to 1e-10) and are frozen so any
-later drift in the production routes is caught.
+later drift in the production routes is caught.  The closed-form power-law
+entries and their exact tails are checked against mpmath references.
 """
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from specgauss import (
     power_series_coeffs,
     tail_sum,
 )
+from specgauss.fourier import _K0, _asymptotic_entries, _hurwitz_zeta, _power_cumulative
 
 # oracle_coeff(builtin_gamma("power2H", 1.0, hurst=0.3), 1.0, 1), converged
 ORACLE_C1_T06 = -0.34855310057401606
@@ -214,3 +218,231 @@ def test_series_csv_rejects_malformed_rows(tmp_path):
         path.write_text("\n".join(broken) + "\n")
         with pytest.raises(BadParameter, match=rf"{kind}\.csv: line {row + 1}"):
             CosineSeries.from_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# closed-form entries above _K0 and exact power-law tails
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def mp():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        yield mpmath
+
+
+def _fbm_power_law(H):
+    """(amp, exponent, lifted) of the fBm series for H."""
+    return (1.0, 2.0 * H, False) if H < 0.5 else (-2.0 * H * (2.0 * H - 1.0), 2.0 * H - 2.0, True)
+
+
+def _mp_coeff(mp, amp, a, T, k, lifted):
+    """c_k of amp * t^a on (0, T] (times (T / k pi)^2 when lifted), through
+    integral_0^X v^a cos v dv = Re(i^(a+1) gamma(a+1, -iX))."""
+    a, T = mp.mpf(a), mp.mpf(T)
+    x = k * mp.pi
+    g = mp.re(mp.expj(mp.pi * (a + 1) / 2) * mp.gammainc(a + 1, 0, -1j * x))
+    c = amp * (2 / T) * (T / x) ** (a + 1) * g
+    return c * (T / x) ** 2 if lifted else c
+
+
+def _mp_class_tails(mp, amp, a, T, m, lifted, terms=12):
+    """The sums of c_k over the even and over the odd k > m, from the
+    expansion carried to ``terms`` alternating powers; for m >= 400 its
+    remainder is below 1e-30 of the sum."""
+    a, T = mp.mpf(a), mp.mpf(T)
+    lift = 2 if lifted else 0
+    scale = amp * 2 * T**a * (T**2 if lifted else 1)
+    c_inf = -mp.gamma(a + 1) * mp.sin(mp.pi * a / 2)
+    out = []
+    for k0 in (m + 1, m + 2):
+        sign = 1 if k0 % 2 == 0 else -1
+
+        def z(s):
+            return 2 ** (-s) * mp.zeta(s, mp.mpf(k0) / 2)
+
+        part = c_inf * mp.pi ** (-(a + 1 + lift)) * z(a + 1 + lift)
+        coeff = a
+        for j in range(terms):
+            part += sign * coeff * mp.pi ** (-(2 * j + 2 + lift)) * z(2 * j + 2 + lift)
+            coeff *= -(a - 2 * j - 1) * (a - 2 * j - 2)
+        out.append(scale * part)
+    return out
+
+
+def _mp_abs_tail(mp, amp, a, T, N, lifted):
+    """sum_{k>N} |c_k| for a power law whose parity classes keep one sign
+    past k = 400: exact entries up to 400, class sums beyond."""
+    head = mp.fsum(abs(_mp_coeff(mp, amp, a, T, k, lifted)) for k in range(N + 1, 401))
+    return head + mp.fsum(abs(c) for c in _mp_class_tails(mp, amp, a, T, max(N, 400), lifted))
+
+
+@pytest.mark.parametrize("H", [0.05, 0.3, 0.45, 0.55, 0.75, 0.95])
+def test_entry_bounds_cover_an_mpmath_reference(mp, H):
+    amp, a, lifted = _fbm_power_law(H)
+    s = fbm_coefficients(H, 1.0, 1 << 20)
+    assert s.power_law == (amp, a, lifted)
+    for k in (_K0 - 1, _K0, _K0 + 1, 1000, 32768, 1 << 20):
+        ref = _mp_coeff(mp, amp, a, 1.0, k, lifted)
+        assert abs(float(ref - s.values[k])) <= s.error_bounds[k], k
+    # above _K0 the bound is the expansion's remainder plus rounding
+    assert np.max(s.error_bounds[_K0 + 1 :] / np.abs(s.values[_K0 + 1 :])) < 1e-12
+
+
+@pytest.mark.parametrize("H, k_max", [(0.3, _K0), (0.3, 4096), (0.75, 4096)])
+def test_head_entries_are_the_full_length_panel_table(H, k_max):
+    # k <= _K0 is computed exactly as when every entry came from the table
+    amp, a, _ = _fbm_power_law(H)
+    g, gerr = _power_cumulative(a, k_max)
+    k = np.arange(1, k_max + 1, dtype=float)
+    scale = 2.0 * (1.0 / (k * np.pi)) ** (a + 1.0)
+    s = power_series_coeffs(amp, a, 1.0, k_max)
+    head = slice(1, _K0 + 1)
+    assert np.array_equal(s.values[head], (amp * scale * g)[:_K0])
+    bounds = abs(amp) * scale * (gerr + 1e-15 * (1.0 + np.abs(g)))
+    assert np.array_equal(s.error_bounds[head], bounds[:_K0])
+
+
+def test_exponent_one_is_the_exact_alternating_form(mp):
+    T = 2.0
+    s = power_series_coeffs(1.0, 1.0, T, 1000)
+    k = np.arange(_K0 + 1, 1001)
+    exact = (2.0 / T) * (T / (k * np.pi)) ** 2 * (np.where(k % 2 == 0, 1.0, -1.0) - 1.0)
+    gap = np.abs(s.values[_K0 + 1 :] - exact)
+    assert np.all(gap <= s.error_bounds[_K0 + 1 :])
+    assert np.max(gap) <= 1e-15 * np.max(np.abs(exact))
+    # the tail is the odd entries alone: 4T/pi^2 sum_{j >= 500} (2j + 1)^-2
+    truth = 4.0 * T / math.pi**2 * float(mp.zeta(2, 500.5)) / 4.0
+    assert truth <= tail_sum(s, 1000) <= truth * (1.0 + 1e-12)
+
+
+def test_exponent_one_and_a_half_alternates_and_its_tail_bounds_the_truth(mp):
+    s = power_series_coeffs(1.0, 1.5, 1.0, 1000)
+    signs = np.sign(s.values[_K0 + 1 :])
+    assert np.all(signs[::2] == -signs[1::2])  # even k and odd k take opposite signs
+    for N in (0, 50, _K0, 1000, 5000):
+        truth = _mp_abs_tail(mp, 1.0, 1.5, 1.0, N, False)
+        got = tail_sum(s, N)
+        assert got >= truth, N
+        if N >= _K0:  # below, the panel table's bounds are summed in
+            assert float(got / truth - 1) <= 1e-10, N
+
+
+@pytest.mark.parametrize("H", [0.3, 0.75])
+def test_tail_sum_is_exact_for_both_fbm_branches(mp, H):
+    amp, a, lifted = _fbm_power_law(H)
+    s = fbm_coefficients(H, 1.0, 4096)
+    for N in (0, _K0, 1000, 4096, 32768):
+        truth = _mp_abs_tail(mp, amp, a, 1.0, N, lifted)
+        rel = float(tail_sum(s, N) / truth - 1)
+        assert 0.0 <= rel <= 1e-10, (N, rel)
+
+
+def test_hurwitz_zeta_matches_mpmath(mp):
+    for s in (1.0001, 1.05, 1.6, 2.0, 3.5, 8.6, 9.0, 10.0):
+        for q in (0.5, 1.0, 7.25, 19.5, 20.5, 64.5, 1e6, 1e15):
+            assert _hurwitz_zeta(s, q) == pytest.approx(float(mp.zeta(s, q)), rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("a", [0.1, 0.6, 0.9, -0.5, -0.9, 1.5, 4.5])
+def test_remainder_bound_holds_down_to_k_one(mp, a):
+    # past _K0 rounding outweighs the remainder; at small k the remainder
+    # bound alone must cover the truncated expansion
+    values, bounds = np.zeros(17), np.zeros(17)
+    _asymptotic_entries(1.0, a, 1.0, 1, values, bounds)
+    for k in range(1, 17):
+        gap = abs(float(_mp_coeff(mp, 1.0, a, 1.0, k, False) - values[k]))
+        assert gap <= bounds[k], k
+
+
+def test_power_tail_at_the_edges_of_decay():
+    # the raw series of t^-0.5 decays like k^-0.5: no finite tail
+    s = power_series_coeffs(1.0, -0.5, 1.0, 256)
+    assert tail_sum(s, 256) == math.inf
+    assert tail_sum(lemma2_transform(s, 1.0), 256) < math.inf
+    # a constant has no coefficient past c_0, although 1/k would diverge
+    flat = power_series_coeffs(2.0, 0.0, 1.0, 256)
+    assert not np.any(flat.values[_K0 + 1 :])
+    assert tail_sum(flat, 256) == 0.0
+    assert tail_sum(flat, 0) < 1e-11  # the panel table's noise and bounds below _K0
+
+
+def test_closed_form_table_memory_at_a_million_entries():
+    fbm_coefficients(0.3, 1.0, 1024)  # warm imports and caches
+    tracemalloc.start()
+    try:
+        fbm_coefficients(0.3, 1.0, 1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two 8 MiB output columns and three 8 MiB temporaries
+    assert peak < 56 * 2**20
+
+
+def test_tail_rule_survives_the_csv_round_trip(tmp_path):
+    for H in (0.3, 0.75):
+        s = fbm_coefficients(H, 1.0, 300)
+        path = tmp_path / f"series{H}.csv"
+        s.to_csv(path)
+        back = CosineSeries.from_csv(path)
+        assert back.power_law == s.power_law
+        for N in (0, 200, 300, 5000):
+            assert tail_sum(back, N) == tail_sum(s, N)
+    # without the tokens the table reads back with no tail rule and the fit
+    lines = [line for line in s.to_csv_text().splitlines() if not line.startswith("#")]
+    bare = tmp_path / "bare.csv"
+    bare.write_text("# T=1.0 has_c0=0\n" + "\n".join(lines) + "\n")
+    plain = CosineSeries.from_csv(bare)
+    assert plain.power_law is None
+    assert tail_sum(plain, 300) == tail_sum(dataclasses.replace(s, power_law=None), 300)
+    partial = tmp_path / "partial.csv"
+    partial.write_text("# T=1.0 power_amp=1.0\n" + "\n".join(lines) + "\n")
+    with pytest.raises(BadParameter, match="go together"):
+        CosineSeries.from_csv(partial)
+
+
+_S = fbm_coefficients(0.3, 1.0, 512)
+_POWER2H = builtin_gamma("power2H", 1.0, hurst=0.3)
+
+
+def _ou(theta, sigma2):
+    return coeffs_closed("generalized_ou", 1, 8, theta=theta, sigma2=sigma2)
+
+
+def _series(**kw):
+    fields = dict(horizon_T=1.0, k_max=1, values=np.zeros(2), method="x", error_bounds=np.zeros(2))
+    return CosineSeries(**{**fields, **kw})
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: power_series_coeffs(1, 0.6, 0.0, 8), id="power-T-zero"),
+    pytest.param(lambda: power_series_coeffs(1, 0.6, -1.0, 8), id="power-T-negative"),
+    pytest.param(lambda: power_series_coeffs(1, 0.6, math.inf, 8), id="power-T-inf"),
+    pytest.param(lambda: power_series_coeffs(1, "0.6", 1.0, 8), id="power-exponent-string"),
+    pytest.param(lambda: power_series_coeffs("1", 0.6, 1.0, 8), id="power-amp-string"),
+    pytest.param(lambda: power_series_coeffs(math.nan, 0.6, 1.0, 8), id="power-amp-nan"),
+    pytest.param(lambda: power_series_coeffs(1, math.nan, 1.0, 8), id="power-exponent-nan"),
+    pytest.param(lambda: fbm_coefficients(0.3, 0.0, 8), id="fbm-T-zero"),
+    pytest.param(lambda: fbm_coefficients("0.3", 1.0, 8), id="fbm-H-string"),
+    pytest.param(lambda: fbm_coefficients(math.nan, 1.0, 8), id="fbm-H-nan"),
+    pytest.param(lambda: tail_sum(_S, 2.5), id="tail-N-float"),
+    pytest.param(lambda: tail_sum(_S, True), id="tail-N-bool"),
+    pytest.param(lambda: tail_sum(_S, -1), id="tail-N-negative"),
+    pytest.param(lambda: decay_fit(_S, 32.5, 512), id="decay-k_lo-float"),
+    pytest.param(lambda: decay_fit(_S, 32, 511.5), id="decay-k_hi-float"),
+    pytest.param(lambda: _ou(math.inf, 1), id="ou-theta-inf"),
+    pytest.param(lambda: _ou(1, math.nan), id="ou-sigma2-nan"),
+    pytest.param(lambda: _ou("2", 1), id="ou-theta-string"),
+    pytest.param(lambda: _ou(None, 1), id="ou-theta-missing"),
+    pytest.param(lambda: coeffs_closed("brownian_example", math.inf, 8), id="closed-T-inf"),
+    pytest.param(lambda: lemma2_transform(_S, "1"), id="lemma2-T-string"),
+    pytest.param(lambda: _series(horizon_T=math.inf), id="series-T-inf"),
+    pytest.param(lambda: _series(horizon_T="1"), id="series-T-string"),
+    pytest.param(lambda: _series(power_law=(1.0, 6.0, False)), id="series-power-exponent"),
+    pytest.param(lambda: _series(power_law=(1.0, 0.6, "no")), id="series-power-lifted"),
+    pytest.param(lambda: oracle_coeff(_POWER2H, 1.0, 1.5), id="oracle-k-float"),
+])
+def test_malformed_fourier_input_is_a_bad_parameter(call):
+    with pytest.raises(BadParameter):
+        call()

@@ -1,5 +1,5 @@
-"""Shared helpers: the integer check at every size, count and seed argument,
-and the one CSV table format."""
+"""Shared helpers: the integer check at every size, count, seed and index
+argument, and the one CSV table format."""
 
 import dataclasses
 import math
@@ -14,6 +14,7 @@ from specgauss import (
     builtin_gamma,
     coeffs_closed,
     coeffs_quadrature,
+    decay_fit,
     fbm_coefficients,
     gauss1d_quantizer,
     kl_reduce,
@@ -21,6 +22,7 @@ from specgauss import (
     power_series_coeffs,
     product_quantizer,
     sample_paths_fast,
+    tail_sum,
 )
 from specgauss._util import csv_table_text, read_csv_table
 from specgauss.expansion import PathBatch, SeriesExpansion
@@ -29,6 +31,7 @@ from specgauss.fourier import CosineSeries
 _FBM = build_fbm(0.3, 1.0, 16, fbm_coefficients(0.3, 1.0, 16))
 _LINEAR = builtin_gamma("linear", 1.0, slope=1.0)
 _MU = np.array([1.0, 0.5, 0.25])
+_SERIES = fbm_coefficients(0.3, 1.0, 512)
 
 # (entry point taking the integer argument alone, its minimum or None)
 _INTEGER_ARGS = {
@@ -45,6 +48,8 @@ _INTEGER_ARGS = {
     "power_series_coeffs-k_max": (lambda v: power_series_coeffs(1.0, 0.6, 1.0, v), 0),
     "coeffs_closed-k_max": (lambda v: coeffs_closed("brownian_example", 1.0, v), 0),
     "fbm_coefficients-k_max": (lambda v: fbm_coefficients(0.3, 1.0, v), 0),
+    "tail_sum-N": (lambda v: tail_sum(_SERIES, v), 0),
+    "decay_fit-k_lo": (lambda v: decay_fit(_SERIES, v, 512), 1),
     "CosineSeries-k_max": (lambda v: CosineSeries(1.0, v, np.zeros(2), "x", np.zeros(2)), 0),
     "SeriesExpansion-truncation_N": (
         lambda v: SeriesExpansion("fbm_low", 1.0, v, 0.0, np.ones(1), np.ones(1)), 0
