@@ -1,7 +1,11 @@
 """The sampling engine: draws, path blocks, fold, transforms, direct synthesis.
 
 This is the one module that knows how the random draws of a
-:class:`~specgauss.expansion.SeriesExpansion` are laid out.
+:class:`~specgauss.expansion.SeriesExpansion` are laid out.  An expansion
+carries one amplitude per frequency plus the family table: each frequency's
+(sine, cosine) draw pair takes its one amplitude, or the amplitude and 0
+when the family has no cosine channel (``cos_kind``), and the engine reads
+the basis from ``cos_kind``, ``drift_kind`` and ``period_multiple`` alone.
 
 Draw discipline: the doubly-indexed normals are serialized per path as
 (Z_0, Z_1, Z_-1, Z_2, Z_-2, ...), generated from a counter-based Philox
@@ -119,10 +123,8 @@ def _deterministic_terms(exp, tgrid, z, out, scratch):
     z0 = z[:, 0]
     xi = z[:, -1]
     if exp.drift_amp > 0.0:
-        if exp.family == "fbm_high":
-            out += np.multiply((exp.drift_amp * z0)[:, None], tgrid[None, :], out=scratch)
-        elif exp.family == "type_b":
-            out += (exp.drift_amp * z0)[:, None]
+        drift = (exp.drift_amp * z0)[:, None]
+        out += np.multiply(drift, tgrid[None, :], out=scratch) if exp.drift_kind == "t" else drift
     if exp.mean_fn is not None:
         out += np.asarray(exp.mean_fn(tgrid), dtype=float)[None, :]
     if exp.init_coupling is not None:
@@ -135,7 +137,8 @@ def _deterministic_terms(exp, tgrid, z, out, scratch):
 def direct_values(exp, tgrid, z, out):
     """Path values at the points ``tgrid`` from one block of draws, written
     into ``out``, summing the sine and cosine-channel bases directly over
-    frequency chunks of at most ``BLOCK_DOUBLES`` basis entries."""
+    frequency chunks of at most ``BLOCK_DOUBLES`` basis entries; both
+    channels of a frequency take its one amplitude."""
     _, zs, zc = split_draws(exp, z)
     out[...] = 0.0
     scratch = np.empty_like(out)
@@ -145,12 +148,12 @@ def direct_values(exp, tgrid, z, out):
     for k0 in range(0, n, blk):
         k1 = min(k0 + blk, n)
         ang = np.outer(np.arange(k0 + 1, k1 + 1, dtype=np.float64) * base, tgrid)
-        out += np.matmul(zs[:, k0:k1] * exp.sin_amp[k0:k1], np.sin(ang), out=scratch)
-        if exp.cos_amp is not None:
+        out += np.matmul(zs[:, k0:k1] * exp.amp[k0:k1], np.sin(ang), out=scratch)
+        if exp.cos_kind is not None:
             c_basis = np.cos(ang)
-            if exp.one_minus_cos:
+            if exp.cos_kind == "omc":
                 c_basis = 1.0 - c_basis
-            out += np.matmul(zc[:, k0:k1] * exp.cos_amp[k0:k1], c_basis, out=scratch)
+            out += np.matmul(zc[:, k0:k1] * exp.amp[k0:k1], c_basis, out=scratch)
     return _deterministic_terms(exp, tgrid, z, out, scratch)
 
 
@@ -195,16 +198,10 @@ def _scale_pairs(cols, table):
 
 
 def _weights(exp):
-    """The (N, 2) sine/cosine amplitude table; zero cosines for a pure-sine
-    family."""
-    cos_amp = exp.cos_amp if exp.cos_amp is not None else np.zeros(exp.truncation_N)
-    return np.column_stack((exp.sin_amp, cos_amp))
-
-
-def _half_period_cells(exp, m):
-    """L, the grid cells per half period: 2m on type C's doubled period,
-    else m."""
-    return 2 * m if exp.family == "type_c" else m
+    """The flat (N, 2) table of the weights of each frequency's (sine,
+    cosine) draw pair: its amplitude twice, or the amplitude and 0 for a
+    family without a cosine channel."""
+    return np.outer(exp.amp, (1.0, 1.0 if exp.cos_kind is not None else 0.0))
 
 
 def fast_values(exp, m, z, out=None):
@@ -212,18 +209,20 @@ def fast_values(exp, m, z, out=None):
     written into ``out`` (allocated when None): the amplitude-weighted draws
     folded onto the grid's residues, then mapped onto the grid.  The draws
     are weighted in place, so ``z`` no longer holds them afterwards."""
-    res = _fold(z, _weights(exp), _half_period_cells(exp, m))
+    res = _fold(z, _weights(exp), exp.period_multiple * m)
     return _grid_values(exp, m, res, z, out)
 
 
 def folded_variances(exp, m):
     """The (R, 2) table of folded variances on the grid t_j = j T / m,
-    R = min(N, 2L): entry [i, c] is the sum of amplitude[k-1, c]^2 over
-    k = i + 1 (mod 2L), the residue layout of :func:`_fold`.  Built once per
-    call, O(N)."""
+    R = min(N, 2L), in the residue layout of :func:`_fold`: row i is the
+    variance of the (sine, cosine) draw sums of residue i + 1, the sum of
+    amp[k-1]^2 over k = i + 1 (mod 2L) in both columns, or 0 in the cosine
+    column of a family without a cosine channel.  Built once per call,
+    O(N)."""
     n = exp.truncation_N
     ones = np.ones((1, 2 * n + 1))
-    return _fold(ones, _weights(exp) ** 2, _half_period_cells(exp, m))[0]
+    return _fold(ones, _weights(exp) ** 2, exp.period_multiple * m)[0]
 
 
 def folded_amplitudes(exp, m):
@@ -233,19 +232,18 @@ def folded_amplitudes(exp, m):
 
 
 def folded_cosine_sums(exp, m):
-    """The (2L + 1, 2) table Phi[d, c] = sum over residues r of
-    V_c(r) cos(pi r d / L), d = 0 .. 2L, with V the folded variances.
-
-    With V laid out by residue mod 2L, Phi(d) for d <= L is the real part of
-    one real FFT per channel, and d > L is the mirror Phi(2L - d) = Phi(d).
-    Row 0 is the total variance.  O(N + L log L).
+    """The L + 1 values Phi(d) = sum over residues r of V(r) cos(pi r d / L),
+    d = 0 .. L, with V(r) the folded squared amplitudes (the sine column of
+    :func:`folded_variances`): with V laid out by residue mod 2L, the real
+    part of one real FFT.  Phi(0) is the total of the squared amplitudes.
+    The grid's covariance reads Phi at |i - j|, i, j and, on type C's
+    doubled period (L = 2m), i + j, all at most L.  O(N + L log L).
     """
-    lng = _half_period_cells(exp, m)
-    var = folded_variances(exp, m)
-    full = np.zeros((2 * lng, 2))
-    full[np.arange(1, var.shape[0] + 1) % (2 * lng)] = var
-    phi = np.fft.rfft(full, axis=0).real
-    return np.concatenate((phi, phi[-2::-1]))
+    lng = exp.period_multiple * m
+    var = folded_variances(exp, m)[:, 0]
+    full = np.zeros(2 * lng)
+    full[np.arange(1, var.size + 1) % (2 * lng)] = var
+    return np.fft.rfft(full).real
 
 
 def aliased_values(exp, m, table, z, out=None):
@@ -259,7 +257,7 @@ def aliased_values(exp, m, table, z, out=None):
     return _grid_values(exp, m, res, z, out)
 
 
-def _spectra(res, lng, one_minus_cos):
+def _spectra(res, lng, omc):
     """Per row sub-block of the residue sums ``res`` (the layout of
     :func:`_fold`), yield its rows, its half spectrum X (bins 0 .. L, L =
     ``lng``) and a (rows, 2L) buffer for ``irfft(X, norm="forward")``, which
@@ -268,9 +266,9 @@ def _spectra(res, lng, one_minus_cos):
     With Y_r = C_r - i S_r, bin r holds (Y_r + conj Y_{2L-r}) / 2: residues
     1 .. L land on their own bin, L + 1 .. 2L (2L is residue 0) reflect onto
     bins L - 1 .. 0, and the transform reads only the real part of bins 0
-    and L, C_0 and C_L.  A (1 - cos) family is its constant sum of C less the
-    cosine series.  Spectrum and buffer, reused by every sub-block, hold at
-    most ``BLOCK_DOUBLES // 8`` doubles.
+    and L, C_0 and C_L.  With ``omc`` the cosine channel is 1 - cos: the
+    constant sum of C less the cosine series.  Spectrum and buffer, reused
+    by every sub-block, hold at most ``BLOCK_DOUBLES // 8`` doubles.
     """
     p, k = res.shape[:2]
     own = min(k, lng)
@@ -289,7 +287,7 @@ def _spectra(res, lng, one_minus_cos):
         x.real[:, 2 * lng - top : lng] += r[:, lng:top, 1][:, ::-1]
         x.imag[:, 2 * lng - top : lng] += r[:, lng:top, 0][:, ::-1]
         x[:, 1:lng] *= 0.5
-        if one_minus_cos:
+        if omc:
             np.negative(x.real, out=x.real)
             x.real[:, 0] += np.sum(r[:, :, 1], axis=1)
         yield rows, x, vals[: r.shape[0]]
@@ -309,7 +307,7 @@ def residual_sups(exp, m, Ns, z):
     sum_{k > n} a_k Z_-k = -2 sum Re X_k; each rung is one inverse real FFT.
     """
     sups = np.empty((len(Ns), z.shape[0]))
-    for rows, x, buf in _spectra(_fold(z, _weights(exp), m), m, exp.one_minus_cos):
+    for rows, x, buf in _spectra(_fold(z, _weights(exp), m), m, exp.cos_kind == "omc"):
         for col, n in enumerate(Ns):
             x[:, 1 : n + 1] = 0.0
             x.real[:, 0] = -2.0 * np.sum(x.real[:, n + 1 :], axis=1)
@@ -328,7 +326,7 @@ def _grid_values(exp, m, res, z, out):
     if out is None:
         out = np.empty((z.shape[0], m + 1))
     tgrid = uniform_grid(exp.horizon_T, m)
-    for rows, x, buf in _spectra(res, _half_period_cells(exp, m), exp.one_minus_cos):
+    for rows, x, buf in _spectra(res, exp.period_multiple * m, exp.cos_kind == "omc"):
         v = np.fft.irfft(x, norm="forward", out=buf)[:, : m + 1]
         out[rows] = v
         _deterministic_terms(exp, tgrid, z[rows], out[rows], v)

@@ -1,5 +1,5 @@
-"""Small shared helpers: integer and real argument checks, atomic file writes,
-canonical float text, config hashing, and the one CSV table format.
+"""Small shared helpers: integer, real and array argument checks, atomic file
+writes, canonical float text, config hashing, and the one CSV table format.
 
 Every CSV artifact (coefficient tables, sampled paths, codebooks) is written
 by :func:`csv_table_text` and read by :func:`read_csv_table`.  A table is
@@ -56,6 +56,32 @@ def check_positive(value, name):
     if not (0.0 < x < math.inf):
         raise BadParameter(f"{name} must be finite and positive, got {value!r}")
     return x
+
+
+def check_gen_ou(theta, alpha, mu, sigma, sigma0):
+    """The generalized OU parameters as floats: theta and sigma finite and
+    positive, sigma0 finite and nonnegative, alpha and mu finite."""
+    alpha, mu = check_real(alpha, "alpha"), check_real(mu, "mu")
+    sigma0 = check_real(sigma0, "sigma0")
+    if not (math.isfinite(alpha) and math.isfinite(mu) and 0.0 <= sigma0 < math.inf):
+        raise BadParameter("alpha and mu must be finite, sigma0 finite and nonnegative")
+    return check_positive(theta, "theta"), alpha, mu, check_positive(sigma, "sigma"), sigma0
+
+
+def real_array(value, name, ndim=1, min_size=1):
+    """``value`` as a contiguous float array when it holds real numbers
+    (integer or floating dtype) in ``ndim`` dimensions and at least
+    ``min_size`` entries, else BadParameter: the check of a grid, a weight
+    vector or a table of values.  No string is parsed and no complex value
+    loses its imaginary part."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or arr.ndim != ndim or arr.size < min_size:
+        size = "nonempty " if min_size else ""
+        raise BadParameter(f"{name} must be a {size}{ndim}-D array of real numbers")
+    return np.ascontiguousarray(arr, dtype=float)
 
 
 def float_text(x):

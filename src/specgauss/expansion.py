@@ -1,11 +1,14 @@
 """Truncated trigonometric expansions and Gaussian path sampling.
 
 A :class:`SeriesExpansion` holds the deterministic data of one truncated
-expansion: a drift amplitude, sine/cosine amplitudes per frequency, and for
-the generalized Ornstein-Uhlenbeck construction a deterministic mean and an
-initial-value coupling.  Builders validate admissibility and take square
-roots of the coefficient data; sampling then pairs each amplitude with an
-independent standard normal.
+expansion: a drift amplitude, one amplitude per frequency, and for the
+generalized Ornstein-Uhlenbeck construction a deterministic mean and an
+initial-value coupling.  The family table (``_FAMILIES``) is the one place
+that knows each family's basis: the cosine-channel function that shares the
+sine term's amplitude (1 - cos, cos or none), the drift function (t, 1 or
+none) and the period as a multiple of the horizon.  Builders validate
+admissibility and take square roots of the coefficient data; sampling then
+pairs each amplitude with an independent standard normal per channel.
 
 Sampling goes through :mod:`specgauss._engine`, which owns the draw
 discipline, the bounded path blocks, the fold and fast transforms, and
@@ -26,9 +29,13 @@ from . import _engine
 from ._util import (
     atomic_write_bytes,
     atomic_write_text,
+    check_gen_ou,
     check_int,
+    check_positive,
+    check_real,
     csv_table_text,
     read_csv_table,
+    real_array,
 )
 from .errors import (
     BadParameter,
@@ -51,7 +58,15 @@ from .fourier import (
 )
 from .gamma import check_star
 
-_FAMILIES = ("fbm_low", "fbm_high", "type_a", "type_b", "type_c")
+# family: (cosine-channel function, drift function, period / horizon), in
+# the basis-term names of :mod:`specgauss.quantize` ("omc" is 1 - cos).
+_FAMILIES = {
+    "fbm_low": ("omc", None, 1),
+    "fbm_high": ("omc", "t", 1),
+    "type_a": ("omc", None, 1),
+    "type_b": ("cos", "one", 1),
+    "type_c": (None, None, 2),
+}
 
 _BINARY_MAGIC = b"SGPB"
 _BINARY_VERSION = 1
@@ -63,20 +78,18 @@ _BINARY_HEAD_SIZE = struct.calcsize(_BINARY_HEAD)
 class SeriesExpansion:
     """Deterministic data of one truncated series expansion.
 
-    ``sin_amp[k-1]`` multiplies sin(k pi t / period_T) Z_k and
-    ``cos_amp[k-1]`` multiplies (1 - cos) Z_-k for the fBm / type-A form or
-    cos Z_-k for type B.  Type C keeps only sines (``cos_amp`` is None) on
-    the doubled period 2T.  ``drift_amp`` multiplies t Z_0 (fbm_high) or
-    Z_0 alone (type_b) and is 0 elsewhere.  ``period_T`` is derived from
-    the family and the horizon, not stored.
+    ``amp[k-1]`` multiplies sin(k pi t / period_T) Z_k and, when the family
+    has one, the cosine-channel function (``cos_kind``) of frequency k times
+    Z_-k.  ``drift_amp`` multiplies the drift function (``drift_kind``)
+    times Z_0, and must be 0 for a family without one.  The kinds and
+    ``period_T`` come from the family table and the horizon, not stored.
     """
 
     family: str
     horizon_T: float
     truncation_N: int
     drift_amp: float
-    sin_amp: np.ndarray
-    cos_amp: Optional[np.ndarray]
+    amp: np.ndarray
     label: str = ""
     mean_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     init_coupling: Optional[Tuple[float, float]] = None
@@ -85,38 +98,39 @@ class SeriesExpansion:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise BadParameter(f"unknown family {self.family!r}")
-        if not (self.horizon_T > 0 and np.isfinite(self.horizon_T)):
-            raise BadParameter("horizon_T must be positive")
+        object.__setattr__(self, "horizon_T", check_positive(self.horizon_T, "horizon_T"))
         object.__setattr__(self, "truncation_N", check_int(self.truncation_N, "truncation_N", 0))
-        sa = np.ascontiguousarray(np.asarray(self.sin_amp, dtype=float))
-        if sa.shape != (self.truncation_N,):
-            raise BadParameter("sin_amp must have length truncation_N")
-        arrays = [("sin_amp", sa)]
-        if self.family == "type_c":
-            if self.cos_amp is not None:
-                raise BadParameter("type_c carries no cosine amplitudes")
-        else:
-            ca = np.ascontiguousarray(np.asarray(self.cos_amp, dtype=float))
-            if ca.shape != (self.truncation_N,):
-                raise BadParameter("cos_amp must have length truncation_N")
-            arrays.append(("cos_amp", ca))
-        for name, arr in arrays:
-            if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-                raise BadParameter(f"{name} entries must be finite and nonnegative")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if not (np.isfinite(self.drift_amp) and self.drift_amp >= 0.0):
+        amp = real_array(self.amp, "amp", min_size=0)
+        if amp.shape != (self.truncation_N,) or not np.all(np.isfinite(amp) & (amp >= 0.0)):
+            raise BadParameter("amp must hold truncation_N finite nonnegative entries")
+        amp.flags.writeable = False
+        object.__setattr__(self, "amp", amp)
+        drift = check_real(self.drift_amp, "drift_amp")
+        if not (0.0 <= drift < math.inf):
             raise BadParameter("drift_amp must be finite and nonnegative")
+        if drift > 0.0 and self.drift_kind is None:
+            raise BadParameter(f"{self.family} has no drift term; drift_amp must be 0")
+        object.__setattr__(self, "drift_amp", drift)
+
+    @property
+    def cos_kind(self):
+        """The cosine-channel function: "omc" (1 - cos), "cos", or None."""
+        return _FAMILIES[self.family][0]
+
+    @property
+    def drift_kind(self):
+        """The function ``drift_amp`` multiplies: "t", "one" (1), or None."""
+        return _FAMILIES[self.family][1]
+
+    @property
+    def period_multiple(self):
+        """The period of the basis in horizons: 2 for type C, else 1."""
+        return _FAMILIES[self.family][2]
 
     @property
     def period_T(self):
         """The period of the basis: 2T on type C's doubled interval, else T."""
-        return 2.0 * self.horizon_T if self.family == "type_c" else self.horizon_T
-
-    @property
-    def one_minus_cos(self):
-        """True when the cosine channel carries (1 - cos) rather than cos."""
-        return self.family in ("fbm_low", "fbm_high", "type_a")
+        return self.period_multiple * self.horizon_T
 
 
 @dataclass(frozen=True)
@@ -130,13 +144,11 @@ class PathBatch:
     truncation_N: int = 0
 
     def __post_init__(self):
-        g = np.ascontiguousarray(np.asarray(self.grid, dtype=float))
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=float))
-        if g.ndim != 1 or g.size == 0:
-            raise BadParameter("grid must be a nonempty 1-D array")
+        g = real_array(self.grid, "grid")
+        v = real_array(self.values, "values", ndim=2, min_size=0)
         if g.size > 1 and not np.all(np.diff(g) > 0):
             raise BadParameter("grid must be strictly increasing")
-        if v.ndim != 2 or v.shape[1] != g.size:
+        if v.shape[1] != g.size:
             raise BadParameter("values must be (n_paths, len(grid))")
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v))):
             raise BadParameter("grid and values must be finite")
@@ -268,9 +280,8 @@ def _amps_from_radicands(r, what):
 
 def _check_size(T, N, what):
     """The truncation N as an int, after the checks every builder shares:
-    T > 0 and N an integer >= 0."""
-    if not (T > 0):
-        raise BadParameter(f"{what}: T must be positive")
+    T a finite positive real and N an integer >= 0."""
+    check_positive(T, f"{what}: T")
     return check_int(N, f"{what}: N", 0)
 
 
@@ -279,13 +290,16 @@ def _check_horizon(series, horizon, what):
         raise BadParameter(f"{what}: horizon {series.horizon_T} does not match {horizon}")
 
 
-def _spec_series(spec, T, N, what, horizon):
-    """The truncation N and the coefficient series c_0 .. c_N of ``spec``,
-    the admissible side of a type A/B/C generating function on ``horizon``
-    (T, or 2T for type C), after the size checks, the horizon match,
-    delta < 1 and the admissibility probe."""
+def _spec_expansion(spec, T, N, family, divisor=1.0, drift=None):
+    """The ``family`` expansion of ``spec``, the admissible side of a type
+    A/B/C generating function on the family's period (T, or 2T for type C),
+    after the size checks, the horizon match, delta < 1 and the
+    admissibility probe.  From the coefficient series c_0 .. c_N the
+    amplitudes are sqrt(-c_k / divisor) and the drift amplitude is
+    ``drift(c)``, or 0 when ``drift`` is None."""
+    what = f"build_{family}"
     N = _check_size(T, N, what)
-    _check_horizon(spec, horizon, what)
+    _check_horizon(spec, _FAMILIES[family][2] * T, what)
     if spec.delta >= 1.0:
         raise DeltaOutOfRange(f"{what} needs delta < 1, got {spec.delta}")
     report = check_star(spec)
@@ -295,7 +309,16 @@ def _spec_series(spec, T, N, what, horizon):
             f"(derivative violation {report.max_derivative_violation:.3e}, "
             f"concavity violation {report.max_concavity_violation:.3e})"
         )
-    return N, coeffs_quadrature(spec, N)
+    series = coeffs_quadrature(spec, N)
+    return SeriesExpansion(
+        family=family,
+        horizon_T=float(T),
+        truncation_N=N,
+        drift_amp=0.0 if drift is None else drift(series.values),
+        amp=_amps_from_radicands(-series.values[1:] / divisor, what),
+        label=f"{family}({spec.label or 'gamma'},N={N})",
+        coeff_series=series,
+    )
 
 
 def build_fbm(H, T, N, coeff_source):
@@ -306,7 +329,7 @@ def build_fbm(H, T, N, coeff_source):
     for H > 1/2.  A cheap numeric probe of c_1 guards against passing the
     wrong object.
     """
-    if not (0.0 < H < 1.0):
+    if not (0.0 < check_real(H, "H") < 1.0):
         raise BadParameter("H must lie in (0, 1)")
     if H == 0.5:
         raise BadParameter("H = 1/2 is not an fBm branch; use build_type_a with a linear generating function")
@@ -335,8 +358,7 @@ def build_fbm(H, T, N, coeff_source):
         horizon_T=float(T),
         truncation_N=N,
         drift_amp=drift,
-        sin_amp=amps,
-        cos_amp=amps.copy(),
+        amp=amps,
         label=f"{family}(H={H},T={T},N={N})",
         coeff_series=coeff_source,
     )
@@ -346,59 +368,29 @@ def build_type_a(spec, T, N):
     """Type-A expansion of a nonstationary process with generating function
     ``spec`` (bounded at 0, admissible): no drift, amplitudes
     sqrt(-c_k / 2) on both sin and (1 - cos)."""
-    N, series = _spec_series(spec, T, N, "build_type_a", T)
-    amps = _amps_from_radicands(-series.values[1:] / 2.0, "build_type_a")
-    return SeriesExpansion(
-        family="type_a",
-        horizon_T=float(T),
-        truncation_N=N,
-        drift_amp=0.0,
-        sin_amp=amps,
-        cos_amp=amps.copy(),
-        label=f"type_a({spec.label or 'gamma'},N={N})",
-        coeff_series=series,
-    )
+    return _spec_expansion(spec, T, N, "type_a", divisor=2.0)
 
 
 def build_type_b(spec_neg, T, N):
     """Type-B (stationary) expansion.  ``spec_neg`` describes -gamma, the
     admissible side; the construction refuses when the mean of gamma itself
     is negative, which the underlying theorem excludes."""
-    N, series = _spec_series(spec_neg, T, N, "build_type_b", T)
-    c_gamma = -series.values
-    # the constant term carries the mean of gamma: half the k = 0 entry
-    c0_mean = c_gamma[0] / 2.0
-    if c0_mean < -1e-12 * max(1.0, abs(c0_mean)):
-        raise NegativeC0(f"mean of the generating function is negative ({c0_mean:.6e})")
-    amps = _amps_from_radicands(c_gamma[1:], "build_type_b")
-    return SeriesExpansion(
-        family="type_b",
-        horizon_T=float(T),
-        truncation_N=N,
-        drift_amp=math.sqrt(max(c0_mean, 0.0)),
-        sin_amp=amps,
-        cos_amp=amps.copy(),
-        label=f"type_b({spec_neg.label or 'gamma'},N={N})",
-        coeff_series=series,
-    )
+
+    def drift(c):
+        # the constant term carries the mean of gamma: half the k = 0 entry
+        c0_mean = -c[0] / 2.0
+        if c0_mean < -1e-12 * max(1.0, abs(c0_mean)):
+            raise NegativeC0(f"mean of the generating function is negative ({c0_mean:.6e})")
+        return math.sqrt(max(c0_mean, 0.0))
+
+    return _spec_expansion(spec_neg, T, N, "type_b", drift=drift)
 
 
 def build_type_c(spec_neg, T, N):
     """Type-C expansion on the doubled interval.  ``spec_neg`` describes
     -gamma on (0, 2T]; the result keeps only sine terms at the half
     frequencies k pi / (2T) and is pinned to 0 at t = 0."""
-    N, series = _spec_series(spec_neg, T, N, "build_type_c", 2.0 * T)
-    amps = _amps_from_radicands(-series.values[1:], "build_type_c")
-    return SeriesExpansion(
-        family="type_c",
-        horizon_T=float(T),
-        truncation_N=N,
-        drift_amp=0.0,
-        sin_amp=amps,
-        cos_amp=None,
-        label=f"type_c({spec_neg.label or 'gamma'},N={N})",
-        coeff_series=series,
-    )
+    return _spec_expansion(spec_neg, T, N, "type_c")
 
 
 def build_generalized_ou(theta, alpha, mu, sigma, sigma0, T, N):
@@ -406,20 +398,10 @@ def build_generalized_ou(theta, alpha, mu, sigma, sigma0, T, N):
     exponential kernel, plus the deterministic mean
     mu e^(-theta t) + alpha (1 - e^(-theta t)) and an independent initial
     value Y_0 ~ Normal(mu, sigma0^2) coupled through e^(-theta t)."""
-    if not (theta > 0):
-        raise BadParameter("theta must be positive")
-    if not (sigma > 0):
-        raise BadParameter("sigma must be positive")
-    if not (sigma0 >= 0):
-        raise BadParameter("sigma0 must be nonnegative")
-    if not (math.isfinite(alpha) and math.isfinite(mu)):
-        raise BadParameter("alpha and mu must be finite")
+    th, al, m, _, s0 = check_gen_ou(theta, alpha, mu, sigma, sigma0)
     N = _check_size(T, N, "build_generalized_ou")
     series = coeffs_closed("generalized_ou", T, N, theta=theta, sigma2=sigma * sigma)
     amps = _amps_from_radicands(series.values[1:], "build_generalized_ou")
-    th = float(theta)
-    al = float(alpha)
-    m = float(mu)
 
     def mean_fn(t, th=th, al=al, m=m):
         e = np.exp(-th * np.asarray(t, dtype=float))
@@ -430,11 +412,10 @@ def build_generalized_ou(theta, alpha, mu, sigma, sigma0, T, N):
         horizon_T=float(T),
         truncation_N=N,
         drift_amp=0.0,
-        sin_amp=amps,
-        cos_amp=None,
+        amp=amps,
         label=f"gen_ou(theta={theta},alpha={alpha},mu={mu},sigma={sigma},sigma0={sigma0},T={T},N={N})",
         mean_fn=mean_fn,
-        init_coupling=(float(sigma0), th),
+        init_coupling=(s0, th),
         coeff_series=series,
     )
 
@@ -469,15 +450,12 @@ def sample_paths(exp, grid, n_paths, seed, threads=1):
     Deterministic given the seed; the per-path Philox streams make the
     result independent of blocking and thread count.
     """
-    tgrid = np.ascontiguousarray(np.asarray(grid, dtype=float))
-    if tgrid.ndim != 1 or tgrid.size == 0:
-        raise BadParameter("grid must be a nonempty 1-D array")
-    if not np.all(np.isfinite(tgrid)):
-        raise BadParameter("grid must be finite")
-    if tgrid.size > 1 and not np.all(np.diff(tgrid) > 0):
-        raise BadParameter("grid must be strictly increasing")
+    tgrid = real_array(grid, "grid")
     T = exp.horizon_T
-    if tgrid[0] < -1e-12 * T or tgrid[-1] > T * (1.0 + 1e-12):
+    # negated so that NaN fails both checks, and with them every non-finite grid
+    if not np.all(np.diff(tgrid) > 0):
+        raise BadParameter("grid must be strictly increasing")
+    if not (-1e-12 * T <= tgrid[0] and tgrid[-1] <= T * (1.0 + 1e-12)):
         raise BadParameter("grid must lie inside [0, T]")
     return _run_paths(
         exp, tgrid, n_paths, seed, threads,
@@ -486,8 +464,8 @@ def sample_paths(exp, grid, n_paths, seed, threads=1):
 
 
 def _uniform_resolution(grid, T):
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size < 2:
+    g = real_array(grid, "grid")
+    if g.size < 2:
         raise GridNotUniform("uniform grid needs at least the two endpoints")
     m = g.size - 1
     # negated so that NaN fails the match
@@ -560,7 +538,7 @@ def truncation_for_tolerance(series, eps):
     Otherwise, when no N inside the table suffices, the power-law model
     behind the tail estimate is inverted to extend the search beyond k_max.
     """
-    if not (eps > 0):
+    if not (check_real(eps, "eps") > 0):
         raise BadParameter("eps must be positive")
     # tiny relative slack so eps = sqrt(2 tail_sum(N)) round-trips to N
     target = eps * eps / 2.0 * (1.0 + 1e-12)

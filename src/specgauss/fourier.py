@@ -328,9 +328,11 @@ def _asymptotic_entries(amp, a, T, k_lo, values, bounds):
         A (C X^-(a+1) + (-1)^k (b1 X^-2 + b3 X^-4 + b5 X^-6)) + A R X^-(a+1),
 
     A = 2 amp T^a, so one power per entry suffices, and the remainder term is
-    at most |A| r X^-7.  The bound adds that to a rounding term: 16 eps
-    (2 + |a|) on Gamma(a+1) X^-(a+1) for Gamma, the sine, the power and the
-    rounding of X; 8 eps on the alternating terms; 4 eps of the entry.
+    at most |A| r X^-7.  When r = 0 (a in {0, ..., 4}) X^-(a+1) is a power of
+    the alternating terms' X^-2, so the even k of t^1 come out exactly 0.
+    The bound adds the remainder to a rounding term: 16 eps (2 + |a|) on
+    Gamma(a+1) X^-(a+1) for Gamma, the sine, the power and the rounding of
+    X; 8 eps on the alternating terms; 4 eps of the entry.
     Every temporary is one array of the entries' length, three at most.
     """
     c_inf, (b1, b3, b5), rem, gamma = _asymptotic_terms(a)
@@ -338,9 +340,9 @@ def _asymptotic_entries(amp, a, T, k_lo, values, bounds):
     vals, bnd = values[k_lo:], bounds[k_lo:]
     x = np.arange(k_lo, k_lo + vals.size, dtype=float)
     x *= np.pi
-    q = x ** -(a + 1.0)
     w = x * x
     np.reciprocal(w, out=w)
+    q = w ** ((a + 1.0) / 2.0) if rem == 0.0 else x ** -(a + 1.0)
     # alternating part and its absolute sum, by Horner in X^-2
     np.multiply(w, b5, out=vals)
     vals += b3
@@ -378,7 +380,8 @@ def power_series_coeffs(amp, exponent, T, k_max, label=None):
     -1 < exponent < 5, entries above ``_K0`` are closed-form (see
     :func:`_asymptotic_entries`), each bounded by the expansion's remainder
     plus its rounding, and the series records its power law so that
-    :func:`tail_sum` is exact; other exponents stay on the table.
+    :func:`tail_sum` is exact; other exponents stay on the table.  Exponents
+    0 .. 4, where the expansion terminates, are closed-form from k = 1.
     """
     amp = check_real(amp, "amp")
     exponent = check_real(exponent, "exponent")
@@ -390,7 +393,9 @@ def power_series_coeffs(amp, exponent, T, k_max, label=None):
     T = check_positive(T, "T")
     lo, hi = _ASYMPTOTIC_EXPONENTS
     closed = lo < exponent < hi
-    k_head = min(k_max, _K0) if closed else k_max
+    # a terminating expansion (zero remainder) is exact from k = 1
+    exact = closed and _asymptotic_terms(exponent)[2] == 0.0
+    k_head = 0 if exact else min(k_max, _K0) if closed else k_max
     values = np.empty(k_max + 1)
     bounds = np.empty(k_max + 1)
     values[0] = amp * 2.0 * T**exponent / (exponent + 1.0)
@@ -407,7 +412,8 @@ def power_series_coeffs(amp, exponent, T, k_max, label=None):
         horizon_T=T,
         k_max=k_max,
         values=values,
-        method="quadrature+asymptotic" if k_max > k_head else "quadrature",
+        method=("quadrature" if k_max <= k_head else "quadrature+asymptotic" if k_head
+                else "asymptotic"),
         error_bounds=bounds,
         source_label=label or f"power(amp={amp},p={exponent},T={T})",
         power_law=(amp, exponent, False) if closed else None,

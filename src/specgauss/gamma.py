@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._util import check_int
+from ._util import check_int, check_positive, check_real
 from .errors import BadParameter, NonFiniteEvaluation
 
 
@@ -48,10 +48,11 @@ class GammaSpec:
     power_exponent: Optional[float] = None
 
     def __post_init__(self):
-        if not (0.0 <= self.delta < 2.0):
+        delta = check_real(self.delta, "delta")
+        if not (0.0 <= delta < 2.0):
             raise BadParameter(f"delta must lie in [0, 2), got {self.delta}")
-        if not (self.horizon_T > 0.0 and np.isfinite(self.horizon_T)):
-            raise BadParameter(f"horizon_T must be positive and finite, got {self.horizon_T}")
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "horizon_T", check_positive(self.horizon_T, "horizon_T"))
         if self.delta < 1.0 and self.gamma_at_zero is None:
             raise BadParameter("gamma_at_zero is required when delta < 1")
         if (self.power_amp is None) != (self.power_exponent is None):
@@ -98,8 +99,7 @@ def builtin_gamma(kind, T, *, hurst=None, theta=None, sigma2=None, slope=1.0):
                     Ornstein-Uhlenbeck kernel; its negation is the admissible
                     side.  delta = 0.
     """
-    if not (np.isfinite(T) and T > 0):
-        raise BadParameter(f"T must be positive, got {T}")
+    check_positive(T, "T")
     if kind == "power2H":
         if hurst is None or not (0.0 < hurst < 0.5):
             raise BadParameter("power2H requires hurst in (0, 1/2)")

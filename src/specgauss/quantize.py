@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import _engine
-from ._util import check_int, csv_table_text
+from ._util import check_int, csv_table_text, real_array
 from .errors import (
     BadParameter,
     GramSingularWarning,
@@ -245,9 +245,7 @@ def allocate_levels(mu, budget_N):
     win, not even on a tie.  Only the counts where the room changes are
     tried, so about 2 sqrt(budget) scalar quantizers are built in all.
     """
-    mu = np.asarray(mu, dtype=float)
-    if mu.ndim != 1 or mu.size == 0:
-        raise BadParameter("mu must be a nonempty 1-D array")
+    mu = real_array(mu, "mu")
     if np.any(mu <= 0.0) or not np.all(np.isfinite(mu)):
         raise BadParameter("mu entries must be positive and finite")
     if np.any(np.diff(mu) > 1e-12 * mu[0]):
@@ -401,17 +399,13 @@ def _basis_terms(exp, m):
     terms = []
     lams = []
     if exp.drift_amp > 0.0:
-        terms.append(("t" if exp.family == "fbm_high" else "one", 0.0))
+        terms.append((exp.drift_kind, 0.0))
         lams.append(exp.drift_amp)
     base = math.pi / exp.period_T
-    for k in range(1, m + 1):
-        terms.append(("sin", k * base))
-        lams.append(exp.sin_amp[k - 1])
-    if exp.cos_amp is not None:
-        ckind = "omc" if exp.one_minus_cos else "cos"
-        for k in range(1, m + 1):
-            terms.append((ckind, k * base))
-            lams.append(exp.cos_amp[k - 1])
+    for kind in ("sin", exp.cos_kind):
+        if kind is not None:
+            terms += [(kind, k * base) for k in range(1, m + 1)]
+            lams += exp.amp[:m].tolist()
     return terms, np.asarray(lams, dtype=float)
 
 
@@ -556,8 +550,7 @@ def _tail_variance_integral(exp):
     if exp.coeff_series is None:
         raise BadParameter("expansion carries no coefficient series")
     per_k = tail_sum(exp.coeff_series, exp.truncation_N)
-    factor = exp.horizon_T / 2.0 if exp.family == "type_c" else exp.horizon_T
-    return per_k * factor
+    return per_k * (exp.horizon_T / exp.period_multiple)
 
 
 @dataclass(frozen=True)
@@ -635,14 +628,12 @@ def product_quantizer(model, exp, budget_N, m=None):
     T = exp.horizon_T
     base = math.pi / exp.period_T
     beyond = 0.0
-    ckind = None if exp.cos_amp is None else ("omc" if exp.one_minus_cos else "cos")
     for k in range(m + 1, exp.truncation_N + 1):
         w_k = k * base
-        sa = exp.sin_amp[k - 1]
-        beyond += sa * sa * _inner(("sin", w_k), ("sin", w_k), T)
-        if ckind is not None:
-            ca = exp.cos_amp[k - 1]
-            beyond += ca * ca * _inner((ckind, w_k), (ckind, w_k), T)
+        a = exp.amp[k - 1]
+        beyond += a * a * _inner(("sin", w_k), ("sin", w_k), T)
+        if exp.cos_kind is not None:
+            beyond += a * a * _inner((exp.cos_kind, w_k), (exp.cos_kind, w_k), T)
     label = getattr(model, "label", None) or exp.label or exp.family
     dist = scalar_term + beyond + _tail_variance_integral(exp)
     return FunctionalQuantizer(
@@ -662,7 +653,7 @@ def _coordinate_draws(exp, red, z):
     if exp.drift_amp > 0.0:
         cols.append(z0[:, None])
     cols.append(zs[:, : red.m])
-    if exp.cos_amp is not None:
+    if exp.cos_kind is not None:
         cols.append(zc[:, : red.m])
     return np.concatenate(cols, axis=1)
 

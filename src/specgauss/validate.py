@@ -9,11 +9,14 @@ e^{i k theta} for k = 1..N as the outer product of two exact tables of about
 sqrt(N) phases (the split twiddle table of FFT libraries), reads sin and cos
 off its imaginary and real parts and takes one dot product per channel.  The
 grid route keeps exact per-entry sines and cosines, so the two stay
-independent cross-checks of each other.  On the samplers' uniform grid
-t_j = j T / m the series covariance needs no sine or cosine per frequency:
-the fold of the squared amplitudes onto the grid's residues that scales the
-aliased draws also fixes the covariance, through one real FFT per channel
-(``_engine.folded_cosine_sums``).  :func:`series_cov_uniform` reads the
+independent cross-checks of each other.  An expansion carries one amplitude
+per frequency plus the family table, so every route squares one amplitude
+sequence and reads the basis from ``cos_kind`` and ``drift_kind`` alone.
+On the samplers' uniform grid t_j = j T / m the series covariance needs no
+sine or cosine per frequency: the fold of the squared amplitudes onto the
+grid's residues that scales the aliased draws also fixes the covariance,
+through one real FFT (``_engine.folded_cosine_sums``), and each family's
+covariance is one formula in it.  :func:`series_cov_uniform` reads the
 whole matrix off it in O(N + L log L + m^2), :func:`series_var_uniform` its
 diagonal in O(N + L log L + m), and the report takes that route whenever
 the batch grid is that uniform grid.  The gap between series and analytic
@@ -39,7 +42,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import _engine
-from ._util import check_int, check_positive, check_real
+from ._util import check_gen_ou, check_int, check_positive, check_real, real_array
 from .errors import BadParameter, DeltaOutOfRange, TooFewPaths
 from .expansion import build_fbm
 from .fourier import coeffs_quadrature, fbm_coefficients, tail_sum
@@ -70,9 +73,10 @@ class CovModel:
 
     @classmethod
     def fbm(cls, hurst, T):
+        hurst = check_real(hurst, "hurst")
         if not (0.0 < hurst < 1.0):
             raise BadParameter("fbm model needs H in (0, 1)")
-        return cls(kind="fbm", horizon_T=T, hurst=float(hurst))
+        return cls(kind="fbm", horizon_T=T, hurst=hurst)
 
     @classmethod
     def brownian(cls, T):
@@ -80,11 +84,10 @@ class CovModel:
 
     @classmethod
     def gen_ou(cls, theta, alpha, mu, sigma, sigma0, T):
-        if not (theta > 0 and sigma > 0 and sigma0 >= 0):
-            raise BadParameter("gen_ou model needs theta > 0, sigma > 0, sigma0 >= 0")
+        theta, alpha, mu, sigma, sigma0 = check_gen_ou(theta, alpha, mu, sigma, sigma0)
         return cls(
-            kind="gen_ou", horizon_T=T, theta=float(theta), alpha=float(alpha),
-            mu=float(mu), sigma=float(sigma), sigma0=float(sigma0),
+            kind="gen_ou", horizon_T=T, theta=theta, alpha=alpha,
+            mu=mu, sigma=sigma, sigma0=sigma0,
         )
 
     @classmethod
@@ -119,17 +122,6 @@ def _gamma_value(spec, x):
             raise BadParameter("gamma value at 0 requires a stored limit")
         return spec.gamma_at_zero
     return float(spec.evaluate(np.array([x]))[0])
-
-
-def _grid_array(grid):
-    """``grid`` as a nonempty 1-D float array, else BadParameter."""
-    try:
-        g = np.asarray(grid, dtype=float)
-    except (TypeError, ValueError):
-        raise BadParameter("grid must be a nonempty 1-D array of real numbers") from None
-    if g.ndim != 1 or g.size == 0:
-        raise BadParameter("grid must be a nonempty 1-D array")
-    return g
 
 
 def _points_in_horizon(T, s, t):
@@ -179,8 +171,9 @@ def _unit_phases(theta, n):
 def series_cov(exp, s, t):
     """Covariance implied by the truncated expansion, from its amplitudes.
 
-    Sums a_k^2 sin sin + b_k^2 phi phi over k <= N (phi the cosine-channel
-    basis), plus the drift and initial-value contributions.  No sampling.
+    Sums a_k^2 (sin sin + phi phi) over k <= N (phi the cosine-channel
+    basis, absent for type C), plus the drift and initial-value
+    contributions.  No sampling.
     The basis at a point is read off e^{i k theta}, theta = pi s / period_T,
     built by :func:`_unit_phases` from two tables of about sqrt(N) phases
     (sin the imaginary part, cos the real part), and each channel is one dot
@@ -196,21 +189,18 @@ def series_cov(exp, s, t):
         es = _unit_phases(w * s, n)
         et = es if t == s else _unit_phases(w * t, n)
         basis = es.imag * et.imag
-        total += float(np.dot(exp.sin_amp**2, basis))
-        if exp.cos_amp is not None:
+        total += float(np.dot(exp.amp**2, basis))
+        if exp.cos_kind is not None:
             # reusing the sine channel's buffer keeps the peak at the phase
             # tables plus one product buffer
-            if exp.one_minus_cos:
+            if exp.cos_kind == "omc":
                 np.subtract(1.0, es.real, out=basis)
                 basis *= 1.0 - et.real
             else:
                 np.multiply(es.real, et.real, out=basis)
-            total += float(np.dot(exp.cos_amp**2, basis))
+            total += float(np.dot(exp.amp**2, basis))
     if exp.drift_amp > 0.0:
-        if exp.family == "fbm_high":
-            total += exp.drift_amp**2 * s * t
-        elif exp.family == "type_b":
-            total += exp.drift_amp**2
+        total += exp.drift_amp**2 * (s * t if exp.drift_kind == "t" else 1.0)
     if exp.init_coupling is not None:
         sigma0, theta = exp.init_coupling
         total += sigma0 * sigma0 * math.exp(-theta * (s + t))
@@ -220,8 +210,8 @@ def series_cov(exp, s, t):
 def series_cov_grid(exp, grid):
     """Covariance matrix implied by the truncated expansion on a whole grid.
 
-    ``S diag(a^2) S^T + C diag(b^2) C^T`` with S and C the sine and
-    cosine-channel basis at the grid points, plus the drift and
+    ``S diag(a^2) S^T + C diag(a^2) C^T`` with S and C the sine and
+    cosine-channel basis at the grid points (no C for type C), plus the drift and
     initial-value outer products: :func:`series_cov` at every pair, as one
     product.  Frequencies are taken in blocks of at most
     ``_engine.BLOCK_DOUBLES`` basis entries, each built in place in one
@@ -230,7 +220,7 @@ def series_cov_grid(exp, grid):
     output-sized Gram product are alive.
     """
     T = exp.horizon_T
-    t = _grid_array(grid)
+    t = real_array(grid, "grid")
     if not np.all((t >= -1e-12 * T) & (t <= T * (1.0 + 1e-12))):
         raise BadParameter("grid must lie inside [0, T]")
     cov = np.zeros((t.size, t.size))
@@ -242,13 +232,13 @@ def series_cov_grid(exp, grid):
         w = np.arange(k0 + 1, k1 + 1) * (math.pi / exp.period_T)
         basis = scratch[: t.size * (k1 - k0)].reshape(t.size, k1 - k0)
         np.sin(np.outer(t, w, out=basis), out=basis)
-        basis *= exp.sin_amp[k0:k1]
+        basis *= exp.amp[k0:k1]
         cov += basis @ basis.T
-        if exp.cos_amp is not None:
+        if exp.cos_kind is not None:
             np.cos(np.outer(t, w, out=basis), out=basis)
-            if exp.one_minus_cos:
+            if exp.cos_kind == "omc":
                 np.subtract(1.0, basis, out=basis)
-            basis *= exp.cos_amp[k0:k1]
+            basis *= exp.amp[k0:k1]
             cov += basis @ basis.T
     return _add_deterministic_cov(exp, t, cov, np.outer)
 
@@ -258,10 +248,7 @@ def _add_deterministic_cov(exp, t, cov, pair):
     ``cov``: the matrix with ``pair`` = np.outer, its diagonal with
     ``pair`` = np.multiply."""
     if exp.drift_amp > 0.0:
-        if exp.family == "fbm_high":
-            cov += exp.drift_amp**2 * pair(t, t)
-        elif exp.family == "type_b":
-            cov += exp.drift_amp**2
+        cov += exp.drift_amp**2 * (pair(t, t) if exp.drift_kind == "t" else 1.0)
     if exp.init_coupling is not None:
         sigma0, theta = exp.init_coupling
         e = sigma0 * np.exp(-theta * t)
@@ -271,27 +258,23 @@ def _add_deterministic_cov(exp, t, cov, pair):
 
 def _folded_cov(exp, m, i, j):
     """The series part of the covariance at grid indices (i, j) of
-    t_j = j T / m, broadcast, from the folded cosine sums Phi of each
-    channel:
+    t_j = j T / m, broadcast, from the folded cosine sums Phi of the squared
+    amplitudes.  Per frequency the basis products are cosines of pi k d / L
+    with d = |i - j|, i, j or i + j:
 
-    - sin sin gives (Phi_s(|i - j|) - Phi_s(i + j)) / 2;
-    - cos cos gives (Phi_c(|i - j|) + Phi_c(i + j)) / 2;
-    - (1 - cos)(1 - cos) gives Psi(i) + Psi(j) - (Psi(|i - j|) + Psi(i + j)) / 2
-      with Psi(d) = Phi_c(0) - Phi_c(d), which is exactly zero at i = 0 or
-      j = 0, as the basis is.
+    - sin sin + cos cos (type B) gives Phi(|i - j|);
+    - sin sin + (1 - cos)(1 - cos) (fBm, type A) gives
+      (Phi(0) - Phi(i)) - (Phi(j) - Phi(|i - j|)), exactly zero at i = 0 or
+      j = 0, as the basis is;
+    - sin sin alone (type C) gives (Phi(|i - j|) - Phi(i + j)) / 2.
     """
     phi = _engine.folded_cosine_sums(exp, m)
     dif = np.abs(i - j)
-    add = i + j
-    sin_phi, cos_phi = phi[:, 0], phi[:, 1]
-    cov = 0.5 * (sin_phi[dif] - sin_phi[add])
-    if exp.cos_amp is not None:
-        if exp.one_minus_cos:
-            psi = cos_phi[0] - cos_phi
-            cov += psi[i] + psi[j] - 0.5 * (psi[dif] + psi[add])
-        else:
-            cov += 0.5 * (cos_phi[dif] + cos_phi[add])
-    return cov
+    if exp.cos_kind == "cos":
+        return phi[dif]
+    if exp.cos_kind == "omc":
+        return (phi[0] - phi[i]) - (phi[j] - phi[dif])
+    return 0.5 * (phi[dif] - phi[i + j])
 
 
 def series_cov_uniform(exp, m):
@@ -385,6 +368,7 @@ def empirical_cov_grid(batch):
 def covariance_report(model, exp, batch, *, z_bound=4.0):
     """Cross-check a sampled batch against the analytic and series
     covariances.  Returns a JSON-ready dict of named checks."""
+    z_bound = check_positive(z_bound, "z_bound")
     grid = batch.grid
     m = grid.size
     iu, ju = np.triu_indices(m)
@@ -527,7 +511,7 @@ def lemma1_check(spec, K, grid):
     if spec.delta >= 1.0:
         raise DeltaOutOfRange(f"reconstruction check needs delta < 1, got {spec.delta}")
     T = spec.horizon_T
-    g = _grid_array(grid)
+    g = real_array(grid, "grid")
     if not np.all(np.abs(g) <= T * (1.0 + 1e-12)):
         raise BadParameter("grid must lie inside [-T, T]")
     K = check_int(K, "K", 0)

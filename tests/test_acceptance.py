@@ -42,7 +42,6 @@ from specgauss.quantize import _scalar_distortion
 from specgauss.validate import series_var_uniform
 
 pytestmark = [
-    pytest.mark.filterwarnings("ignore::specgauss.ClampWarning"),
     pytest.mark.filterwarnings("ignore::specgauss.GramSingularWarning"),
 ]
 

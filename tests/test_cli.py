@@ -180,7 +180,6 @@ def test_simulate_byte_identical_across_threads(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.filterwarnings("ignore::specgauss.ClampWarning")
 def test_validate_cov_pass(tmp_path, capsys):
     out = tmp_path / "r.json"
     code = main(["validate-cov", "--model", "brownian", "--N", "256",

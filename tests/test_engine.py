@@ -1,7 +1,6 @@
 """The sampling engine's draw discipline, and the module boundary around it."""
 
 import ast
-import dataclasses
 import os
 import pathlib
 import subprocess
@@ -87,28 +86,21 @@ def test_aliased_values_carry_the_series_covariance_on_the_grid(deep_families):
 
 
 def test_folded_covariance_is_the_trig_covariance_on_the_grid(deep_families):
-    # N = 2L folds a frequency onto residue 0, N > 2L aliases whole bands,
-    # and pair sums i + j > L read the mirror Phi(2L - d).  The builders give
-    # both channels the same amplitudes, which cancels the i + j terms
-    # between them, so each family with a cosine channel is also checked
-    # with halved cosine amplitudes.
+    # N = 2L folds a frequency onto residue 0 and N > 2L aliases whole
+    # bands; the families between them check all three folded formulas.
     for m in (1, 15, 16):
         tgrid = np.arange(m + 1) * (1.0 / m)
         for name, full in deep_families.items():
             for n in _ALIAS_NS:
                 exp = truncated(full, n)
-                cases = [exp]
-                if exp.cos_amp is not None:
-                    cases.append(dataclasses.replace(exp, cos_amp=0.5 * exp.cos_amp))
-                for case in cases:
-                    got = series_cov_uniform(case, m)
-                    ref = series_cov_grid(case, tgrid)
-                    # each pair's terms are bounded by sqrt(var(s) var(t))
-                    scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
-                    err = np.max(np.abs(got - ref) - 1e-13 * scale)
-                    where = f"{name} N={n} M={m} halved cosines={case is not exp}"
-                    assert err <= 0.0, f"{where}: excess error {err:.2e}"
-                    assert np.array_equal(series_var_uniform(case, m), np.diag(got)), where
+                got = series_cov_uniform(exp, m)
+                ref = series_cov_grid(exp, tgrid)
+                # each pair's terms are bounded by sqrt(var(s) var(t))
+                scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+                err = np.max(np.abs(got - ref) - 1e-13 * scale)
+                where = f"{name} N={n} M={m}"
+                assert err <= 0.0, f"{where}: excess error {err:.2e}"
+                assert np.array_equal(series_var_uniform(exp, m), np.diag(got)), where
 
 
 def test_aliased_sampler_is_the_fast_sampler_up_to_one_residue_per_frequency(deep_families):

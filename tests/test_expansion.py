@@ -6,7 +6,6 @@ import os
 import struct
 import tempfile
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from specgauss import (
     ClampWarning,
     DeltaOutOfRange,
     GridNotUniform,
+    NegativeRadicand,
     PathBatch,
     StarViolated,
     TailEstimateUnavailable,
@@ -68,18 +68,16 @@ FAMILY_BUILDERS = {
 
 
 def all_family_expansions(n=64):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ClampWarning)
-        return {name: build(n) for name, build in FAMILY_BUILDERS.items()}
+    return {name: build(n) for name, build in FAMILY_BUILDERS.items()}
 
 
 def test_fbm_low_amplitudes_and_drift(exp_low):
     series = fbm_coefficients(0.3, 1.0, 64)
     expect = np.sqrt(-series.values[1:] / 2.0)
-    assert np.allclose(exp_low.sin_amp, expect, rtol=0, atol=1e-15)
-    assert np.array_equal(exp_low.sin_amp, exp_low.cos_amp)
+    assert np.allclose(exp_low.amp, expect, rtol=0, atol=1e-15)
     assert exp_low.drift_amp == 0.0
-    assert exp_low.one_minus_cos
+    assert exp_low.cos_kind == "omc"
+    assert exp_low.drift_kind is None
 
 
 def test_fbm_high_has_drift(exp_high):
@@ -118,14 +116,12 @@ def test_fbm_argument_validation():
     (lambda T, N: build_generalized_ou(2.0, 0.0, 0.0, 1.0, 0.0, T, N), False),
 ], ids=["fbm", "type_a", "type_b", "type_c", "gen_ou"])
 def test_builders_share_the_size_and_horizon_checks(build, spec_horizon):
-    for T in (0.0, -1.0, math.nan):
+    for T in (0.0, -1.0, math.nan, math.inf, "1"):
         with pytest.raises(BadParameter):
             build(T, 8)
     with pytest.raises(BadParameter):
         build(1.0, -1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ClampWarning)
-        assert build(1.0, 0).truncation_N == 0
+    assert build(1.0, 0).truncation_N == 0
     if spec_horizon:
         with pytest.raises(BadParameter):
             build(2.0, 8)  # the coefficients were made for T = 1
@@ -145,12 +141,10 @@ def test_type_a_rejects_strong_singularity():
 
 
 def test_type_c_uses_doubled_period():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ClampWarning)
-        exp = build_type_c(builtin_gamma("linear", 2.0, slope=1.0), 1.0, 16)
+    exp = build_type_c(builtin_gamma("linear", 2.0, slope=1.0), 1.0, 16)
     assert exp.period_T == pytest.approx(2.0)
     assert exp.horizon_T == pytest.approx(1.0)
-    assert exp.cos_amp is None
+    assert exp.cos_kind is None
 
 
 def test_period_is_derived_from_family_and_horizon():
@@ -160,8 +154,42 @@ def test_period_is_derived_from_family_and_horizon():
     with pytest.raises(TypeError):
         expansion.SeriesExpansion(
             family="fbm_low", horizon_T=1.0, period_T=1.0, truncation_N=1,
-            drift_amp=0.0, sin_amp=[1.0], cos_amp=[1.0],
+            drift_amp=0.0, amp=[1.0],
         )
+
+
+def test_family_table_gives_each_basis():
+    # (cosine-channel function, drift function, period in horizons)
+    expected = {
+        "fbm_low": ("omc", None, 1),
+        "fbm_high": ("omc", "t", 1),
+        "type_a": ("omc", None, 1),
+        "type_b": ("cos", "one", 1),
+        "type_c": (None, None, 2),
+        "gen_ou": (None, None, 2),
+    }
+    for name, exp in all_family_expansions(8).items():
+        got = (exp.cos_kind, exp.drift_kind, exp.period_multiple)
+        assert got == expected[name], name
+        assert (exp.drift_amp > 0.0) == (name in ("fbm_high", "type_b")), name
+
+
+@pytest.mark.parametrize("family", ["fbm_low", "type_a", "type_c"])
+def test_drift_outside_the_family_basis_is_rejected(family):
+    fields = dict(family=family, horizon_T=1.0, truncation_N=1, amp=[1.0])
+    assert expansion.SeriesExpansion(**fields, drift_amp=0.0).drift_amp == 0.0
+    with pytest.raises(BadParameter, match="no drift term"):
+        expansion.SeriesExpansion(**fields, drift_amp=1.0)
+
+
+def test_amps_from_radicands_clamps_noise_and_rejects_a_sign_violation():
+    # the scale is max(1, max |r|) = 9, so the clamp window is [-9e-12, 0)
+    r = np.array([4.0, -1e-13, 9.0, -8e-12, 0.0])
+    with pytest.warns(ClampWarning, match="probe: clamped 2 tiny negative"):
+        amps = expansion._amps_from_radicands(r, "probe")
+    assert amps.tolist() == [2.0, 0.0, 3.0, 0.0, 0.0]
+    with pytest.raises(NegativeRadicand, match="probe: entry k=4"):
+        expansion._amps_from_radicands(np.array([4.0, -1e-13, 9.0, -1e-11]), "probe")
 
 
 def test_gen_ou_validation():
@@ -189,8 +217,7 @@ def test_path_batch_validation():
 
 def truncated(exp, n):
     """The first ``n`` frequencies of ``exp``."""
-    cos_amp = None if exp.cos_amp is None else exp.cos_amp[:n]
-    return dataclasses.replace(exp, truncation_N=n, sin_amp=exp.sin_amp[:n], cos_amp=cos_amp)
+    return dataclasses.replace(exp, truncation_N=n, amp=exp.amp[:n])
 
 
 # (N, M) around the band edges of the fold: the Nyquist residue at N = M (or
@@ -241,7 +268,7 @@ def test_fast_path_memory_is_bounded_by_the_block_budget():
     amps = np.arange(1, n + 1, dtype=float) ** -0.8
     exp = expansion.SeriesExpansion(
         family="fbm_low", horizon_T=1.0, truncation_N=n,
-        drift_amp=0.0, sin_amp=amps, cos_amp=amps,
+        drift_amp=0.0, amp=amps,
     )
     tracemalloc.start()
     try:

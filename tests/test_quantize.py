@@ -9,7 +9,6 @@ from scipy.integrate import quad
 
 from specgauss import (
     BadParameter,
-    ClampWarning,
     GramSingularWarning,
     TooFewPaths,
     allocate_levels,
@@ -34,9 +33,7 @@ def exp_fbm04():
 
 @pytest.fixture(scope="module")
 def exp_brownian():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ClampWarning)
-        return build_type_c(builtin_gamma("linear", 2.0, slope=1.0), 1.0, 64)
+    return build_type_c(builtin_gamma("linear", 2.0, slope=1.0), 1.0, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +205,12 @@ def test_gram_matrix_full_basis(exp_fbm04):
 
 
 def test_kl_reduce_invariants_all_families(exp_fbm04, exp_brownian):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cases = [
-            (exp_fbm04, 6),
-            (exp_brownian, 12),
-            (build_fbm(0.75, 1.0, 64, fbm_coefficients(0.75, 1.0, 64)), 8),
-            (build_generalized_ou(2.0, 0.0, 0.0, 2.0, 0.0, 1.0, 64), 10),
-        ]
+    cases = [
+        (exp_fbm04, 6),
+        (exp_brownian, 12),
+        (build_fbm(0.75, 1.0, 64, fbm_coefficients(0.75, 1.0, 64)), 8),
+        (build_generalized_ou(2.0, 0.0, 0.0, 2.0, 0.0, 1.0, 64), 10),
+    ]
     for exp, m in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GramSingularWarning)

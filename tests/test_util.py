@@ -1,5 +1,6 @@
 """Shared helpers: the integer check at every size, count, seed and index
-argument, and the one CSV table format."""
+argument, the real and array checks at every scalar parameter and array
+input, and the one CSV table format."""
 
 import dataclasses
 import math
@@ -9,11 +10,15 @@ import pytest
 
 from specgauss import (
     BadParameter,
+    CovModel,
+    GammaSpec,
     allocate_levels,
     build_fbm,
+    build_generalized_ou,
     builtin_gamma,
     coeffs_closed,
     coeffs_quadrature,
+    covariance_report,
     decay_fit,
     fbm_coefficients,
     gauss1d_quantizer,
@@ -21,8 +26,10 @@ from specgauss import (
     lemma1_check,
     power_series_coeffs,
     product_quantizer,
+    sample_paths,
     sample_paths_fast,
     tail_sum,
+    truncation_for_tolerance,
 )
 from specgauss._util import csv_table_text, read_csv_table
 from specgauss.expansion import PathBatch, SeriesExpansion
@@ -52,7 +59,7 @@ _INTEGER_ARGS = {
     "decay_fit-k_lo": (lambda v: decay_fit(_SERIES, v, 512), 1),
     "CosineSeries-k_max": (lambda v: CosineSeries(1.0, v, np.zeros(2), "x", np.zeros(2)), 0),
     "SeriesExpansion-truncation_N": (
-        lambda v: SeriesExpansion("fbm_low", 1.0, v, 0.0, np.ones(1), np.ones(1)), 0
+        lambda v: SeriesExpansion("fbm_low", 1.0, v, 0.0, np.ones(1)), 0
     ),
     "PathBatch-seed": (lambda v: PathBatch(np.zeros(1), np.zeros((1, 1)), v), None),
     "PathBatch-truncation_N": (
@@ -75,6 +82,73 @@ def test_sizes_counts_and_seeds_must_be_integers(name, bad):
         call(bad)
     # the same entry point accepts a numpy integer
     call(np.int64(max(minimum or 0, 1)))
+
+
+def _gen_ou(**kw):
+    args = dict(theta=2.0, alpha=0.0, mu=0.0, sigma=1.0, sigma0=0.5)
+    return build_generalized_ou(**{**args, **kw}, T=1.0, N=8)
+
+
+def _ou_model(**kw):
+    args = dict(theta=2.0, alpha=0.0, mu=0.0, sigma=1.0, sigma0=0.5)
+    return CovModel.gen_ou(**{**args, **kw}, T=1.0)
+
+
+def _spec(**kw):
+    args = dict(evaluate=np.abs, derivative=np.sign, delta=0.0, horizon_T=1.0, gamma_at_zero=0.0)
+    return GammaSpec(**{**args, **kw})
+
+
+def _expansion(**kw):
+    args = dict(family="fbm_low", horizon_T=1.0, truncation_N=1, drift_amp=0.0, amp=[1.0])
+    return SeriesExpansion(**{**args, **kw})
+
+
+_BATCH = PathBatch(np.linspace(0.0, 1.0, 3), np.zeros((100, 3)), 1)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: build_fbm("0.3", 1.0, 8, _SERIES), id="fbm-H-string"),
+    pytest.param(lambda: build_fbm(0.3, "1", 8, _SERIES), id="fbm-T-string"),
+    pytest.param(lambda: _gen_ou(theta="2"), id="gen_ou-theta-string"),
+    pytest.param(lambda: _gen_ou(theta=math.inf), id="gen_ou-theta-inf"),
+    pytest.param(lambda: _gen_ou(alpha="0"), id="gen_ou-alpha-string"),
+    pytest.param(lambda: _gen_ou(mu=None), id="gen_ou-mu-none"),
+    pytest.param(lambda: _gen_ou(sigma="1"), id="gen_ou-sigma-string"),
+    pytest.param(lambda: _gen_ou(sigma0="0.5"), id="gen_ou-sigma0-string"),
+    pytest.param(lambda: _gen_ou(sigma0=math.inf), id="gen_ou-sigma0-inf"),
+    pytest.param(lambda: CovModel.fbm("0.3", 1.0), id="model-fbm-H-string"),
+    pytest.param(lambda: _ou_model(theta="2"), id="model-gen_ou-theta-string"),
+    pytest.param(lambda: _ou_model(alpha=1j), id="model-gen_ou-alpha-complex"),
+    pytest.param(lambda: _ou_model(mu="0"), id="model-gen_ou-mu-string"),
+    pytest.param(lambda: _ou_model(sigma=None), id="model-gen_ou-sigma-none"),
+    pytest.param(lambda: _ou_model(sigma0="0"), id="model-gen_ou-sigma0-string"),
+    pytest.param(lambda: truncation_for_tolerance(_SERIES, "0.1"), id="truncation-eps-string"),
+    pytest.param(lambda: truncation_for_tolerance(_SERIES, math.nan), id="truncation-eps-nan"),
+    pytest.param(lambda: covariance_report(CovModel.fbm(0.3, 1.0), _FBM, _BATCH, z_bound="4"),
+                 id="report-z_bound-string"),
+    pytest.param(lambda: covariance_report(CovModel.fbm(0.3, 1.0), _FBM, _BATCH, z_bound=0.0),
+                 id="report-z_bound-zero"),
+    pytest.param(lambda: builtin_gamma("linear", "1"), id="builtin-T-string"),
+    pytest.param(lambda: _spec(delta="0"), id="spec-delta-string"),
+    pytest.param(lambda: _spec(horizon_T="1"), id="spec-T-string"),
+    pytest.param(lambda: _spec(horizon_T=math.inf), id="spec-T-inf"),
+    pytest.param(lambda: _expansion(horizon_T="1"), id="expansion-T-string"),
+    pytest.param(lambda: _expansion(drift_amp="0"), id="expansion-drift-string"),
+    pytest.param(lambda: _expansion(amp=["a"]), id="expansion-amp-string"),
+    pytest.param(lambda: _expansion(amp=[1j]), id="expansion-amp-complex"),
+    pytest.param(lambda: sample_paths(_FBM, ["a", "b"], 2, 1), id="sample_paths-grid-strings"),
+    pytest.param(lambda: sample_paths(_FBM, [[0.0, 1.0]], 2, 1), id="sample_paths-grid-2d"),
+    pytest.param(lambda: sample_paths_fast(_FBM, ["a", "b"], 2, 1), id="fast-grid-strings"),
+    pytest.param(lambda: PathBatch(["a"], np.zeros((1, 1)), 1), id="batch-grid-string"),
+    pytest.param(lambda: PathBatch([0.0], [["a"]], 1), id="batch-values-string"),
+    pytest.param(lambda: PathBatch([0.0, 1.0], [[0.0, 1.0], [2.0]], 1), id="batch-values-ragged"),
+    pytest.param(lambda: allocate_levels(["a"], 4), id="allocate-mu-string"),
+    pytest.param(lambda: allocate_levels([], 4), id="allocate-mu-empty"),
+])
+def test_malformed_real_input_is_a_bad_parameter(call):
+    with pytest.raises(BadParameter):
+        call()
 
 
 def test_csv_table_round_trips_columns_and_metadata(tmp_path):

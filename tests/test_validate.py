@@ -5,14 +5,12 @@ import math
 import os
 import tempfile
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 
 from specgauss import (
     BadParameter,
-    ClampWarning,
     CovModel,
     TooFewPaths,
     analytic_cov,
@@ -75,9 +73,7 @@ def test_cov_model_needs_a_finite_positive_horizon(make):
 
 
 def test_series_cov_tracks_analytic_within_tail():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ClampWarning)
-        exp = build_type_c(builtin_gamma("linear", 2.0, slope=1.0), 1.0, 128)
+    exp = build_type_c(builtin_gamma("linear", 2.0, slope=1.0), 1.0, 128)
     model = CovModel.brownian(1.0)
     bound = 2.0 * tail_sum(exp.coeff_series, 128)
     for s, t in ((0.0, 0.0), (0.25, 0.75), (0.5, 0.5), (1.0, 0.3)):
@@ -177,31 +173,31 @@ def _type_b_closed_form(n):
     c = coeffs_closed("generalized_ou", 0.5, n, theta=2.0, sigma2=4.0).values
     amps = np.sqrt(c[1:])
     return SeriesExpansion(family="type_b", horizon_T=1.0, truncation_N=n,
-                           drift_amp=math.sqrt(c[0] / 2.0), sin_amp=amps, cos_amp=amps)
+                           drift_amp=math.sqrt(c[0] / 2.0), amp=amps)
 
 
 @pytest.fixture(scope="module")
 def kernel_families():
     """Every family of all_family_expansions at the largest kernel N."""
     n = _KERNEL_NS[-1]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ClampWarning)
-        fams = {name: build(n) for name, build in FAMILY_BUILDERS.items() if name != "type_b"}
+    fams = {name: build(n) for name, build in FAMILY_BUILDERS.items() if name != "type_b"}
     fams["type_b"] = _type_b_closed_form(n)
     return fams
 
 
 def _series_cov_longdouble(exp, s, t):
-    """series_cov as a direct sum in long double, sin and cos per frequency."""
+    """series_cov as a direct sum in long double, sin and cos per frequency;
+    each family's basis is spelled out here, apart from the family table."""
     ld = np.longdouble
     w = np.arange(1, exp.truncation_N + 1, dtype=ld) * (4 * np.arctan(ld(1)) / ld(exp.period_T))
     ws, wt = w * ld(s), w * ld(t)
-    total = np.sum(exp.sin_amp.astype(ld) ** 2 * np.sin(ws) * np.sin(wt))
-    if exp.cos_amp is not None:
+    power = exp.amp.astype(ld) ** 2
+    total = np.sum(power * np.sin(ws) * np.sin(wt))
+    if exp.family != "type_c":
         cs, ct = np.cos(ws), np.cos(wt)
-        if exp.one_minus_cos:
+        if exp.family != "type_b":
             cs, ct = 1 - cs, 1 - ct
-        total += np.sum(exp.cos_amp.astype(ld) ** 2 * cs * ct)
+        total += np.sum(power * cs * ct)
     if exp.family == "fbm_high":
         total += ld(exp.drift_amp) ** 2 * ld(s) * ld(t)
     elif exp.family == "type_b":
@@ -216,7 +212,7 @@ def test_type_b_closed_form_matches_the_builder():
     built = all_family_expansions(65)["type_b"]
     closed = _type_b_closed_form(65)
     # the builder's amplitudes carry its quadrature error
-    np.testing.assert_allclose(closed.sin_amp, built.sin_amp, rtol=1e-10)
+    np.testing.assert_allclose(closed.amp, built.amp, rtol=1e-10)
     assert closed.drift_amp == pytest.approx(built.drift_amp, rel=1e-10)
 
 
@@ -239,7 +235,7 @@ def test_series_cov_memory_at_a_million_frequencies():
     n = 2**20
     amps = 1.0 / np.arange(1, n + 1)
     exp = dataclasses.replace(all_family_expansions(8)["fbm_low"], truncation_N=n,
-                              sin_amp=amps, cos_amp=amps, coeff_series=None)
+                              amp=amps, coeff_series=None)
     tracemalloc.start()
     try:
         series_cov(exp, 0.37, 0.81)
@@ -350,18 +346,16 @@ def test_empirical_cov_identity_and_guard():
 def _report_batches():
     """Fixed-seed batches with their true models: fBm on both branches,
     Brownian motion (its t = 0 column is exactly zero) and gen-OU."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ClampWarning)
-        cases = {
-            "fbm_low": (build_fbm(0.3, 1.0, 256, fbm_coefficients(0.3, 1.0, 256)),
-                        CovModel.fbm(0.3, 1.0)),
-            "fbm_high": (build_fbm(0.75, 1.0, 256, fbm_coefficients(0.75, 1.0, 256)),
-                         CovModel.fbm(0.75, 1.0)),
-            "brownian": (build_type_c(builtin_gamma("linear", 2.0, slope=1.0), 1.0, 256),
-                         CovModel.brownian(1.0)),
-            "gen_ou": (build_generalized_ou(2.0, 0.0, 0.0, 2.0, 0.5, 1.0, 256),
-                       CovModel.gen_ou(2.0, 0.0, 0.0, 2.0, 0.5, 1.0)),
-        }
+    cases = {
+        "fbm_low": (build_fbm(0.3, 1.0, 256, fbm_coefficients(0.3, 1.0, 256)),
+                    CovModel.fbm(0.3, 1.0)),
+        "fbm_high": (build_fbm(0.75, 1.0, 256, fbm_coefficients(0.75, 1.0, 256)),
+                     CovModel.fbm(0.75, 1.0)),
+        "brownian": (build_type_c(builtin_gamma("linear", 2.0, slope=1.0), 1.0, 256),
+                     CovModel.brownian(1.0)),
+        "gen_ou": (build_generalized_ou(2.0, 0.0, 0.0, 2.0, 0.5, 1.0, 256),
+                   CovModel.gen_ou(2.0, 0.0, 0.0, 2.0, 0.5, 1.0)),
+    }
     return {
         name: (model, exp, sample_paths_fast(exp, 12, 600, 41 + k))
         for k, (name, (exp, model)) in enumerate(cases.items())
@@ -558,14 +552,14 @@ def _rate_probe_per_rung(model, Ns, replicates, grid_resolution, seed):
     H, T = model.hurst, model.horizon_T
     n_ref = 8 * Ns[-1]
     m = max(grid_resolution, 16 * Ns[-1])
-    amps = build_fbm(H, T, n_ref, fbm_coefficients(H, T, n_ref)).sin_amp
+    amps = build_fbm(H, T, n_ref, fbm_coefficients(H, T, n_ref)).amp
     resids = {}
     for n in Ns:
         a = amps.copy()
         a[:n] = 0.0
         resids[n] = SeriesExpansion(
             family="fbm_low", horizon_T=T, truncation_N=n_ref,
-            drift_amp=0.0, sin_amp=a, cos_amp=a,
+            drift_amp=0.0, amp=a,
         )
     sups = {n: np.empty(replicates) for n in Ns}
 
