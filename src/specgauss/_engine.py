@@ -20,20 +20,22 @@ its residue's folded variance (:func:`folded_amplitudes`).  That is exact in
 law on the grid, and for N <= 2L it draws and returns exactly what
 :func:`fast_values` does.
 
-Sampling streams paths one bounded block at a time: normals are drawn
-straight into a block buffer of at most ``BLOCK_DOUBLES`` doubles (32 MiB)
-per worker, then weighted in place, folded onto the grid's residues and
-transformed, one row sub-block of ``BLOCK_DOUBLES // 8`` doubles at a time,
-straight into the caller's output rows before the next block is drawn.
-Past N = 2L the fold also keeps a residue table of 4L doubles per path, no
-larger than the draws.  Memory per worker is therefore bounded whatever N
-is (past N = 2^21 a block is one path, whose draws set the bound).  Because
-every path keeps its own stream and every per-path operation is
-row-independent, sampled values are byte-identical across block sizes and
-thread counts.
+Sampling streams paths one bounded block at a time, and everything the
+engine holds per path row counts against one per-worker budget of
+``BLOCK_DOUBLES`` doubles (8 MiB): the row's draws, the fold's residue table
+past N = 2L (4L doubles), the Hermitian half spectrum (2(L + 1) doubles) and
+the inverse transform's 2L values (:func:`grid_row_doubles`).  Normals are
+drawn straight into a block buffer, weighted in place, folded onto the
+grid's residues and transformed as one block, one inverse real FFT over all
+its rows, straight into the caller's output rows before the next block is
+drawn.  Memory per worker is therefore the budget whatever N is, or one row
+when a single row outgrows it (one path of fBm past N = 2^19 on a small
+grid).  Because every path keeps its own stream and every per-path
+operation is row-independent, sampled values are byte-identical across
+block sizes and thread counts.
 
 On a uniform grid the series is a fold plus one inverse real FFT of one
-Hermitian spectrum (:func:`fast_values`, :func:`_spectra`);
+Hermitian spectrum (:func:`fast_values`, :func:`_spectrum`);
 :func:`direct_values` sums the basis at arbitrary points and is the
 reference the fast route is checked against.  The rate probe's fBm
 residuals need no fold (their frequencies stay below the grid's Nyquist),
@@ -52,11 +54,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# A block of paths holds at most this many doubles per worker (32 MiB) in
-# draws, so sampling memory does not grow with N or M; a transform sub-block
-# holds an eighth of it (:func:`_spectra`).  Direct synthesis also bounds its
-# basis block by it.
-BLOCK_DOUBLES = 1 << 22
+# Everything a worker holds per block of paths, draws and transform buffers
+# alike, fits this many doubles (8 MiB), so sampling memory does not grow
+# with N or M.  Direct synthesis and the covariance grid bound their basis
+# blocks by it too.  It keeps at least 4 rows of the rate probe's 65536-point
+# transforms in a block: pocketfft's per-row cost falls by about 40% from
+# batches of 3 rows to batches of 4 or more.
+BLOCK_DOUBLES = 1 << 20
 
 
 def uniform_grid(T, m):
@@ -66,23 +70,50 @@ def uniform_grid(T, m):
     return np.arange(m + 1) * (T / m)
 
 
-def run_blocks(exp, n_paths, grid_size, seed, threads, block_fn, n_pairs=None):
+def draw_width(exp, n_pairs=None):
+    """Normals per path: Z_0, ``n_pairs`` (sine, cosine) pairs (default
+    ``exp.truncation_N``) and the initial-value draw when present."""
+    if n_pairs is None:
+        n_pairs = exp.truncation_N
+    return 2 * n_pairs + 1 + (1 if exp.init_coupling is not None else 0)
+
+
+def grid_row_doubles(lng, fold_pairs=0):
+    """Doubles the fold and the transform hold per path row on a grid of
+    ``lng`` = L cells per half period: the residue table of :func:`_fold`
+    when its ``fold_pairs`` frequencies fill a 2L-wide band (2L sine and
+    cosine sums), the half spectrum (L + 1 complex bins) and the inverse
+    transform's 2L values.  Aliased draws are residue sums already and
+    fold nothing (``fold_pairs`` = 0)."""
+    table = 4 * lng if fold_pairs >= 2 * lng else 0
+    return table + 2 * (lng + 1) + 2 * lng
+
+
+def direct_row_doubles(exp, size):
+    """Doubles :func:`direct_values` reserves per path row on ``size``
+    points: the row's draws and an output-sized scratch row, counted twice,
+    so that the rows take half the budget and the basis block the other
+    half."""
+    return draw_width(exp) + 2 * size
+
+
+def run_blocks(exp, n_paths, row_doubles, seed, threads, block_fn, n_pairs=None):
     """Draw the normals of ``n_paths`` paths of ``exp`` one bounded block at
     a time and hand each block to ``block_fn(start, stop, z)``.
 
-    Each path draws Z_0, ``n_pairs`` (sine, cosine) pairs (default
-    ``exp.truncation_N``) and the initial-value draw when present.  A block
-    has ``BLOCK_DOUBLES // max(draws per path, grid_size)`` paths (at least
+    Each path draws :func:`draw_width` normals: Z_0, ``n_pairs`` (sine,
+    cosine) pairs (default ``exp.truncation_N``) and the initial-value draw
+    when present.  ``block_fn`` holds ``row_doubles`` doubles per row besides
+    the draws (:func:`grid_row_doubles`, :func:`direct_row_doubles`), so a
+    block has ``BLOCK_DOUBLES // (draws + row_doubles)`` paths (at least
     one); each worker re-keys one bit generator per path, reuses one buffer
     and takes every ``threads``-th block.  ``block_fn`` owns ``z`` for the
     call and may overwrite it (the samplers weight it in place), so a caller
     that needs the raw draws must read them before weighting; it must not
     keep ``z``, which the next block overwrites.
     """
-    if n_pairs is None:
-        n_pairs = exp.truncation_N
-    width = 2 * n_pairs + 1 + (1 if exp.init_coupling is not None else 0)
-    rows = max(1, BLOCK_DOUBLES // max(width, grid_size))
+    width = draw_width(exp, n_pairs)
+    rows = max(1, BLOCK_DOUBLES // (width + row_doubles))
     hi = (int(seed) % (1 << 64)) << 64
     workers = max(1, min(int(threads), -(-n_paths // rows)))
 
@@ -136,24 +167,29 @@ def _deterministic_terms(exp, tgrid, z, out, scratch):
 
 def direct_values(exp, tgrid, z, out):
     """Path values at the points ``tgrid`` from one block of draws, written
-    into ``out``, summing the sine and cosine-channel bases directly over
-    frequency chunks of at most ``BLOCK_DOUBLES`` basis entries; both
-    channels of a frequency take its one amplitude."""
+    into ``out``, summing the sine and cosine-channel bases directly, one
+    frequency chunk at a time; both channels of a frequency take its one
+    amplitude.  A chunk's basis is built in place in one buffer (angles,
+    then sines; angles again, then the cosine channel), and with the chunk's
+    scaled draws it takes half the budget (:func:`direct_row_doubles`)."""
     _, zs, zc = split_draws(exp, z)
     out[...] = 0.0
     scratch = np.empty_like(out)
     n = exp.truncation_N
     base = math.pi / exp.period_T
-    blk = max(1, BLOCK_DOUBLES // tgrid.size)
+    blk = max(1, min(n, BLOCK_DOUBLES // 2 // (tgrid.size + z.shape[0])))
+    buf = np.empty(blk * tgrid.size)
     for k0 in range(0, n, blk):
         k1 = min(k0 + blk, n)
-        ang = np.outer(np.arange(k0 + 1, k1 + 1, dtype=np.float64) * base, tgrid)
-        out += np.matmul(zs[:, k0:k1] * exp.amp[k0:k1], np.sin(ang), out=scratch)
+        w = np.arange(k0 + 1, k1 + 1, dtype=np.float64) * base
+        basis = buf[: (k1 - k0) * tgrid.size].reshape(k1 - k0, tgrid.size)
+        np.sin(np.outer(w, tgrid, out=basis), out=basis)
+        out += np.matmul(zs[:, k0:k1] * exp.amp[k0:k1], basis, out=scratch)
         if exp.cos_kind is not None:
-            c_basis = np.cos(ang)
+            np.cos(np.outer(w, tgrid, out=basis), out=basis)
             if exp.cos_kind == "omc":
-                c_basis = 1.0 - c_basis
-            out += np.matmul(zc[:, k0:k1] * exp.amp[k0:k1], c_basis, out=scratch)
+                np.subtract(1.0, basis, out=basis)
+            out += np.matmul(zc[:, k0:k1] * exp.amp[k0:k1], basis, out=scratch)
     return _deterministic_terms(exp, tgrid, z, out, scratch)
 
 
@@ -201,7 +237,14 @@ def _weights(exp):
     """The flat (N, 2) table of the weights of each frequency's (sine,
     cosine) draw pair: its amplitude twice, or the amplitude and 0 for a
     family without a cosine channel."""
-    return np.outer(exp.amp, (1.0, 1.0 if exp.cos_kind is not None else 0.0))
+    return np.outer(exp.amp, _weights_row(exp))
+
+
+def _weights_row(exp):
+    """The weight of a frequency's (sine, cosine) draw pair per unit
+    amplitude: both draws, or the sine draw alone for a family without a
+    cosine channel."""
+    return (1.0, 1.0 if exp.cos_kind is not None else 0.0)
 
 
 def fast_values(exp, m, z, out=None):
@@ -214,33 +257,38 @@ def fast_values(exp, m, z, out=None):
 
 
 def folded_variances(exp, m):
-    """The (R, 2) table of folded variances on the grid t_j = j T / m,
-    R = min(N, 2L), in the residue layout of :func:`_fold`: row i is the
-    variance of the (sine, cosine) draw sums of residue i + 1, the sum of
-    amp[k-1]^2 over k = i + 1 (mod 2L) in both columns, or 0 in the cosine
-    column of a family without a cosine channel.  Built once per call,
-    O(N)."""
-    n = exp.truncation_N
-    ones = np.ones((1, 2 * n + 1))
-    return _fold(ones, _weights(exp) ** 2, exp.period_multiple * m)[0]
+    """The R folded variances on the grid t_j = j T / m, R = min(N, 2L), in
+    the residue layout of :func:`_fold`: entry i is the sum of amp[k-1]^2
+    over k = i + 1 (mod 2L), the variance of each channel's draw sum of
+    residue i + 1.  One reshape-and-sum over whole 2L-wide bands plus the
+    remainder band, O(N)."""
+    a2 = exp.amp**2
+    band = 2 * exp.period_multiple * m
+    full = a2.size - a2.size % band
+    if not full:
+        return a2
+    var = a2[:full].reshape(-1, band).sum(axis=0)
+    var[: a2.size - full] += a2[full:]
+    return var
 
 
 def folded_amplitudes(exp, m):
-    """The (R, 2) table of root folded variances (:func:`folded_variances`),
-    the per-residue scale of :func:`aliased_values`."""
-    return np.sqrt(folded_variances(exp, m))
+    """The (R, 2) table of root folded variances (:func:`folded_variances`)
+    in the layout of :func:`_weights`, the per-residue scale of
+    :func:`aliased_values`."""
+    return np.outer(np.sqrt(folded_variances(exp, m)), _weights_row(exp))
 
 
 def folded_cosine_sums(exp, m):
     """The L + 1 values Phi(d) = sum over residues r of V(r) cos(pi r d / L),
-    d = 0 .. L, with V(r) the folded squared amplitudes (the sine column of
-    :func:`folded_variances`): with V laid out by residue mod 2L, the real
+    d = 0 .. L, with V(r) the folded squared amplitudes
+    (:func:`folded_variances`): with V laid out by residue mod 2L, the real
     part of one real FFT.  Phi(0) is the total of the squared amplitudes.
     The grid's covariance reads Phi at |i - j|, i, j and, on type C's
     doubled period (L = 2m), i + j, all at most L.  O(N + L log L).
     """
     lng = exp.period_multiple * m
-    var = folded_variances(exp, m)[:, 0]
+    var = folded_variances(exp, m)
     full = np.zeros(2 * lng)
     full[np.arange(1, var.size + 1) % (2 * lng)] = var
     return np.fft.rfft(full).real
@@ -257,40 +305,33 @@ def aliased_values(exp, m, table, z, out=None):
     return _grid_values(exp, m, res, z, out)
 
 
-def _spectra(res, lng, omc):
-    """Per row sub-block of the residue sums ``res`` (the layout of
-    :func:`_fold`), yield its rows, its half spectrum X (bins 0 .. L, L =
-    ``lng``) and a (rows, 2L) buffer for ``irfft(X, norm="forward")``, which
-    is sum over residues r of S_r sin(pi r j / L) + C_r cos(pi r j / L).
+def _spectrum(res, lng, omc):
+    """The half spectrum X (bins 0 .. L, L = ``lng``) of each row of the
+    residue sums ``res`` (the layout of :func:`_fold`), whose
+    ``irfft(X, norm="forward")`` is sum over residues r of
+    S_r sin(pi r j / L) + C_r cos(pi r j / L).
 
     With Y_r = C_r - i S_r, bin r holds (Y_r + conj Y_{2L-r}) / 2: residues
     1 .. L land on their own bin, L + 1 .. 2L (2L is residue 0) reflect onto
     bins L - 1 .. 0, and the transform reads only the real part of bins 0
     and L, C_0 and C_L.  With ``omc`` the cosine channel is 1 - cos: the
-    constant sum of C less the cosine series.  Spectrum and buffer, reused
-    by every sub-block, hold at most ``BLOCK_DOUBLES // 8`` doubles.
+    constant sum of C less the cosine series.
     """
     p, k = res.shape[:2]
     own = min(k, lng)
     top = min(k, 2 * lng)
-    step = max(1, BLOCK_DOUBLES // 8 // (4 * lng + 2))
-    spec = np.empty((min(step, p), lng + 1), dtype=complex)
-    vals = np.empty((min(step, p), 2 * lng))
-    for r0 in range(0, p, step):
-        rows = slice(r0, min(r0 + step, p))
-        r = res[rows]
-        x = spec[: r.shape[0]]
-        x[:, 0] = 0.0
-        x.real[:, 1 : own + 1] = r[:, :own, 1]
-        np.negative(r[:, :own, 0], out=x.imag[:, 1 : own + 1])
-        x[:, own + 1 :] = 0.0
-        x.real[:, 2 * lng - top : lng] += r[:, lng:top, 1][:, ::-1]
-        x.imag[:, 2 * lng - top : lng] += r[:, lng:top, 0][:, ::-1]
-        x[:, 1:lng] *= 0.5
-        if omc:
-            np.negative(x.real, out=x.real)
-            x.real[:, 0] += np.sum(r[:, :, 1], axis=1)
-        yield rows, x, vals[: r.shape[0]]
+    x = np.empty((p, lng + 1), dtype=complex)
+    x[:, 0] = 0.0
+    x.real[:, 1 : own + 1] = res[:, :own, 1]
+    np.negative(res[:, :own, 0], out=x.imag[:, 1 : own + 1])
+    x[:, own + 1 :] = 0.0
+    x.real[:, 2 * lng - top : lng] += res[:, lng:top, 1][:, ::-1]
+    x.imag[:, 2 * lng - top : lng] += res[:, lng:top, 0][:, ::-1]
+    x[:, 1:lng] *= 0.5
+    if omc:
+        np.negative(x.real, out=x.real)
+        x.real[:, 0] += np.sum(res[:, :, 1], axis=1)
+    return x
 
 
 def residual_sups(exp, m, Ns, z):
@@ -302,32 +343,32 @@ def residual_sups(exp, m, Ns, z):
         |sum_{k > n} a_k (sin(pi k j / m) Z_k + (1 - cos(pi k j / m)) Z_-k)|.
 
     No frequency aliases, so the draws, weighted in place, are the residue
-    sums of one spectrum per row sub-block (:func:`_spectra`).  Along the
-    ladder its bins k <= n are zeroed and bin 0 is reset to the constant
-    sum_{k > n} a_k Z_-k = -2 sum Re X_k; each rung is one inverse real FFT.
+    sums of one spectrum (:func:`_spectrum`).  Along the ladder its bins
+    k <= n are zeroed and bin 0 is reset to the constant
+    sum_{k > n} a_k Z_-k = -2 sum Re X_k; each rung is one inverse real FFT
+    into one reused buffer.
     """
+    x = _spectrum(_fold(z, _weights(exp), m), m, exp.cos_kind == "omc")
+    buf = np.empty((z.shape[0], 2 * m))
     sups = np.empty((len(Ns), z.shape[0]))
-    for rows, x, buf in _spectra(_fold(z, _weights(exp), m), m, exp.cos_kind == "omc"):
-        for col, n in enumerate(Ns):
-            x[:, 1 : n + 1] = 0.0
-            x.real[:, 0] = -2.0 * np.sum(x.real[:, n + 1 :], axis=1)
-            v = np.fft.irfft(x, norm="forward", out=buf)[:, : m + 1]
-            np.max(np.abs(v, out=v), axis=1, out=sups[col, rows])
+    for col, n in enumerate(Ns):
+        x[:, 1 : n + 1] = 0.0
+        x.real[:, 0] = -2.0 * np.sum(x.real[:, n + 1 :], axis=1)
+        v = np.fft.irfft(x, norm="forward", out=buf)[:, : m + 1]
+        np.max(np.abs(v, out=v), axis=1, out=sups[col])
     return sups
 
 
 def _grid_values(exp, m, res, z, out):
     """Map residue sums ``res`` (the layout of :func:`_fold`) onto the grid,
-    into ``out`` (allocated when None): per row sub-block, one inverse real
-    FFT of length 2L (:func:`_spectra`), whose first m + 1 values are the
-    grid's; type C's sine frequencies k pi / (2T) live on a virtual grid of
-    L = 2m cells.  The deterministic terms reuse the transform's buffer.
+    into ``out`` (allocated when None): one inverse real FFT of length 2L
+    per row (:func:`_spectrum`), whose first m + 1 values are the grid's;
+    type C's sine frequencies k pi / (2T) live on a virtual grid of L = 2m
+    cells.  The deterministic terms reuse the transform's output.
     """
     if out is None:
         out = np.empty((z.shape[0], m + 1))
-    tgrid = uniform_grid(exp.horizon_T, m)
-    for rows, x, buf in _spectra(res, exp.period_multiple * m, exp.cos_kind == "omc"):
-        v = np.fft.irfft(x, norm="forward", out=buf)[:, : m + 1]
-        out[rows] = v
-        _deterministic_terms(exp, tgrid, z[rows], out[rows], v)
-    return out
+    x = _spectrum(res, exp.period_multiple * m, exp.cos_kind == "omc")
+    v = np.fft.irfft(x, norm="forward")[:, : m + 1]
+    out[...] = v
+    return _deterministic_terms(exp, uniform_grid(exp.horizon_T, m), z, out, v)

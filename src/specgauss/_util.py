@@ -38,6 +38,16 @@ def check_int(value, name, minimum=None):
     return int(value)
 
 
+def check_instance(value, cls, name):
+    """``value`` when it is a ``cls``, else BadParameter: the check of an
+    object argument (a coefficient series, a generating function, an
+    expansion, a model or a batch), so that a wrong object fails at the
+    entry point rather than deep inside with an AttributeError."""
+    if not isinstance(value, cls):
+        raise BadParameter(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def check_real(value, name):
     """``value`` as a float when it is a real number (a Python or numpy real
     scalar, or a 0-d array of one), else BadParameter: no string is parsed

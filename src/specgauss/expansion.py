@@ -30,6 +30,7 @@ from ._util import (
     atomic_write_bytes,
     atomic_write_text,
     check_gen_ou,
+    check_instance,
     check_int,
     check_positive,
     check_real,
@@ -56,7 +57,7 @@ from .fourier import (
     fbm_coefficients,
     tail_sum,
 )
-from .gamma import check_star
+from .gamma import GammaSpec, check_star
 
 # family: (cosine-channel function, drift function, period / horizon), in
 # the basis-term names of :mod:`specgauss.quantize` ("omc" is 1 - cos).
@@ -298,6 +299,7 @@ def _spec_expansion(spec, T, N, family, divisor=1.0, drift=None):
     amplitudes are sqrt(-c_k / divisor) and the drift amplitude is
     ``drift(c)``, or 0 when ``drift`` is None."""
     what = f"build_{family}"
+    check_instance(spec, GammaSpec, f"{what}: spec")
     N = _check_size(T, N, what)
     _check_horizon(spec, _FAMILIES[family][2] * T, what)
     if spec.delta >= 1.0:
@@ -334,6 +336,7 @@ def build_fbm(H, T, N, coeff_source):
     if H == 0.5:
         raise BadParameter("H = 1/2 is not an fBm branch; use build_type_a with a linear generating function")
     N = _check_size(T, N, "build_fbm")
+    check_instance(coeff_source, CosineSeries, "build_fbm: coeff_source")
     if coeff_source.k_max < N:
         raise BadParameter(f"coeff_source covers k <= {coeff_source.k_max} < N = {N}")
     _check_horizon(coeff_source, T, "build_fbm")
@@ -425,7 +428,7 @@ def build_generalized_ou(theta, alpha, mu, sigma, sigma0, T, N):
 # ---------------------------------------------------------------------------
 
 
-def _run_paths(exp, tgrid, n_paths, seed, threads, synth, n_pairs=None):
+def _run_paths(exp, tgrid, n_paths, seed, threads, synth, row_doubles, n_pairs=None):
     n_paths = check_int(n_paths, "n_paths", 1)
     seed = check_int(seed, "seed")
     threads = check_int(threads, "threads", 1)
@@ -434,7 +437,7 @@ def _run_paths(exp, tgrid, n_paths, seed, threads, synth, n_pairs=None):
     def block(start, stop, z):
         synth(z, values[start:stop])
 
-    _engine.run_blocks(exp, n_paths, tgrid.size, seed, threads, block, n_pairs)
+    _engine.run_blocks(exp, n_paths, row_doubles, seed, threads, block, n_pairs)
     return PathBatch(
         grid=tgrid,
         values=values,
@@ -450,6 +453,7 @@ def sample_paths(exp, grid, n_paths, seed, threads=1):
     Deterministic given the seed; the per-path Philox streams make the
     result independent of blocking and thread count.
     """
+    check_instance(exp, SeriesExpansion, "exp")
     tgrid = real_array(grid, "grid")
     T = exp.horizon_T
     # negated so that NaN fails both checks, and with them every non-finite grid
@@ -460,6 +464,7 @@ def sample_paths(exp, grid, n_paths, seed, threads=1):
     return _run_paths(
         exp, tgrid, n_paths, seed, threads,
         lambda z, out: _engine.direct_values(exp, tgrid, z, out),
+        _engine.direct_row_doubles(exp, tgrid.size),
     )
 
 
@@ -475,8 +480,9 @@ def _uniform_resolution(grid, T):
 
 
 def _uniform_grid(exp, M):
-    """The resolution m and the grid t_j = j T / m from ``M``, a resolution
-    or the grid array itself."""
+    """The resolution m and the grid t_j = j T / m of the expansion ``exp``
+    from ``M``, a resolution or the grid array itself."""
+    check_instance(exp, SeriesExpansion, "exp")
     if isinstance(M, (list, tuple, np.ndarray)):
         m = _uniform_resolution(M, exp.horizon_T)
     else:
@@ -498,6 +504,7 @@ def sample_paths_fast(exp, M, n_paths, seed, threads=1):
     return _run_paths(
         exp, tgrid, n_paths, seed, threads,
         lambda z, out: _engine.fast_values(exp, m, z, out),
+        _engine.grid_row_doubles(exp.period_multiple * m, exp.truncation_N),
     )
 
 
@@ -520,6 +527,7 @@ def sample_paths_aliased(exp, M, n_paths, seed, threads=1):
     return _run_paths(
         exp, tgrid, n_paths, seed, threads,
         lambda z, out: _engine.aliased_values(exp, m, table, z, out),
+        _engine.grid_row_doubles(exp.period_multiple * m),
         table.shape[0],
     )
 
@@ -538,6 +546,7 @@ def truncation_for_tolerance(series, eps):
     Otherwise, when no N inside the table suffices, the power-law model
     behind the tail estimate is inverted to extend the search beyond k_max.
     """
+    check_instance(series, CosineSeries, "series")
     if not (check_real(eps, "eps") > 0):
         raise BadParameter("eps must be positive")
     # tiny relative slack so eps = sqrt(2 tail_sum(N)) round-trips to N

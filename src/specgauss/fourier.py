@@ -25,6 +25,7 @@ import numpy as np
 
 from ._util import (
     atomic_write_text,
+    check_instance,
     check_int,
     check_positive,
     check_real,
@@ -756,6 +757,7 @@ def tail_sum(series, N):
     power law with a safety factor of 2; inf when the tail decays too slowly
     to extrapolate.
     """
+    check_instance(series, CosineSeries, "series")
     N = check_int(N, "N", 0)
     if series.power_law is None:
         if N > series.k_max:

@@ -680,15 +680,21 @@ def distortion_mc(q, exp, n_paths, seed, grid_points=257):
     def block(start, stop, z):
         # the coordinates first: fast_values weights the draws in place
         y = _coordinate_draws(exp, red, z) @ cmat.T
-        paths = _engine.fast_values(exp, m_panels, z)
-        coeffs = q.project_coords(y) * root_mu[None, :]
-        code = coeffs @ fmat
+        gap = _engine.fast_values(exp, m_panels, z)
+        code = (q.project_coords(y) * root_mu[None, :]) @ fmat
         if exp.mean_fn is not None:
             code += np.asarray(exp.mean_fn(tgrid))[None, :]
-        gap = paths - code
-        sq[start:stop] = np.trapezoid(gap * gap, tgrid, axis=1)
+        gap -= code
+        gap *= gap
+        sq[start:stop] = np.trapezoid(gap, tgrid, axis=1)
 
-    _engine.run_blocks(exp, n_paths, tgrid.size, seed, 1, block)
+    # per row besides the draws: the fold and transform, then four grid rows
+    # (the path, its code and two temporaries of the trapezoid rule) and the
+    # coordinate draws through their projections, at most four times their
+    # width
+    row = (_engine.grid_row_doubles(exp.period_multiple * m_panels, exp.truncation_N)
+           + 4 * tgrid.size + 4 * cmat.shape[1])
+    _engine.run_blocks(exp, n_paths, row, seed, 1, block)
     est = float(np.mean(sq))
     se = float(np.std(sq, ddof=1) / math.sqrt(n_paths))
     return est, se

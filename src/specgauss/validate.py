@@ -30,7 +30,7 @@ from the Gram product of the squared centred values, (Xc o Xc)^T (Xc o Xc).
 Scalar :func:`empirical_cov` stays as the per-pair reference.  The rate
 probe measures the decay of the uniform truncation error empirically against
 the expected N^(-H) sqrt(log N) law.  Its ladder of truncations shares one
-stream of draws: per row sub-block of draws the engine builds one residual
+stream of draws: per block of draws the engine builds one residual
 spectrum and takes one inverse real FFT per rung (``_engine.residual_sups``),
 so its memory is bounded by the block budget whatever the ladder.
 """
@@ -42,9 +42,16 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import _engine
-from ._util import check_gen_ou, check_int, check_positive, check_real, real_array
+from ._util import (
+    check_gen_ou,
+    check_instance,
+    check_int,
+    check_positive,
+    check_real,
+    real_array,
+)
 from .errors import BadParameter, DeltaOutOfRange, TooFewPaths
-from .expansion import build_fbm
+from .expansion import PathBatch, SeriesExpansion, build_fbm
 from .fourier import coeffs_quadrature, fbm_coefficients, tail_sum
 from .gamma import GammaSpec
 
@@ -70,6 +77,8 @@ class CovModel:
 
     def __post_init__(self):
         object.__setattr__(self, "horizon_T", check_positive(self.horizon_T, "horizon_T"))
+        if self.kind in ("type_a", "type_b", "type_c"):
+            check_instance(self.spec, GammaSpec, f"{self.kind} model: spec")
 
     @classmethod
     def fbm(cls, hurst, T):
@@ -135,7 +144,13 @@ def _points_in_horizon(T, s, t):
 
 def analytic_cov(model, s, t):
     """Exact covariance of ``model`` at (s, t) in [0, T]^2."""
-    s, t = _points_in_horizon(model.horizon_T, s, t)
+    check_instance(model, CovModel, "model")
+    return _model_cov(model, *_points_in_horizon(model.horizon_T, s, t))
+
+
+def _model_cov(model, s, t):
+    """:func:`analytic_cov` at float points already checked against the
+    horizon."""
     if model.kind == "fbm":
         h2 = 2.0 * model.hurst
         return 0.5 * (abs(s) ** h2 + abs(t) ** h2 - abs(t - s) ** h2)
@@ -214,10 +229,10 @@ def series_cov_grid(exp, grid):
     cosine-channel basis at the grid points (no C for type C), plus the drift and
     initial-value outer products: :func:`series_cov` at every pair, as one
     product.  Frequencies are taken in blocks of at most
-    ``_engine.BLOCK_DOUBLES`` basis entries, each built in place in one
-    scratch block (angles, then the weighted basis; the angles are rebuilt
-    for the cosine channel), so besides the output only that block and one
-    output-sized Gram product are alive.
+    half of ``_engine.BLOCK_DOUBLES`` basis entries, each built in place in
+    one scratch block (angles, then the weighted basis; the angles are
+    rebuilt for the cosine channel), so besides the output only that block
+    and one output-sized Gram product are alive.
     """
     T = exp.horizon_T
     t = real_array(grid, "grid")
@@ -225,7 +240,7 @@ def series_cov_grid(exp, grid):
         raise BadParameter("grid must lie inside [0, T]")
     cov = np.zeros((t.size, t.size))
     n = exp.truncation_N
-    blk = max(1, _engine.BLOCK_DOUBLES // t.size)
+    blk = max(1, _engine.BLOCK_DOUBLES // 2 // t.size)
     scratch = np.empty(t.size * min(blk, n))
     for k0 in range(0, n, blk):
         k1 = min(k0 + blk, n)
@@ -368,11 +383,20 @@ def empirical_cov_grid(batch):
 def covariance_report(model, exp, batch, *, z_bound=4.0):
     """Cross-check a sampled batch against the analytic and series
     covariances.  Returns a JSON-ready dict of named checks."""
+    check_instance(model, CovModel, "model")
+    check_instance(exp, SeriesExpansion, "exp")
+    check_instance(batch, PathBatch, "batch")
     z_bound = check_positive(z_bound, "z_bound")
     grid = batch.grid
+    T = model.horizon_T
+    # the grid is checked once, as analytic_cov checks each point;
+    # negated so that NaN fails
+    if not np.all((grid >= -1e-12 * T) & (grid <= T * (1.0 + 1e-12))):
+        raise BadParameter("batch grid must lie inside the model's [0, T]")
     m = grid.size
     iu, ju = np.triu_indices(m)
-    analytic = np.array([analytic_cov(model, grid[i], grid[j]) for i, j in zip(iu, ju)])
+    pts = grid.tolist()
+    analytic = np.array([_model_cov(model, pts[i], pts[j]) for i, j in zip(iu.tolist(), ju.tolist())])
     # Gaps below this are zero at double precision; without the floor a
     # pinned grid point (exact-zero covariance, se ~ rounding noise)
     # produces an arbitrarily large z from a meaningless 1e-26 gap.
@@ -455,8 +479,8 @@ def rate_probe(model, Ns, replicates, grid_resolution, seed):
     N keeps the frequencies k > N only, and n_ref <= m / 2, so no frequency
     aliases on the grid: per block of draws the engine builds one residual
     spectrum, zeroes it upward along the ladder, and takes one inverse real
-    FFT per rung (``_engine.residual_sups``).  Memory stays within the draw
-    block plus one transform sub-block of ``BLOCK_DOUBLES // 8`` doubles.
+    FFT per rung (``_engine.residual_sups``).  Draws, spectrum and transform
+    buffer of a block share one budget of ``BLOCK_DOUBLES`` doubles.
     """
     if model.kind != "fbm":
         raise BadParameter("rate probe is defined for the fractional model")
@@ -480,7 +504,7 @@ def rate_probe(model, Ns, replicates, grid_resolution, seed):
     def block(start, stop, z):
         sups[:, start:stop] = _engine.residual_sups(ref, m, Ns, z)
 
-    _engine.run_blocks(ref, replicates, m + 1, seed, 1, block)
+    _engine.run_blocks(ref, replicates, _engine.grid_row_doubles(m), seed, 1, block)
     ests = []
     stderrs = []
     for vals in sups:

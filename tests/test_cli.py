@@ -210,8 +210,9 @@ def test_validate_cov_samples_the_aliased_grid_law(tmp_path, monkeypatch, capsys
     # N = 256 > 2L = 16: each path draws 2 * 16 + 1 normals, not 513
     argv = ["validate-cov", "--model", "fbm", "--hurst", "0.3", "--N", "256",
             "--paths", "400", "--grid", "9", "--seed", "29"]
-    # blocks of 50 paths, so that two threads share the work
-    monkeypatch.setattr(_engine, "BLOCK_DOUBLES", 50 * 33)
+    # blocks of 50 paths, so that two threads share the work: a row holds
+    # its 33 draws, the spectrum and the transform buffer (L = 8)
+    monkeypatch.setattr(_engine, "BLOCK_DOUBLES", 50 * (33 + _engine.grid_row_doubles(8)))
     texts = []
     for threads in (1, 2):
         out = tmp_path / f"t{threads}.json"

@@ -46,7 +46,7 @@ def test_run_blocks_hands_each_path_its_own_philox_stream(monkeypatch, seed):
 
                 with monkeypatch.context() as mp:
                     mp.setattr(_engine, "BLOCK_DOUBLES", budget)
-                    _engine.run_blocks(exp, n_paths, 1, seed, threads, block)
+                    _engine.run_blocks(exp, n_paths, 0, seed, threads, block)
                 assert got.tobytes() == ref.tobytes(), f"width={width} budget={budget} threads={threads}"
 
 
@@ -127,10 +127,10 @@ def test_aliased_sampler_draws_each_path_from_its_own_philox_stream(
         draws = np.array([np.random.Generator(np.random.Philox(key=hi + i)).standard_normal(width)
                           for i in range(n_paths)])
         ref = _engine.aliased_values(exp, _M, table, draws)
-        # the last budget draws all paths in one block that spans several
-        # transform sub-blocks of BLOCK_DOUBLES // 8 doubles: six of two rows
-        # for fBm, eleven of one on gen-OU's doubled grid (type C)
-        for budget in (width, _engine.BLOCK_DOUBLES, 8 * (4 * _M + 2) * 2):
+        # blocks of one path, of all paths, and of two paths with their
+        # spectra and transform buffers (gen-OU's on its doubled grid, type C)
+        row = width + _engine.grid_row_doubles(exp.period_multiple * _M)
+        for budget in (row, _engine.BLOCK_DOUBLES, 2 * row):
             with monkeypatch.context() as mp:
                 mp.setattr(_engine, "BLOCK_DOUBLES", budget)
                 for threads in (1, 3):

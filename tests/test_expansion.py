@@ -250,12 +250,13 @@ def test_fast_path_is_byte_identical_across_blocks_and_threads(monkeypatch):
     n_paths = 23  # not a multiple of any block size below
     for name, exp in all_family_expansions().items():
         ref = sample_paths_fast(exp, 8, n_paths, 6).values
-        width = 2 * exp.truncation_N + 1 + (exp.init_coupling is not None)
-        # at 12 rows each draw block spans several transform sub-blocks of
-        # BLOCK_DOUBLES // 8 doubles: 5 rows at L = 8 cells per half period,
-        # 2 at type C's L = 16 (gen-OU is type C)
+        # a row holds its draws, the fold's residue table once N >= 2L
+        # (L = 8 cells per half period, 16 on type C's doubled grid), the
+        # spectrum and the transform buffer
+        row = _engine.draw_width(exp) + _engine.grid_row_doubles(
+            exp.period_multiple * 8, exp.truncation_N)
         for rows in (1, 7, 12, None):
-            budget = _engine.BLOCK_DOUBLES if rows is None else rows * width
+            budget = _engine.BLOCK_DOUBLES if rows is None else rows * row
             with monkeypatch.context() as mp:
                 mp.setattr(_engine, "BLOCK_DOUBLES", budget)
                 for threads in (1, 3):
@@ -276,7 +277,7 @@ def test_fast_path_memory_is_bounded_by_the_block_budget():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # all 256 paths at once would need 256 * (2N + 1) doubles, 8x the budget
+    # all 256 paths at once would need 256 * (2N + 1) doubles, 32x the budget
     assert peak < 2 * 8 * _engine.BLOCK_DOUBLES, f"peak {peak / 2**20:.1f} MiB"
 
 
@@ -302,8 +303,36 @@ def test_grid_heavy_fast_sampling_writes_in_place_within_two_blocks():
     _assert_within_two_blocks(*_traced_peak(lambda: sample_paths_fast(exp, 1024, 2000, 1)))
 
 
+def _assert_within_one_budget(out_bytes, peak):
+    # the output plus one block budget; 1 MiB covers the per-call tables
+    bound = out_bytes + 8 * _engine.BLOCK_DOUBLES + 2**20
+    assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+
+
+def test_fast_sampling_holds_the_output_and_one_budget():
+    # N = M = 1024, 2000 paths: the spectrum and transform buffer of a row
+    # (4L + 2 doubles) outweigh its 2N + 1 draws, and count against the
+    # same budget
+    exp = build_fbm(0.75, 1.0, 1024, fbm_coefficients(0.75, 1.0, 1024))
+    sample_paths_fast(exp, 1024, 1, 1)  # lazy imports are not the block's
+    batch, peak = _traced_peak(lambda: sample_paths_fast(exp, 1024, 2000, 1))
+    _assert_within_one_budget(batch.values.nbytes, peak)
+
+
+def test_direct_synthesis_holds_the_output_and_one_budget():
+    # N = 32768 on 33 points: the basis of all N frequencies would be 8.6 MB;
+    # the rows' draws and one in-place basis block share the budget
+    exp = build_fbm(0.3, 1.0, 32768, fbm_coefficients(0.3, 1.0, 32768))
+    grid = np.linspace(0.0, 1.0, 33)
+    sample_paths(exp, grid, 1, 1)
+    batch, peak = _traced_peak(lambda: sample_paths(exp, grid, 32, 1))
+    _assert_within_one_budget(batch.values.nbytes, peak)
+    fast = sample_paths_fast(exp, 32, 32, 1)
+    assert np.max(np.abs(fast.values - batch.values)) <= 1e-10
+
+
 def test_aliased_sampling_writes_in_place_within_two_blocks():
-    # five blocks of 4088 paths, with the initial-value term of gen-OU
+    # 40 blocks of 511 paths, with the initial-value term of gen-OU
     exp = build_generalized_ou(2.0, 0.0, 0.0, 2.0, 0.5, 1.0, 512)
     _assert_within_two_blocks(*_traced_peak(lambda: sample_paths_aliased(exp, 128, 20000, 2)))
 

@@ -321,6 +321,18 @@ def test_distortion_mc_matches_analytic_at_budget_20(exp_fbm04):
     assert abs(est - target) <= 4.0 * se
 
 
+def test_distortion_mc_holds_one_budget(exp_fbm04):
+    # 4000 paths on 257 points: the paths, their codes and the trapezoid
+    # rule's temporaries are per-row and count against the block budget
+    from test_expansion import _assert_within_one_budget, _traced_peak
+
+    q = product_quantizer(None, exp_fbm04, 20)
+    distortion_mc(q, exp_fbm04, 100, seed=1)
+    (est, _), peak = _traced_peak(lambda: distortion_mc(q, exp_fbm04, 4000, seed=321))
+    _assert_within_one_budget(0, peak)
+    assert est > 0.0
+
+
 def test_distortion_mc_strictly_decreasing(exp_fbm04):
     ests = []
     for budget in (5, 10, 20):

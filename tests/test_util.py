@@ -13,8 +13,12 @@ from specgauss import (
     CovModel,
     GammaSpec,
     allocate_levels,
+    analytic_cov,
     build_fbm,
     build_generalized_ou,
+    build_type_a,
+    build_type_b,
+    build_type_c,
     builtin_gamma,
     coeffs_closed,
     coeffs_quadrature,
@@ -27,6 +31,7 @@ from specgauss import (
     power_series_coeffs,
     product_quantizer,
     sample_paths,
+    sample_paths_aliased,
     sample_paths_fast,
     tail_sum,
     truncation_for_tolerance,
@@ -129,6 +134,8 @@ _BATCH = PathBatch(np.linspace(0.0, 1.0, 3), np.zeros((100, 3)), 1)
                  id="report-z_bound-string"),
     pytest.param(lambda: covariance_report(CovModel.fbm(0.3, 1.0), _FBM, _BATCH, z_bound=0.0),
                  id="report-z_bound-zero"),
+    pytest.param(lambda: covariance_report(CovModel.fbm(0.3, 0.5), _FBM, _BATCH),
+                 id="report-grid-outside-horizon"),
     pytest.param(lambda: builtin_gamma("linear", "1"), id="builtin-T-string"),
     pytest.param(lambda: _spec(delta="0"), id="spec-delta-string"),
     pytest.param(lambda: _spec(horizon_T="1"), id="spec-T-string"),
@@ -147,6 +154,32 @@ _BATCH = PathBatch(np.linspace(0.0, 1.0, 3), np.zeros((100, 3)), 1)
     pytest.param(lambda: allocate_levels([], 4), id="allocate-mu-empty"),
 ])
 def test_malformed_real_input_is_a_bad_parameter(call):
+    with pytest.raises(BadParameter):
+        call()
+
+
+_FBM_MODEL = CovModel.fbm(0.3, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: build_fbm(0.3, 1.0, 8, None), id="fbm-series-none"),
+    pytest.param(lambda: build_fbm(0.3, 1.0, 8, _LINEAR), id="fbm-series-spec"),
+    pytest.param(lambda: build_type_a(None, 1.0, 8), id="type_a-spec-none"),
+    pytest.param(lambda: build_type_b(_SERIES, 1.0, 8), id="type_b-spec-series"),
+    pytest.param(lambda: build_type_c(None, 1.0, 8), id="type_c-spec-none"),
+    pytest.param(lambda: sample_paths(None, [0.0, 1.0], 2, 1), id="sample_paths-exp-none"),
+    pytest.param(lambda: sample_paths_fast(None, 8, 2, 1), id="fast-exp-none"),
+    pytest.param(lambda: sample_paths_aliased(_SERIES, 8, 2, 1), id="aliased-exp-series"),
+    pytest.param(lambda: analytic_cov(CovModel.type_a(None, 1.0), 0.2, 0.5), id="model-type_a-spec-none"),
+    pytest.param(lambda: CovModel.type_c("linear", 2.0), id="model-type_c-spec-string"),
+    pytest.param(lambda: analytic_cov(None, 0.2, 0.5), id="analytic_cov-model-none"),
+    pytest.param(lambda: tail_sum(None, 4), id="tail_sum-series-none"),
+    pytest.param(lambda: truncation_for_tolerance(None, 0.1), id="truncation-series-none"),
+    pytest.param(lambda: covariance_report(_FBM_MODEL, None, None), id="report-exp-none"),
+    pytest.param(lambda: covariance_report(_FBM_MODEL, _FBM, None), id="report-batch-none"),
+    pytest.param(lambda: covariance_report(None, _FBM, _BATCH), id="report-model-none"),
+])
+def test_malformed_object_argument_is_a_bad_parameter(call):
     with pytest.raises(BadParameter):
         call()
 

@@ -36,7 +36,13 @@ from specgauss import (
 )
 from specgauss import _engine, validate
 from specgauss.expansion import PathBatch, SeriesExpansion
-from test_expansion import FAMILY_BUILDERS, all_family_expansions, truncated
+from test_expansion import (
+    FAMILY_BUILDERS,
+    _assert_within_one_budget,
+    _traced_peak,
+    all_family_expansions,
+    truncated,
+)
 
 
 def test_analytic_cov_closed_forms():
@@ -475,14 +481,14 @@ def test_lemma1_check_memory_is_bounded_by_the_block_budget():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one basis of all K frequencies would be 2049 * 8192 doubles, 4x the budget
+    # one basis of all K frequencies would be 2049 * 8192 doubles, 16x the budget
     assert peak < 2 * 8 * _engine.BLOCK_DOUBLES, f"peak {peak / 2**20:.1f} MiB"
     assert 0.0 < err <= 2.0 * tail_sum(coeffs_quadrature(spec, K), K)
 
 
 def test_series_cov_grid_memory_is_bounded_by_the_block_budget():
-    # 1025 non-uniform points and N = 8192: each frequency block is one
-    # BLOCK_DOUBLES basis; only that block, the output and the output-sized
+    # 1025 non-uniform points and N = 8192: each frequency block is a basis
+    # of half the budget; only that block, the output and the output-sized
     # Gram product may be alive at once
     exp = build_fbm(0.3, 1.0, 8192, fbm_coefficients(0.3, 1.0, 8192))
     grid = np.linspace(0.0, 1.0, 1025) ** 1.5
@@ -587,7 +593,7 @@ def test_rate_probe_ladder_matches_the_per_rung_route(H, grid_resolution):
 
 
 def test_rate_probe_memory_is_bounded_by_the_block_budget():
-    # 600 replicates fill a whole draw block of 511 paths at Ns up to 512
+    # 600 replicates in 24 blocks of 25 paths at Ns up to 512
     model = CovModel.fbm(0.3, 1.0)
     tracemalloc.start()
     try:
@@ -596,4 +602,14 @@ def test_rate_probe_memory_is_bounded_by_the_block_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 8 * _engine.BLOCK_DOUBLES, f"peak {peak / 2**20:.1f} MiB"
+    assert res.sup_err_estimates[0] > res.sup_err_estimates[-1] > 0.0
+
+
+def test_rate_probe_spectra_share_the_block_budget():
+    # Ns up to 1024: each row draws 16385 normals and transforms on 2L =
+    # 32768 cells, so its spectrum and buffer hold 65538 doubles, four times
+    # its draws; 300 replicates would fill a draw-only block
+    model = CovModel.fbm(0.3, 1.0)
+    res, peak = _traced_peak(lambda: rate_probe(model, [512, 1024], 300, 0, seed=5))
+    _assert_within_one_budget(0, peak)
     assert res.sup_err_estimates[0] > res.sup_err_estimates[-1] > 0.0
