@@ -6,6 +6,10 @@ budget, Gram-matrix eigenreduction of the non-orthonormal trigonometric
 span, and product codebooks whose distortion splits into exact scalar
 terms plus the expansion tail.  A Monte Carlo estimator cross-checks the
 closed-form decomposition.
+
+The scalar quantizers' normal tails, starting quantiles and tridiagonal
+Newton solves come from :mod:`specgauss._special`, in numpy and the
+standard library.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import _engine
+from . import _engine, _special
 from ._util import check_int, csv_table_text, real_array
 from .errors import (
     BadParameter,
@@ -50,13 +54,6 @@ _LLOYD_TOL = 1e-10
 
 def _phi(x):
     return np.exp(-0.5 * x * x) / _SQRT2PI
-
-
-def _xphi(x):
-    # x * phi(x) with the +-inf cell edges contributing exactly 0.
-    with np.errstate(invalid="ignore"):
-        out = x * _phi(x)
-    return np.where(np.isfinite(x), out, 0.0)
 
 
 @dataclass(frozen=True)
@@ -91,41 +88,45 @@ class Quantizer1D:
         return np.searchsorted(self.boundaries, np.asarray(y, dtype=float))
 
 
-def _cell_mass(a, b):
-    # Phi(b) - Phi(a); right-half cells go through the complementary
-    # form, where ndtr keeps relative accuracy instead of cancelling
-    # against 1
-    from scipy.special import ndtr
+def _cells(y):
+    """The n cells of the increasing levels y, cut at their midpoints.
 
-    direct = ndtr(b) - ndtr(a)
-    flipped = ndtr(-a) - ndtr(-b)
-    return np.where(a + b > 0, flipped, direct)
-
-
-def _cell_distortion(a, b, y):
-    # Integral of (z - y)^2 phi(z) over [a, b] in closed form.
-    dphi = _cell_mass(a, b)
-    return dphi * (1.0 + y * y) + _xphi(a) - _xphi(b) - 2.0 * y * (_phi(a) - _phi(b))
+    Returns the cells' normal masses, their n + 1 edges (-inf and inf at the
+    ends) and phi at the edges.  Each is evaluated once per edge, the normal
+    tail s = P(Z > |e|) from the edge's small side: with u(e) = s for e < 0
+    and -s otherwise, Phi(e) = u(e) + [e >= 0], so a cell's mass is the
+    difference of u across it, plus 1 for the one cell that straddles 0.
+    No difference cancels against 1.
+    """
+    mids = 0.5 * (y[:-1] + y[1:])
+    edges = np.concatenate(([-np.inf], mids, [np.inf]))
+    phi = _phi(edges)
+    # the levels are antisymmetric, as every iterate of gauss1d_quantizer
+    # is, so the edges are too: the tails of the left half serve both
+    left = _special.normal_tail(mids[: y.size // 2])
+    small = np.concatenate(([0.0], left, left[y.size % 2 - 2 :: -1], [0.0]))
+    neg = edges < 0.0
+    u = np.where(neg, small, -small)
+    mass = u[1:] - u[:-1] + (neg[:-1] != neg[1:])
+    return mass, edges, phi
 
 
 def _lloyd_step(y):
-    mids = 0.5 * (y[:-1] + y[1:])
-    a = np.concatenate(([-np.inf], mids))
-    b = np.concatenate((mids, [np.inf]))
-    mass = _cell_mass(a, b)
-    new = np.where(mass > 0.0, (_phi(a) - _phi(b)) / np.where(mass > 0.0, mass, 1.0), y)
+    mass, _, phi = _cells(y)
+    ok = mass > 0.0
+    new = np.where(ok, (phi[:-1] - phi[1:]) / np.where(ok, mass, 1.0), y)
     # stay on the symmetric manifold; the fixed point is antisymmetric
     return 0.5 * (new - new[::-1])
 
 
 def _centroid_residual(y):
-    """Centroid-minus-level residual and the pieces its Jacobian needs."""
-    mids = 0.5 * (y[:-1] + y[1:])
-    a = np.concatenate(([-np.inf], mids))
-    b = np.concatenate((mids, [np.inf]))
-    mass = np.maximum(_cell_mass(a, b), 1e-300)
-    cent = (_phi(a) - _phi(b)) / mass
-    return cent - y, cent, a, b, mass
+    """Centroid-minus-level residual and the pieces its Jacobian needs:
+    the centroids, the masses, and phi and x phi at the edges."""
+    mass, edges, phi = _cells(y)
+    mass = np.maximum(mass, 1e-300)
+    cent = (phi[:-1] - phi[1:]) / mass
+    xphi = np.concatenate(([0.0], edges[1:-1] * phi[1:-1], [0.0]))
+    return cent - y, cent, mass, phi, xphi
 
 
 def _newton_delta(y):
@@ -133,21 +134,23 @@ def _newton_delta(y):
 
     The coupling is tridiagonal: cell i touches levels i-1, i, i+1
     through its two boundaries.  Edge terms vanish because phi decays
-    at the infinite boundaries.
+    at the infinite boundaries.  The matrix is J - I for the Jacobian J
+    of the contracting Lloyd map, diagonally dominant, so it needs no
+    pivoting.
     """
-    from scipy.linalg import solve_banded
-
-    r, cent, a, b, mass = _centroid_residual(y)
-    da = (cent * _phi(a) - _xphi(a)) / mass
-    db = (_xphi(b) - cent * _phi(b)) / mass
-    diag = 0.5 * (da + db) - 1.0
-    lower = 0.5 * da[1:]
-    upper = 0.5 * db[:-1]
-    ab = np.zeros((3, y.size))
-    ab[0, 1:] = upper
-    ab[1] = diag
-    ab[2, :-1] = lower
-    return r, -solve_banded((1, 1), ab, r)
+    r, cent, mass, phi, xphi = _centroid_residual(y)
+    da = (cent * phi[:-1] - xphi[:-1]) / mass
+    db = (xphi[1:] - cent * phi[1:]) / mass
+    # y is antisymmetric, so J - I is centrosymmetric, r is antisymmetric
+    # and so is the step: solve for its left half, where an odd n's middle
+    # level stays put and an even n's last left level couples to its mirror
+    # image
+    n, h = y.size, y.size // 2
+    diag = 0.5 * (da[:h] + db[:h]) - 1.0
+    if n % 2 == 0:
+        diag[-1] -= 0.5 * db[h - 1]
+    left = _special.solve_tridiagonal(0.5 * da[1:h], diag, 0.5 * db[: h - 1], r[:h])
+    return r, np.concatenate((-left, [0.0] * (n % 2), left[::-1]))
 
 
 def gauss1d_quantizer(n):
@@ -159,15 +162,15 @@ def gauss1d_quantizer(n):
     off, rejecting any step that breaks the level ordering.  Iteration
     stops once a move or the stationarity residual is below ``_LLOYD_TOL``.
     """
-    from scipy.special import ndtri
-
     n = check_int(n, "n", 1)
     if n == 1:
         return Quantizer1D(1, np.zeros(1), np.zeros(0), 1.0)
     # high-resolution quantizers have point density ~ phi^(1/3), whose
     # cdf is Phi(x/sqrt(3)); starting there leaves only small smooth
-    # corrections for the iteration
-    y = math.sqrt(3.0) * ndtri((np.arange(1, n + 1) - 0.5) / n)
+    # corrections for the iteration; mirrored, the levels are exactly
+    # antisymmetric from the start
+    left = math.sqrt(3.0) * _special.normal_quantile((np.arange(1, n // 2 + 1) - 0.5) / n)
+    y = np.concatenate((left, [0.0] * (n % 2), -left[::-1]))
     converged = False
     for _ in range(_LLOYD_CYCLES):
         y1 = _lloyd_step(y)
@@ -208,7 +211,7 @@ def gauss1d_quantizer(n):
             for _ in range(6):
                 cand = 0.5 * ((y + step * delta) - (y + step * delta)[::-1])
                 if np.all(np.diff(cand) > 0.0):
-                    rc, _, _, _, _ = _centroid_residual(cand)
+                    rc = _centroid_residual(cand)[0]
                     if float(np.max(np.abs(rc))) < resid:
                         y = cand
                         break
@@ -220,11 +223,10 @@ def gauss1d_quantizer(n):
             f"gauss1d_quantizer(n={n}): iteration cap reached, returning best",
             NonConvergenceWarning,
         )
-    mids = 0.5 * (y[:-1] + y[1:])
-    a = np.concatenate(([-np.inf], mids))
-    b = np.concatenate((mids, [np.inf]))
-    dist = float(np.sum(_cell_distortion(a, b, y)))
-    return Quantizer1D(n, y, mids, dist, converged)
+    # the integral of (z - y)^2 phi(z) over each cell, in closed form
+    _, _, mass, phi, xphi = _centroid_residual(y)
+    dist = float(np.sum(mass * (1.0 + y * y) + xphi[:-1] - xphi[1:] - 2.0 * y * (phi[:-1] - phi[1:])))
+    return Quantizer1D(n, y, 0.5 * (y[:-1] + y[1:]), dist, converged)
 
 
 @functools.lru_cache(maxsize=None)
@@ -379,6 +381,14 @@ def _inner(term_i, term_j, T):
         return one_cos(wi) - cos_cos(wi, wj)
     # omc-omc
     return T - one_cos(wi) - one_cos(wj) + cos_cos(wi, wj)
+
+
+# Squared L2[0, T] norms over T of the basis functions of frequency
+# w = k pi / period_T.  The period is T or 2T, so sin(2 w T) = 0, and it is T
+# wherever there is a cosine channel, so sin(w T) = 0 there too: sin has
+# squared norm T/2, the cosine channel T/2 (cos) or 3T/2 (1 - cos), and
+# type C has none.
+_SELF_NORM = {"omc": 1.5, "cos": 0.5, None: 0.0}
 
 
 def _basis_terms(exp, m):
@@ -623,17 +633,12 @@ def product_quantizer(model, exp, budget_N, m=None):
     nvec = allocate_levels(red.mu, budget)
     quants = tuple(gauss1d_quantizer(int(n)) for n in nvec)
     scalar_term = float(np.sum(red.mu * np.array([q.distortion for q in quants])))
-    # variance carried by frequencies inside the truncation but beyond
-    # the reduced span
+    # variance carried by frequencies inside the truncation but beyond the
+    # reduced span, one squared norm per channel (see _SELF_NORM)
     T = exp.horizon_T
-    base = math.pi / exp.period_T
-    beyond = 0.0
-    for k in range(m + 1, exp.truncation_N + 1):
-        w_k = k * base
-        a = exp.amp[k - 1]
-        beyond += a * a * _inner(("sin", w_k), ("sin", w_k), T)
-        if exp.cos_kind is not None:
-            beyond += a * a * _inner((exp.cos_kind, w_k), (exp.cos_kind, w_k), T)
+    norm_sq = (0.5 + _SELF_NORM[exp.cos_kind]) * T
+    rest = exp.amp[m:]
+    beyond = norm_sq * float(rest @ rest)
     label = getattr(model, "label", None) or exp.label or exp.family
     dist = scalar_term + beyond + _tail_variance_integral(exp)
     return FunctionalQuantizer(

@@ -23,7 +23,9 @@ from specgauss import (
     kl_reduce,
     product_quantizer,
 )
+from specgauss import _special, quantize
 from specgauss.quantize import _scalar_distortion
+from test_expansion import FAMILY_BUILDERS
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +90,116 @@ def test_quantize_maps_to_nearest_level():
 def test_gauss1d_validation():
     with pytest.raises(BadParameter):
         gauss1d_quantizer(0)
+
+
+# ---------------------------------------------------------------------------
+# the special functions behind the scalar quantizer, against scipy's references
+# ---------------------------------------------------------------------------
+
+
+def test_normal_tail_matches_scipy_ndtr():
+    from scipy.special import ndtr
+
+    x = np.linspace(-38.0, 38.0, 152001)
+    ref = ndtr(-np.abs(x))
+    live = ref > 1e-300
+    # one long array takes the rational form; short ones the libm loop
+    # wherever it applies, the rational form beyond
+    short = _special._ERFC_LOOP_MAX
+    for got in (_special.normal_tail(x),
+                np.concatenate([_special.normal_tail(c) for c in np.array_split(x, x.size // short + 1)])):
+        rel = np.abs(got[live] - ref[live]) / ref[live]
+        assert rel.max() <= 1e-14, (rel.max(), x[live][rel.argmax()])
+        assert np.all(got[~live] <= 1e-300)
+
+
+@pytest.mark.parametrize("n", [2, 7, 1000, 2**17])
+def test_normal_quantile_matches_scipy_ndtri(n):
+    from scipy.special import ndtri
+
+    p = (np.arange(1, n + 1) - 0.5) / n
+    got, ref = _special.normal_quantile(p), ndtri(p)
+    assert np.all(np.abs(got - ref) <= 1e-15 + 1e-14 * np.abs(ref))
+
+
+def _newton_system(n, monkeypatch):
+    """The tridiagonal system _newton_delta solves at the start of an n-level
+    quantizer (the left half of its antisymmetric step), and the solution."""
+    seen = []
+    solve = _special.solve_tridiagonal
+
+    def spy(*system):
+        seen.append((system, solve(*system)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(_special, "solve_tridiagonal", spy)
+    left = math.sqrt(3.0) * _special.normal_quantile((np.arange(1, n // 2 + 1) - 0.5) / n)
+    quantize._newton_delta(np.concatenate((left, [0.0] * (n % 2), -left[::-1])))
+    return seen[0]
+
+
+def _banded(lower, diag, upper):
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+    return ab
+
+
+@pytest.mark.parametrize("n", [2, 7, 1000, 2**17])
+def test_newton_solve_matches_scipy_solve_banded(n, monkeypatch):
+    from scipy.linalg import solve_banded
+
+    (lower, diag, upper, rhs), got = _newton_system(n, monkeypatch)
+    ref = solve_banded((1, 1), _banded(lower, diag, upper), rhs)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [2, 7, 1000, 1001])
+def test_newton_step_solves_the_full_system(n):
+    # the half-system step against a banded solve of the whole n x n system;
+    # at large n the whole system is too ill-conditioned in its symmetric
+    # mode (about 5e-11 of rounding there at n = 2^17) to serve as reference
+    from scipy.linalg import solve_banded
+
+    left = math.sqrt(3.0) * _special.normal_quantile((np.arange(1, n // 2 + 1) - 0.5) / n)
+    y = np.concatenate((left, [0.0] * (n % 2), -left[::-1]))
+    r, cent, mass, phi, xphi = quantize._centroid_residual(y)
+    da = (cent * phi[:-1] - xphi[:-1]) / mass
+    db = (xphi[1:] - cent * phi[1:]) / mass
+    ref = -solve_banded((1, 1), _banded(0.5 * da[1:], 0.5 * (da + db) - 1.0, 0.5 * db[:-1]), r)
+    got = quantize._newton_delta(y)[1]
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(got, -got[::-1])
+
+
+def test_tridiagonal_solve_covers_every_reduction_shape():
+    # the Thomas limit, the lengths around it and around each padding step
+    from scipy.linalg import solve_banded
+
+    rng = np.random.default_rng(3)
+    t = _special._THOMAS_MAX
+    for n in (1, 2, t - 1, t, t + 1, 2 * t, 2 * t + 1, 4 * t - 1, 4 * t + 3, 1000):
+        lower, upper = rng.uniform(-1.0, 1.0, (2, n - 1))
+        diag = 2.5 + rng.uniform(0.0, 1.0, n)
+        rhs = rng.standard_normal(n)
+        got = _special.solve_tridiagonal(lower, diag, upper, rhs)
+        ref = solve_banded((1, 1), _banded(lower, diag, upper), rhs)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), n
+
+
+@pytest.mark.parametrize("n", [2, 17, 1000, 4096])
+def test_quantizer_levels_are_centroids_under_scipy_ndtr(n):
+    # the stationarity residual recomputed independently of the quantizer's
+    # own cell masses
+    from scipy.special import ndtr
+
+    y = gauss1d_quantizer(n).levels
+    mids = 0.5 * (y[:-1] + y[1:])
+    a = np.concatenate(([-np.inf], mids))
+    b = np.concatenate((mids, [np.inf]))
+    mass = np.where(a + b > 0, ndtr(-a) - ndtr(-b), ndtr(b) - ndtr(a))
+    cent = (np.exp(-0.5 * a * a) - np.exp(-0.5 * b * b)) / math.sqrt(2.0 * math.pi) / mass
+    assert np.max(np.abs(cent - y)) < quantize._LLOYD_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +411,28 @@ def test_product_quantizer_budget_and_defaults(exp_fbm04):
 def test_distortion_decreases_with_budget(exp_fbm04):
     d = [product_quantizer(None, exp_fbm04, b).distortion_sq for b in (1, 5, 10, 20, 40)]
     assert all(a > b for a, b in zip(d, d[1:]))
+
+
+@pytest.mark.filterwarnings("ignore::specgauss.GramSingularWarning")
+def test_beyond_span_variance_matches_the_inner_products():
+    # the closed-form squared norms against the per-frequency loop of
+    # _inner self-products, on every family, at a deep truncation
+    for name, build in FAMILY_BUILDERS.items():
+        exp = build(512)
+        if exp.init_coupling is not None:
+            continue
+        q = product_quantizer(None, exp, 20)
+        m, T = q.reduced.m, exp.horizon_T
+        base = math.pi / exp.period_T
+        beyond = 0.0
+        for k in range(m + 1, exp.truncation_N + 1):
+            w, a2 = k * base, exp.amp[k - 1] ** 2
+            beyond += a2 * quantize._inner(("sin", w), ("sin", w), T)
+            if exp.cos_kind is not None:
+                beyond += a2 * quantize._inner((exp.cos_kind, w), (exp.cos_kind, w), T)
+        scalar = float(np.sum(q.reduced.mu * np.array([s.distortion for s in q.quantizers])))
+        ref = scalar + beyond + quantize._tail_variance_integral(exp)
+        assert q.distortion_sq == pytest.approx(ref, rel=1e-13, abs=0.0), name
 
 
 def test_distortion_mc_matches_analytic_at_budget_one(exp_fbm04):

@@ -400,6 +400,48 @@ def test_empirical_cov_grid_matches_scalar_reference():
         empirical_cov_grid(small)
 
 
+def _one_copy_cov_grid(values):
+    """empirical_cov_grid's formula on one centred copy of the whole batch."""
+    n = values.shape[0]
+    xc = values - values.mean(axis=0)
+    gram = xc.T @ xc
+    np.square(xc, out=xc)
+    quad = xc.T @ xc
+    c = n / ((n - 1.0) * (n - 2.0))
+    spread = np.maximum(quad - gram * gram / n, 0.0)
+    return gram / (n - 1), np.sqrt((n - 1.0) / n * (c * c) * spread)
+
+
+def test_empirical_cov_grid_sums_row_blocks_within_the_budget():
+    # analysis's gen-OU shape: 20000 paths on 129 points, about ten row blocks
+    values = np.random.default_rng(4).standard_normal((20000, 129)).cumsum(axis=1)
+    batch = PathBatch(grid=np.linspace(0.0, 1.0, 129), values=values, seed=4)
+    block_bytes = 8 * (_engine.BLOCK_DOUBLES // 4 // 129) * 129
+    assert values.shape[0] > block_bytes // (8 * 129)
+    tracemalloc.start()
+    try:
+        est, se = empirical_cov_grid(batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the two outputs plus one centred row block; a whole centred copy of
+    # the batch would be 19.7 MiB
+    bound = est.nbytes + se.nbytes + block_bytes + 2**20
+    assert peak <= bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+    ref_est, ref_se = _one_copy_cov_grid(values)
+    np.testing.assert_allclose(est, ref_est, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(se, ref_se, rtol=1e-13, atol=0.0)
+
+
+def test_empirical_cov_grid_of_one_block_is_the_unblocked_formula_bit_for_bit():
+    # deep-fbm's shape, 2048 paths on 33 points, fits one row block
+    values = np.random.default_rng(5).standard_normal((2048, 33)).cumsum(axis=1)
+    batch = PathBatch(grid=np.linspace(0.0, 1.0, 33), values=values, seed=5)
+    assert values.size <= _engine.BLOCK_DOUBLES // 4
+    for got, ref in zip(empirical_cov_grid(batch), _one_copy_cov_grid(values)):
+        assert got.tobytes() == ref.tobytes()
+
+
 def test_covariance_report_matches_scalar_loop():
     batches = _report_batches()
     for name, (model, exp, batch) in batches.items():
