@@ -21,18 +21,21 @@ law on the grid, and for N <= 2L it draws and returns exactly what
 :func:`fast_values` does.
 
 Sampling streams paths one bounded block at a time, and everything the
-engine holds per path row counts against one per-worker budget of
-``BLOCK_DOUBLES`` doubles (8 MiB): the row's draws, the fold's residue table
-past N = 2L (4L doubles), the Hermitian half spectrum (2(L + 1) doubles) and
-the inverse transform's 2L values (:func:`grid_row_doubles`).  Normals are
-drawn straight into a block buffer, weighted in place, folded onto the
-grid's residues and transformed as one block, one inverse real FFT over all
-its rows, straight into the caller's output rows before the next block is
-drawn.  Memory per worker is therefore the budget whatever N is, or one row
-when a single row outgrows it (one path of fBm past N = 2^19 on a small
-grid).  Because every path keeps its own stream and every per-path
-operation is row-independent, sampled values are byte-identical across
-block sizes and thread counts.
+engine holds per path row counts against one budget of ``BLOCK_DOUBLES``
+doubles (8 MiB) per call, shared by its workers: the row's draws, the fold's
+residue table past N = 2L (4L doubles), the Hermitian half spectrum
+(2(L + 1) doubles) and the inverse transform's 2L values
+(:func:`grid_row_doubles`).  Each worker's draw buffer and workspace are
+allocated once per call; normals are drawn straight into the draw buffer,
+weighted in place, folded onto the grid's residues and transformed as one
+block, one inverse real FFT over all its rows, in views carved from the
+workspace, straight into the caller's output rows before the next block is
+drawn.  Sampling memory is therefore the budget whatever N and the worker
+count are, or one row when a single row outgrows it (one path of fBm past
+N = 2^19 on a small grid).  The worker count defaults to the CPUs the
+process may run on (:func:`run_blocks`).  Because every path keeps its own
+stream and every per-path operation is row-independent, the uniform-grid
+samplers' values are byte-identical across block sizes and thread counts.
 
 On a uniform grid the series is a fold plus one inverse real FFT of one
 Hermitian spectrum (:func:`fast_values`, :func:`_spectrum`);
@@ -50,17 +53,29 @@ without evaluating a sine or cosine per frequency.
 """
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# Everything a worker holds per block of paths, draws and transform buffers
-# alike, fits this many doubles (8 MiB), so sampling memory does not grow
-# with N or M.  Direct synthesis and the covariance grid bound their basis
-# blocks by it too.  It keeps at least 4 rows of the rate probe's 65536-point
-# transforms in a block: pocketfft's per-row cost falls by about 40% from
-# batches of 3 rows to batches of 4 or more.
+# Everything the workers of one sampling call hold, draws and transform
+# buffers alike, fits this many doubles (8 MiB), so sampling memory grows
+# with neither N, M nor the worker count.  The covariance grid bounds its
+# basis blocks by it too.  One worker keeps 6 rows of the rate probe's
+# 65536-point transforms in a block, two keep 3 each.  Blocks of 3 rows make
+# the whole probe about 12 % slower than blocks of 4 on one worker (275
+# against 245 ms), yet two workers of 3 rows run it in 143 ms against 240 ms
+# for one of 6; a fourth row each (130 ms) would hold a third more than the
+# budget (2-core box).
 BLOCK_DOUBLES = 1 << 20
+
+# Rows of fewer normals than this run on one worker.  Re-keying a path's
+# stream holds the interpreter lock (about 0.6 us) while its normals, fold
+# and transform release it, so narrow rows contend instead of gaining:
+# two workers drawing 10000 paths ran 0.78x as fast as one at 129 normals
+# a row, 0.76-0.92x at 193, 1.00-1.06x at 225, 1.35x at 257 and 1.68x at
+# 321-385 (2-core box).
+PARALLEL_MIN_DRAWS = 256
 
 
 def uniform_grid(T, m):
@@ -79,8 +94,9 @@ def draw_width(exp, n_pairs=None):
 
 
 def grid_row_doubles(lng, fold_pairs=0):
-    """Doubles the fold and the transform hold per path row on a grid of
-    ``lng`` = L cells per half period: the residue table of :func:`_fold`
+    """Doubles the fold and the transform carve from the workspace per path
+    row on a grid of ``lng`` = L cells per half period, in this order: the
+    residue table of :func:`_fold`
     when its ``fold_pairs`` frequencies fill a 2L-wide band (2L sine and
     cosine sums), the half spectrum (L + 1 complex bins) and the inverse
     transform's 2L values.  Aliased draws are residue sums already and
@@ -90,39 +106,59 @@ def grid_row_doubles(lng, fold_pairs=0):
 
 
 def direct_row_doubles(exp, size):
-    """Doubles :func:`direct_values` reserves per path row on ``size``
-    points: the row's draws and an output-sized scratch row, counted twice,
-    so that the rows take half the budget and the basis block the other
-    half."""
+    """Doubles :func:`direct_values` carves per path row on ``size``
+    points: an output-sized scratch row, and as much again as the row's
+    draws and scratch for a frequency chunk's basis and scaled draws."""
     return draw_width(exp) + 2 * size
 
 
 def run_blocks(exp, n_paths, row_doubles, seed, threads, block_fn, n_pairs=None):
     """Draw the normals of ``n_paths`` paths of ``exp`` one bounded block at
-    a time and hand each block to ``block_fn(start, stop, z)``.
+    a time and hand each block to ``block_fn(start, stop, z, work)``.
 
     Each path draws :func:`draw_width` normals: Z_0, ``n_pairs`` (sine,
     cosine) pairs (default ``exp.truncation_N``) and the initial-value draw
-    when present.  ``block_fn`` holds ``row_doubles`` doubles per row besides
-    the draws (:func:`grid_row_doubles`, :func:`direct_row_doubles`), so a
-    block has ``BLOCK_DOUBLES // (draws + row_doubles)`` paths (at least
-    one); each worker re-keys one bit generator per path, reuses one buffer
-    and takes every ``threads``-th block.  ``block_fn`` owns ``z`` for the
-    call and may overwrite it (the samplers weight it in place), so a caller
-    that needs the raw draws must read them before weighting; it must not
-    keep ``z``, which the next block overwrites.
+    when present.  ``work`` is a flat workspace of ``row_doubles`` doubles
+    per row of a full block (:func:`grid_row_doubles`,
+    :func:`direct_row_doubles`), from whose front the block function carves
+    its buffers (:func:`carve`).  Draws and workspaces of all workers share
+    one budget of ``BLOCK_DOUBLES`` doubles, so a block has
+    ``BLOCK_DOUBLES // (workers (draws + row_doubles))`` paths (at least
+    one).  Each worker allocates its draw buffer and workspace once per
+    call, re-keys one bit generator per path and takes every
+    ``workers``-th block; the calling thread is worker 0.
+
+    The worker count is the cap ``threads`` (None: the CPUs this process
+    may run on), lowered to the number of blocks the whole budget would
+    make, so that a batch that fits one block is never split, and to the
+    rows the budget holds.  Rows narrower than ``PARALLEL_MIN_DRAWS``
+    normals run on one worker.
+
+    ``block_fn`` owns ``z`` and ``work`` for the call and may overwrite
+    them (the samplers weight ``z`` in place), so a caller that needs the
+    raw draws must read them before weighting; it must keep neither, which
+    the next block overwrites.
     """
     width = draw_width(exp, n_pairs)
-    rows = max(1, BLOCK_DOUBLES // (width + row_doubles))
+    per_row = width + row_doubles
     hi = (int(seed) % (1 << 64)) << 64
-    workers = max(1, min(int(threads), -(-n_paths // rows)))
+    workers = 1
+    if width >= PARALLEL_MIN_DRAWS:
+        fits = BLOCK_DOUBLES // per_row  # rows of one whole budget
+        cap = _cpu_count() if threads is None else int(threads)
+        workers = max(1, min(cap, -(-n_paths // max(1, fits)), fits))
+    rows = max(1, BLOCK_DOUBLES // (workers * per_row))
+    size = min(rows, n_paths)
+    # each worker's draw buffer and workspace, allocated by the calling thread
+    held = np.empty((workers, size * per_row))
 
     def work(first):
         bitgen = np.random.Philox(key=hi)
         gen = np.random.Generator(bitgen)
         # a fresh stream: zero counter, empty buffer; key words (i, seed)
         fresh = bitgen.state
-        buf = np.empty((min(rows, n_paths), width))
+        buf = held[first, : size * width].reshape(size, width)
+        space = held[first, size * width :]
         for start in range(first * rows, n_paths, workers * rows):
             stop = min(start + rows, n_paths)
             z = buf[: stop - start]
@@ -130,14 +166,32 @@ def run_blocks(exp, n_paths, row_doubles, seed, threads, block_fn, n_pairs=None)
                 fresh["state"]["key"][0] = i
                 bitgen.state = fresh
                 gen.standard_normal(out=z[i - start])
-            block_fn(start, stop, z)
+            block_fn(start, stop, z, space)
 
     if workers == 1:
         work(0)
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for fut in [pool.submit(work, w) for w in range(workers)]:
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        futures = [pool.submit(work, w) for w in range(1, workers)]
+        work(0)
+        for fut in futures:
             fut.result()
+
+
+def _cpu_count():
+    """The CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def carve(work, shape, dtype=float):
+    """A C-contiguous ``shape`` view of ``dtype`` (float or complex) at the
+    front of the flat float workspace ``work``, and the rest of ``work``."""
+    n = math.prod(shape) * (2 if dtype is complex else 1)
+    return work[:n].view(dtype).reshape(shape), work[n:]
 
 
 def split_draws(exp, z):
@@ -165,38 +219,44 @@ def _deterministic_terms(exp, tgrid, z, out, scratch):
     return out
 
 
-def direct_values(exp, tgrid, z, out):
+def direct_values(exp, tgrid, z, work, out):
     """Path values at the points ``tgrid`` from one block of draws, written
     into ``out``, summing the sine and cosine-channel bases directly, one
     frequency chunk at a time; both channels of a frequency take its one
-    amplitude.  A chunk's basis is built in place in one buffer (angles,
-    then sines; angles again, then the cosine channel), and with the chunk's
-    scaled draws it takes half the budget (:func:`direct_row_doubles`)."""
+    amplitude.  Everything lives in the workspace ``work``
+    (:func:`direct_row_doubles` per row): an output-sized scratch block,
+    then a chunk's basis, built in place (angles, then sines; angles again,
+    then the cosine channel), and the chunk's scaled draws.  The matrix
+    products round according to the block's shape, so direct values agree
+    across blocking and worker counts to rounding, not bit for bit."""
     _, zs, zc = split_draws(exp, z)
+    p, size = out.shape
     out[...] = 0.0
-    scratch = np.empty_like(out)
+    scratch, work = carve(work, (p, size))
     n = exp.truncation_N
     base = math.pi / exp.period_T
-    blk = max(1, min(n, BLOCK_DOUBLES // 2 // (tgrid.size + z.shape[0])))
-    buf = np.empty(blk * tgrid.size)
+    blk = max(1, min(n, work.size // (size + p)))
     for k0 in range(0, n, blk):
         k1 = min(k0 + blk, n)
         w = np.arange(k0 + 1, k1 + 1, dtype=np.float64) * base
-        basis = buf[: (k1 - k0) * tgrid.size].reshape(k1 - k0, tgrid.size)
+        basis, rest = carve(work, (k1 - k0, size))
+        coef, _ = carve(rest, (p, k1 - k0))
         np.sin(np.outer(w, tgrid, out=basis), out=basis)
-        out += np.matmul(zs[:, k0:k1] * exp.amp[k0:k1], basis, out=scratch)
+        out += np.matmul(np.multiply(zs[:, k0:k1], exp.amp[k0:k1], out=coef), basis, out=scratch)
         if exp.cos_kind is not None:
             np.cos(np.outer(w, tgrid, out=basis), out=basis)
             if exp.cos_kind == "omc":
                 np.subtract(1.0, basis, out=basis)
-            out += np.matmul(zc[:, k0:k1] * exp.amp[k0:k1], basis, out=scratch)
+            out += np.matmul(np.multiply(zc[:, k0:k1], exp.amp[k0:k1], out=coef), basis, out=scratch)
     return _deterministic_terms(exp, tgrid, z, out, scratch)
 
 
-def _fold(z, weights, length):
+def _fold(z, weights, length, work):
     """Residue sums of the amplitude-weighted draws on a grid with
-    ``length`` cells per half period.  The remainder band is weighted in
-    place in ``z``, and below N = 2 length the result is a view of ``z``.
+    ``length`` cells per half period, and the rest of the workspace
+    ``work``.  The remainder band is weighted in place in ``z``; below
+    N = 2 length the result is a view of ``z``, else a table carved from
+    ``work``.
 
     sin and cos of pi k j / length depend on k only through k mod 2 length,
     the aliasing identity behind circulant embedding.  The draws of
@@ -214,14 +274,16 @@ def _fold(z, weights, length):
     full = n - n % band
     rem = _scale_pairs(z[:, 2 * full + 1 : 2 * n + 1], weights[full:])
     if not full:
-        return rem
-    res = np.einsum(
+        return rem, work
+    res, work = carve(work, (p, band, 2))
+    np.einsum(
         "pbic,bic->pic",
         pairs[:, :full].reshape(p, full // band, band, 2),
         weights[:full].reshape(full // band, band, 2),
+        out=res,
     )
     res[:, : n - full] += rem
-    return res
+    return res, work
 
 
 def _scale_pairs(cols, table):
@@ -247,13 +309,14 @@ def _weights_row(exp):
     return (1.0, 1.0 if exp.cos_kind is not None else 0.0)
 
 
-def fast_values(exp, m, z, out=None):
+def fast_values(exp, m, z, work, out):
     """Path values on the uniform grid t_j = j T / m from one block of draws,
-    written into ``out`` (allocated when None): the amplitude-weighted draws
-    folded onto the grid's residues, then mapped onto the grid.  The draws
-    are weighted in place, so ``z`` no longer holds them afterwards."""
-    res = _fold(z, _weights(exp), exp.period_multiple * m)
-    return _grid_values(exp, m, res, z, out)
+    written into ``out``: the amplitude-weighted draws folded onto the
+    grid's residues, then mapped onto the grid, in the workspace ``work``
+    (:func:`grid_row_doubles` per row).  The draws are weighted in place, so
+    ``z`` no longer holds them afterwards."""
+    res, work = _fold(z, _weights(exp), exp.period_multiple * m, work)
+    return _grid_values(exp, m, res, z, work, out)
 
 
 def folded_variances(exp, m):
@@ -294,20 +357,20 @@ def folded_cosine_sums(exp, m):
     return np.fft.rfft(full).real
 
 
-def aliased_values(exp, m, table, z, out=None):
+def aliased_values(exp, m, table, z, work, out):
     """Path values on the uniform grid t_j = j T / m from one block of
     aliased draws: (Z_0, one (sine, cosine) pair per residue, initial-value
-    draw), written into ``out`` (allocated when None).  Each residue sum of
-    :func:`fast_values` is a sum of independent Gaussians, so one normal
-    scaled by ``table`` (:func:`folded_amplitudes`) has the same law.  The
-    pairs are scaled in place in ``z``."""
+    draw), written into ``out`` through the workspace ``work``.  Each
+    residue sum of :func:`fast_values` is a sum of independent Gaussians, so
+    one normal scaled by ``table`` (:func:`folded_amplitudes`) has the same
+    law.  The pairs are scaled in place in ``z``."""
     res = _scale_pairs(z[:, 1 : 2 * table.shape[0] + 1], table)
-    return _grid_values(exp, m, res, z, out)
+    return _grid_values(exp, m, res, z, work, out)
 
 
-def _spectrum(res, lng, omc):
-    """The half spectrum X (bins 0 .. L, L = ``lng``) of each row of the
-    residue sums ``res`` (the layout of :func:`_fold`), whose
+def _spectrum(res, lng, omc, x):
+    """Write into ``x`` the half spectrum X (bins 0 .. L, L = ``lng``) of
+    each row of the residue sums ``res`` (the layout of :func:`_fold`), whose
     ``irfft(X, norm="forward")`` is sum over residues r of
     S_r sin(pi r j / L) + C_r cos(pi r j / L).
 
@@ -317,10 +380,9 @@ def _spectrum(res, lng, omc):
     and L, C_0 and C_L.  With ``omc`` the cosine channel is 1 - cos: the
     constant sum of C less the cosine series.
     """
-    p, k = res.shape[:2]
+    k = res.shape[1]
     own = min(k, lng)
     top = min(k, 2 * lng)
-    x = np.empty((p, lng + 1), dtype=complex)
     x[:, 0] = 0.0
     x.real[:, 1 : own + 1] = res[:, :own, 1]
     np.negative(res[:, :own, 0], out=x.imag[:, 1 : own + 1])
@@ -331,10 +393,9 @@ def _spectrum(res, lng, omc):
     if omc:
         np.negative(x.real, out=x.real)
         x.real[:, 0] += np.sum(res[:, :, 1], axis=1)
-    return x
 
 
-def residual_sups(exp, m, Ns, z):
+def residual_sups(exp, m, Ns, z, work):
     """Sup over the grid t_j = j T / m of each fBm residual along the
     increasing ladder ``Ns``, from one block of draws of a reference fBm
     expansion ``exp`` with N < m amplitudes a_k.  Returns the
@@ -346,11 +407,15 @@ def residual_sups(exp, m, Ns, z):
     sums of one spectrum (:func:`_spectrum`).  Along the ladder its bins
     k <= n are zeroed and bin 0 is reset to the constant
     sum_{k > n} a_k Z_-k = -2 sum Re X_k; each rung is one inverse real FFT
-    into one reused buffer.
+    into one buffer.  Spectrum and buffer are carved from the workspace
+    ``work`` (:func:`grid_row_doubles` per row).
     """
-    x = _spectrum(_fold(z, _weights(exp), m), m, exp.cos_kind == "omc")
-    buf = np.empty((z.shape[0], 2 * m))
-    sups = np.empty((len(Ns), z.shape[0]))
+    p = z.shape[0]
+    res, work = _fold(z, _weights(exp), m, work)
+    x, work = carve(work, (p, m + 1), complex)
+    _spectrum(res, m, exp.cos_kind == "omc", x)
+    buf, _ = carve(work, (p, 2 * m))
+    sups = np.empty((len(Ns), p))
     for col, n in enumerate(Ns):
         x[:, 1 : n + 1] = 0.0
         x.real[:, 0] = -2.0 * np.sum(x.real[:, n + 1 :], axis=1)
@@ -359,16 +424,18 @@ def residual_sups(exp, m, Ns, z):
     return sups
 
 
-def _grid_values(exp, m, res, z, out):
+def _grid_values(exp, m, res, z, work, out):
     """Map residue sums ``res`` (the layout of :func:`_fold`) onto the grid,
-    into ``out`` (allocated when None): one inverse real FFT of length 2L
-    per row (:func:`_spectrum`), whose first m + 1 values are the grid's;
-    type C's sine frequencies k pi / (2T) live on a virtual grid of L = 2m
-    cells.  The deterministic terms reuse the transform's output.
+    into ``out``: one inverse real FFT of length 2L per row
+    (:func:`_spectrum`), whose first m + 1 values are the grid's; type C's
+    sine frequencies k pi / (2T) live on a virtual grid of L = 2m cells.
+    Spectrum and transform output are carved from the workspace ``work``,
+    and the deterministic terms reuse the transform's output.
     """
-    if out is None:
-        out = np.empty((z.shape[0], m + 1))
-    x = _spectrum(res, exp.period_multiple * m, exp.cos_kind == "omc")
-    v = np.fft.irfft(x, norm="forward")[:, : m + 1]
+    p, lng = z.shape[0], exp.period_multiple * m
+    x, work = carve(work, (p, lng + 1), complex)
+    _spectrum(res, lng, exp.cos_kind == "omc", x)
+    buf, _ = carve(work, (p, 2 * lng))
+    v = np.fft.irfft(x, norm="forward", out=buf)[:, : m + 1]
     out[...] = v
     return _deterministic_terms(exp, uniform_grid(exp.horizon_T, m), z, out, v)

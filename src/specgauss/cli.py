@@ -184,7 +184,7 @@ def _cmd_simulate(parser, args):
     _require(parser, args.paths >= 1, "--paths must be >= 1")
     _require(parser, args.grid >= 1, "--grid must be >= 1")
     _require(parser, args.N >= 1, "--N must be >= 1")
-    _require(parser, args.threads >= 1, "--threads must be >= 1")
+    _require(parser, args.threads is None or args.threads >= 1, "--threads must be >= 1")
     if args.format == "bin":
         _require(parser, args.out is not None, "--format bin requires --out")
     seed = _resolve_seed(parser, args)
@@ -204,7 +204,7 @@ def _cmd_validate_cov(parser, args):
     _require(parser, args.paths >= 100, "--paths must be >= 100")
     _require(parser, args.grid >= 2, "--grid must be >= 2")
     _require(parser, args.N >= 1, "--N must be >= 1")
-    _require(parser, args.threads >= 1, "--threads must be >= 1")
+    _require(parser, args.threads is None or args.threads >= 1, "--threads must be >= 1")
     _require(parser, 0.0 < args.z_bound < math.inf, "--z-bound must be positive and finite")
     seed = _resolve_seed(parser, args)
     cfg = _model_config(args)
@@ -300,7 +300,8 @@ def _build_parser():
     p.add_argument("--paths", type=int, required=True, help="number of paths")
     p.add_argument("--grid", type=int, default=256, help="grid resolution (grid+1 points)")
     p.add_argument("--seed", type=int, help="RNG seed (or SPECGAUSS_SEED)")
-    p.add_argument("--threads", type=int, default=1, help="worker thread cap")
+    p.add_argument("--threads", type=int,
+                   help="worker thread cap (default: the CPUs this process may use)")
     p.add_argument("--format", choices=("csv", "bin"), default="csv")
     p.add_argument("--out", help="output path (default stdout, csv only)")
     p.set_defaults(func=_cmd_simulate)
@@ -312,7 +313,8 @@ def _build_parser():
     p.add_argument("--grid", type=int, default=33, help="number of grid points")
     p.add_argument("--z-bound", type=float, default=4.0, help="allowed z-score")
     p.add_argument("--seed", type=int, help="RNG seed (or SPECGAUSS_SEED)")
-    p.add_argument("--threads", type=int, default=1, help="worker thread cap")
+    p.add_argument("--threads", type=int,
+                   help="worker thread cap (default: the CPUs this process may use)")
     p.add_argument("--out", help="JSON report path (default stdout)")
     p.set_defaults(func=_cmd_validate_cov)
 

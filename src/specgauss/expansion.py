@@ -431,11 +431,12 @@ def build_generalized_ou(theta, alpha, mu, sigma, sigma0, T, N):
 def _run_paths(exp, tgrid, n_paths, seed, threads, synth, row_doubles, n_pairs=None):
     n_paths = check_int(n_paths, "n_paths", 1)
     seed = check_int(seed, "seed")
-    threads = check_int(threads, "threads", 1)
+    if threads is not None:
+        threads = check_int(threads, "threads", 1)
     values = np.empty((n_paths, tgrid.size))
 
-    def block(start, stop, z):
-        synth(z, values[start:stop])
+    def block(start, stop, z, work):
+        synth(z, work, values[start:stop])
 
     _engine.run_blocks(exp, n_paths, row_doubles, seed, threads, block, n_pairs)
     return PathBatch(
@@ -447,11 +448,14 @@ def _run_paths(exp, tgrid, n_paths, seed, threads, synth, row_doubles, n_pairs=N
     )
 
 
-def sample_paths(exp, grid, n_paths, seed, threads=1):
+def sample_paths(exp, grid, n_paths, seed, threads=None):
     """Sample ``n_paths`` paths of ``exp`` on an arbitrary grid in [0, T].
 
-    Deterministic given the seed; the per-path Philox streams make the
-    result independent of blocking and thread count.
+    Each path draws from its own Philox stream, whatever the blocking and
+    the worker count.  The basis sums are matrix products whose rounding
+    follows the block's shape, so the values agree across blocking and
+    worker counts to rounding (the uniform-grid samplers' are
+    byte-identical).
     """
     check_instance(exp, SeriesExpansion, "exp")
     tgrid = real_array(grid, "grid")
@@ -463,7 +467,7 @@ def sample_paths(exp, grid, n_paths, seed, threads=1):
         raise BadParameter("grid must lie inside [0, T]")
     return _run_paths(
         exp, tgrid, n_paths, seed, threads,
-        lambda z, out: _engine.direct_values(exp, tgrid, z, out),
+        lambda z, work, out: _engine.direct_values(exp, tgrid, z, work, out),
         _engine.direct_row_doubles(exp, tgrid.size),
     )
 
@@ -490,25 +494,27 @@ def _uniform_grid(exp, M):
     return m, _engine.uniform_grid(exp.horizon_T, m)
 
 
-def sample_paths_fast(exp, M, n_paths, seed, threads=1):
+def sample_paths_fast(exp, M, n_paths, seed, threads=None):
     """Sample on the uniform grid t_j = j T / M via fast trig transforms.
 
     ``M`` is the resolution; passing the grid array itself is also accepted
     and validated for uniformity.  Paths are drawn, weighted, folded and
-    transformed one bounded block at a time, so memory per worker stays
-    bounded whatever N is, and the values are byte-identical across block
-    sizes and thread counts.  Matches :func:`sample_paths` on the same grid
-    and seed to 1e-10 absolute.
+    transformed one bounded block at a time, on at most ``threads`` workers
+    (default: the CPUs this process may use) that share one block budget,
+    so memory stays bounded whatever N and the worker count are, and the
+    values are byte-identical across block sizes and thread counts.
+    Matches :func:`sample_paths` on the same grid and seed to 1e-10
+    absolute.
     """
     m, tgrid = _uniform_grid(exp, M)
     return _run_paths(
         exp, tgrid, n_paths, seed, threads,
-        lambda z, out: _engine.fast_values(exp, m, z, out),
+        lambda z, work, out: _engine.fast_values(exp, m, z, work, out),
         _engine.grid_row_doubles(exp.period_multiple * m, exp.truncation_N),
     )
 
 
-def sample_paths_aliased(exp, M, n_paths, seed, threads=1):
+def sample_paths_aliased(exp, M, n_paths, seed, threads=None):
     """Sample the law of ``exp`` on the uniform grid t_j = j T / M with one
     normal per grid residue instead of one per frequency.
 
@@ -526,7 +532,7 @@ def sample_paths_aliased(exp, M, n_paths, seed, threads=1):
     table = _engine.folded_amplitudes(exp, m)
     return _run_paths(
         exp, tgrid, n_paths, seed, threads,
-        lambda z, out: _engine.aliased_values(exp, m, table, z, out),
+        lambda z, work, out: _engine.aliased_values(exp, m, table, z, work, out),
         _engine.grid_row_doubles(exp.period_multiple * m),
         table.shape[0],
     )

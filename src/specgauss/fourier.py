@@ -645,7 +645,10 @@ def _tail_extrapolation(series):
 
     The fit skips exact zeros, so its level describes only the nonzero
     entries; the integral is weighted by their density in the fit window
-    (1/2 for parity-alternating series).
+    (1/2 for parity-alternating series).  The level is anchored at the
+    larger of the last two significant entries' levels, so that a series
+    whose odd and even entries decay on different levels is bounded by the
+    upper one whatever the parity of k_max.
     """
     k_max = series.k_max
     if k_max < 1:
@@ -668,10 +671,12 @@ def _tail_extrapolation(series):
     if p > -1.05:
         return math.inf  # too flat to integrate; tail unknown
     p = min(-1.0, max(-3.0, p))
-    k_a = int(sig[-1])
-    c_a = abs(series.values[k_a])
-    # integral_{k_max}^inf C x^p dx with C matched at the anchor entry
-    est = density * c_a * (k_a ** -p) * (k_max ** (p + 1.0)) / (-(p + 1.0))
+    # a parity-alternating series decays on two levels and the fit lands
+    # between them, so C is matched at whichever of the last two significant
+    # entries implies the larger level |c_k| k^-p
+    level = max(abs(series.values[k]) * k**-p for k in sig[-2:].tolist())
+    # integral_{k_max}^inf C x^p dx
+    est = density * level * (k_max ** (p + 1.0)) / (-(p + 1.0))
     return 2.0 * est
 
 

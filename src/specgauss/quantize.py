@@ -681,25 +681,33 @@ def distortion_mc(q, exp, n_paths, seed, grid_points=257):
     cmat = red.coordinate_matrix()
     root_mu = np.sqrt(red.mu)
     sq = np.empty(n_paths)
+    size = tgrid.size
+    dt = np.diff(tgrid)
 
-    def block(start, stop, z):
+    def block(start, stop, z, work):
+        p = stop - start
         # the coordinates first: fast_values weights the draws in place
         y = _coordinate_draws(exp, red, z) @ cmat.T
-        gap = _engine.fast_values(exp, m_panels, z)
-        code = (q.project_coords(y) * root_mu[None, :]) @ fmat
+        gap, work = _engine.carve(work, (p, size))
+        code, work = _engine.carve(work, (p, size))
+        _engine.fast_values(exp, m_panels, z, work, gap)
+        np.matmul(q.project_coords(y) * root_mu[None, :], fmat, out=code)
         if exp.mean_fn is not None:
             code += np.asarray(exp.mean_fn(tgrid))[None, :]
         gap -= code
         gap *= gap
-        sq[start:stop] = np.trapezoid(gap, tgrid, axis=1)
+        # np.trapezoid's sums (dt (g_{j+1} + g_j) / 2), formed in code's rows
+        half, _ = _engine.carve(code.reshape(-1), (p, size - 1))
+        np.add(gap[:, 1:], gap[:, :-1], out=half)
+        half *= dt
+        half /= 2.0
+        np.sum(half, axis=1, out=sq[start:stop])
 
-    # per row besides the draws: the fold and transform, then four grid rows
-    # (the path, its code and two temporaries of the trapezoid rule) and the
-    # coordinate draws through their projections, at most four times their
-    # width
-    row = (_engine.grid_row_doubles(exp.period_multiple * m_panels, exp.truncation_N)
-           + 4 * tgrid.size + 4 * cmat.shape[1])
-    _engine.run_blocks(exp, n_paths, row, seed, 1, block)
+    # per row besides the draws: the path and its code, then the fold and
+    # transform; the coordinate draws and their projections, a few dozen
+    # doubles per row, are the block's own
+    row = 2 * size + _engine.grid_row_doubles(exp.period_multiple * m_panels, exp.truncation_N)
+    _engine.run_blocks(exp, n_paths, row, seed, None, block)
     est = float(np.mean(sq))
     se = float(np.std(sq, ddof=1) / math.sqrt(n_paths))
     return est, se

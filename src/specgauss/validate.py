@@ -496,8 +496,9 @@ def rate_probe(model, Ns, replicates, grid_resolution, seed):
     N keeps the frequencies k > N only, and n_ref <= m / 2, so no frequency
     aliases on the grid: per block of draws the engine builds one residual
     spectrum, zeroes it upward along the ladder, and takes one inverse real
-    FFT per rung (``_engine.residual_sups``).  Draws, spectrum and transform
-    buffer of a block share one budget of ``BLOCK_DOUBLES`` doubles.
+    FFT per rung (``_engine.residual_sups``).  The blocks run on the CPUs
+    this process may use, and the draws, spectra and transform buffers of
+    all workers share one budget of ``BLOCK_DOUBLES`` doubles.
     """
     if model.kind != "fbm":
         raise BadParameter("rate probe is defined for the fractional model")
@@ -518,10 +519,10 @@ def rate_probe(model, Ns, replicates, grid_resolution, seed):
     ref = build_fbm(H, T, n_ref, fbm_coefficients(H, T, n_ref))
     sups = np.empty((len(Ns), replicates))
 
-    def block(start, stop, z):
-        sups[:, start:stop] = _engine.residual_sups(ref, m, Ns, z)
+    def block(start, stop, z, work):
+        sups[:, start:stop] = _engine.residual_sups(ref, m, Ns, z, work)
 
-    _engine.run_blocks(ref, replicates, _engine.grid_row_doubles(m), seed, 1, block)
+    _engine.run_blocks(ref, replicates, _engine.grid_row_doubles(m), seed, None, block)
     ests = []
     stderrs = []
     for vals in sups:

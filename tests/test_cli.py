@@ -211,8 +211,10 @@ def test_validate_cov_samples_the_aliased_grid_law(tmp_path, monkeypatch, capsys
     argv = ["validate-cov", "--model", "fbm", "--hurst", "0.3", "--N", "256",
             "--paths", "400", "--grid", "9", "--seed", "29"]
     # blocks of 50 paths, so that two threads share the work: a row holds
-    # its 33 draws, the spectrum and the transform buffer (L = 8)
+    # its 33 draws, the spectrum and the transform buffer (L = 8); rows this
+    # narrow run on one worker unless the cutoff is lifted
     monkeypatch.setattr(_engine, "BLOCK_DOUBLES", 50 * (33 + _engine.grid_row_doubles(8)))
+    monkeypatch.setattr(_engine, "PARALLEL_MIN_DRAWS", 0)
     texts = []
     for threads in (1, 2):
         out = tmp_path / f"t{threads}.json"

@@ -5,16 +5,20 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 from test_expansion import all_family_expansions, truncated
 
 from specgauss import (
+    CovModel,
     _engine,
     build_fbm,
     build_generalized_ou,
     fbm_coefficients,
+    rate_probe,
+    sample_paths,
     sample_paths_aliased,
     sample_paths_fast,
     series_cov_grid,
@@ -33,15 +37,18 @@ def test_run_blocks_hands_each_path_its_own_philox_stream(monkeypatch, seed):
         (build_generalized_ou(2.0, 0.0, 0.0, 2.0, 0.5, 1.0, n), 2 * n + 2),
     ]
     hi = (seed % 2**64) << 64
+    # rows this narrow run on one worker unless the cutoff is lifted
+    monkeypatch.setattr(_engine, "PARALLEL_MIN_DRAWS", 0)
     for exp, width in cases:
         ref = np.array([np.random.Generator(np.random.Philox(key=hi + i)).standard_normal(width)
                         for i in range(n_paths)])
-        for budget in (width, _engine.BLOCK_DOUBLES):
+        # blocks of one path on one worker, of one path on three, and of all
+        for budget in (width, 3 * width, _engine.BLOCK_DOUBLES):
             for threads in (1, 3):
                 got = np.full((n_paths, width), np.nan)
 
-                def block(start, stop, z):
-                    assert z.shape == (stop - start, width)
+                def block(start, stop, z, work):
+                    assert z.shape == (stop - start, width) and work.size == 0
                     got[start:stop] = z
 
                 with monkeypatch.context() as mp:
@@ -67,6 +74,12 @@ def _aliased_width(exp, table):
     return 2 * table.shape[0] + 1 + (exp.init_coupling is not None)
 
 
+def _aliased(exp, m, table, z):
+    """aliased_values of the draws ``z`` with a workspace of its own."""
+    work = np.empty(z.shape[0] * _engine.grid_row_doubles(exp.period_multiple * m))
+    return _engine.aliased_values(exp, m, table, z, work, np.empty((z.shape[0], m + 1)))
+
+
 def test_aliased_values_carry_the_series_covariance_on_the_grid(deep_families):
     # aliased_values is affine in the draws: its rows at the unit vectors,
     # less its mean, are the columns B of the map, and B^T B is the grid law
@@ -78,8 +91,8 @@ def test_aliased_values_carry_the_series_covariance_on_the_grid(deep_families):
             cells = 2 * _M if exp.family == "type_c" else _M
             assert table.shape == (min(n, 2 * cells), 2)
             width = _aliased_width(exp, table)
-            mean = _engine.aliased_values(exp, _M, table, np.zeros((1, width)))
-            basis = _engine.aliased_values(exp, _M, table, np.eye(width)) - mean
+            mean = _aliased(exp, _M, table, np.zeros((1, width)))
+            basis = _aliased(exp, _M, table, np.eye(width)) - mean
             ref = series_cov_grid(exp, tgrid)
             err = np.max(np.abs(basis.T @ basis - ref)) / np.max(np.abs(ref))
             assert err <= 1e-12, f"{name} N={n}: relative covariance error {err:.2e}"
@@ -126,16 +139,93 @@ def test_aliased_sampler_draws_each_path_from_its_own_philox_stream(
         width = _aliased_width(exp, table)
         draws = np.array([np.random.Generator(np.random.Philox(key=hi + i)).standard_normal(width)
                           for i in range(n_paths)])
-        ref = _engine.aliased_values(exp, _M, table, draws)
+        ref = _aliased(exp, _M, table, draws)
         # blocks of one path, of all paths, and of two paths with their
-        # spectra and transform buffers (gen-OU's on its doubled grid, type C)
+        # spectra and transform buffers (gen-OU's on its doubled grid, type
+        # C), which three threads share as two workers of one path each
         row = width + _engine.grid_row_doubles(exp.period_multiple * _M)
         for budget in (row, _engine.BLOCK_DOUBLES, 2 * row):
             with monkeypatch.context() as mp:
                 mp.setattr(_engine, "BLOCK_DOUBLES", budget)
+                mp.setattr(_engine, "PARALLEL_MIN_DRAWS", 0)
                 for threads in (1, 3):
                     got = sample_paths_aliased(exp, _M, n_paths, seed, threads=threads).values
                     assert got.tobytes() == ref.tobytes(), f"{name} budget={budget} threads={threads}"
+
+
+def _workers_seen(mp, exp, n_paths, threads, cpus, budget_rows, row_doubles=0):
+    """The threads that ran blocks of ``exp`` when the engine sees ``cpus``
+    CPUs and one budget holds ``budget_rows`` rows, and the largest
+    workspace a block got."""
+    seen, spaces = set(), [0]
+    mp.setattr(_engine, "_cpu_count", lambda: cpus)
+    mp.setattr(_engine, "BLOCK_DOUBLES", budget_rows * (_engine.draw_width(exp) + row_doubles))
+
+    def block(start, stop, z, work):
+        seen.add(threading.get_ident())
+        spaces.append(work.size)
+
+    _engine.run_blocks(exp, n_paths, row_doubles, 1, threads, block)
+    return seen, max(spaces)
+
+
+def test_worker_count_is_the_cap_within_blocks_and_width(monkeypatch):
+    wide = build_fbm(0.3, 1.0, 200, fbm_coefficients(0.3, 1.0, 200))  # 401 normals a row
+    narrow = build_fbm(0.3, 1.0, 100, fbm_coefficients(0.3, 1.0, 100))  # 201
+    assert _engine.draw_width(narrow) < _engine.PARALLEL_MIN_DRAWS <= _engine.draw_width(wide)
+    main = {threading.get_ident()}
+    # unset, the cap is the CPUs this process may use
+    for cpus in (1, 2, 3):
+        assert len(_workers_seen(monkeypatch, wide, 60, None, cpus, 12)[0]) == cpus
+    # a set cap overrides the CPU count; the calling thread is worker 0, and
+    # the four workers' draws and workspaces share the one budget of 12 rows
+    seen, space = _workers_seen(monkeypatch, wide, 60, 4, 1, 12, row_doubles=30)
+    assert len(seen) == 4 and main <= seen and space == 3 * 30
+    # narrow rows run on the calling thread alone, whatever the cap
+    assert _workers_seen(monkeypatch, narrow, 60, 4, 4, 12)[0] == main
+    # a batch that one budget holds is never split
+    assert _workers_seen(monkeypatch, wide, 12, 4, 4, 12)[0] == main
+    # nor is one row: each worker's share of the budget must hold a row
+    assert _workers_seen(monkeypatch, wide, 60, 4, 4, 1)[0] == main
+
+
+def test_values_are_byte_identical_whatever_the_cpu_count(monkeypatch):
+    # a budget of 2^14 doubles makes 4 to 17 blocks of each run below, so
+    # that with the thread cap unset up to three workers share them
+    fbm = build_fbm(0.3, 1.0, 200, fbm_coefficients(0.3, 1.0, 200))
+    ou = build_generalized_ou(2.0, 0.0, 0.0, 2.0, 0.5, 1.0, 300)
+    deep_ou = build_generalized_ou(2.0, 0.0, 0.0, 2.0, 0.5, 1.0, 4096)
+
+    def probe():
+        res = rate_probe(CovModel.fbm(0.3, 1.0), [8, 16, 32], 100, 0, 3)
+        return np.array([*res.sup_err_estimates, *res.sup_err_stderrs, res.fitted_slope])
+
+    runs = {
+        "fast-fbm": lambda: sample_paths_fast(fbm, 16, 97, 3).values,
+        "fast-gen-ou": lambda: sample_paths_fast(ou, 16, 97, 3).values,
+        "aliased-gen-ou": lambda: sample_paths_aliased(deep_ou, 128, 97, 3).values,
+        "rate-probe": probe,
+    }
+    monkeypatch.setattr(_engine, "BLOCK_DOUBLES", 1 << 14)
+    got = {}
+    # three workers on fewer cores, switching often: a write lost between
+    # workers would show as a changed byte
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(_engine, "_cpu_count", lambda: cpus)
+            for name, run in runs.items():
+                got.setdefault(name, []).append(run().tobytes())
+            direct = sample_paths(fbm, np.linspace(0.0, 1.0, 17), 97, 3).values
+            if cpus == 1:
+                ref = direct
+            # direct synthesis's matrix products round by the block's shape
+            np.testing.assert_allclose(direct, ref, rtol=0, atol=1e-14)
+    finally:
+        sys.setswitchinterval(interval)
+    for name, values in got.items():
+        assert values[0] == values[1] == values[2], name
 
 
 # the runtime dependencies declared in pyproject.toml: one numeric backend

@@ -255,10 +255,14 @@ def test_fast_path_is_byte_identical_across_blocks_and_threads(monkeypatch):
         # spectrum and the transform buffer
         row = _engine.draw_width(exp) + _engine.grid_row_doubles(
             exp.period_multiple * 8, exp.truncation_N)
+        # three threads share blocks of 7 rows as three workers of 2, and
+        # blocks of 12 as two workers of 6; the cutoff is lifted for these
+        # 129-normal rows
         for rows in (1, 7, 12, None):
             budget = _engine.BLOCK_DOUBLES if rows is None else rows * row
             with monkeypatch.context() as mp:
                 mp.setattr(_engine, "BLOCK_DOUBLES", budget)
+                mp.setattr(_engine, "PARALLEL_MIN_DRAWS", 0)
                 for threads in (1, 3):
                     got = sample_paths_fast(exp, 8, n_paths, 6, threads=threads).values
                     assert got.tobytes() == ref.tobytes(), f"{name} rows={rows} threads={threads}"
@@ -307,6 +311,15 @@ def _assert_within_one_budget(out_bytes, peak):
     # the output plus one block budget; 1 MiB covers the per-call tables
     bound = out_bytes + 8 * _engine.BLOCK_DOUBLES + 2**20
     assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+
+
+def test_workers_share_one_budget():
+    # the same wide rows on four workers: their draws and workspaces
+    # together hold one budget, not one each
+    exp = build_fbm(0.75, 1.0, 1024, fbm_coefficients(0.75, 1.0, 1024))
+    sample_paths_fast(exp, 1024, 1, 1)
+    batch, peak = _traced_peak(lambda: sample_paths_fast(exp, 1024, 2000, 1, threads=4))
+    _assert_within_one_budget(batch.values.nbytes, peak)
 
 
 def test_fast_sampling_holds_the_output_and_one_budget():
@@ -371,7 +384,10 @@ def test_sampling_is_deterministic_and_extends_by_path(exp_low):
     assert not np.array_equal(a.values, d.values)
 
 
-def test_threading_does_not_change_values(exp_low):
+def test_threading_does_not_change_values(exp_low, monkeypatch):
+    # blocks of 100 paths, so that four workers share them
+    monkeypatch.setattr(_engine, "BLOCK_DOUBLES", 100 * (129 + _engine.grid_row_doubles(16, 64)))
+    monkeypatch.setattr(_engine, "PARALLEL_MIN_DRAWS", 0)
     one = sample_paths_fast(exp_low, 16, 2500, 5, threads=1)
     many = sample_paths_fast(exp_low, 16, 2500, 5, threads=4)
     assert np.array_equal(one.values, many.values)

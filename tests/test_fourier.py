@@ -17,6 +17,7 @@ from specgauss import (
     BadParameter,
     CosineSeries,
     InsufficientData,
+    build_type_b,
     builtin_gamma,
     coeffs_closed,
     coeffs_quadrature,
@@ -337,6 +338,42 @@ def test_tail_sum_is_exact_for_both_fbm_branches(mp, H):
         truth = _mp_abs_tail(mp, amp, a, 1.0, N, lifted)
         rel = float(tail_sum(s, N) / truth - 1)
         assert 0.0 <= rel <= 1e-10, (N, rel)
+
+
+def _gen_ou_tail_truth(mp, theta, sigma2, T, N):
+    """sum_{k>N} |c_k| of ``coeffs_closed("generalized_ou", T, ...)``.  Its
+    entries are A (1 - (-1)^k eps) / (1 + (k / b)^2), A = sigma2 / (theta^2 T),
+    b = 2 theta T / pi, eps = exp(-2 theta T), and on a parity class
+    k = k0 + 2j the sum of 1 / (1 + (k / b)^2) is (b / 2) Im psi(k0 / 2 + i b / 2)
+    (the imaginary part of DLMF 5.7.6)."""
+    theta, T = mp.mpf(theta), mp.mpf(T)
+    amp, b, eps = sigma2 / (theta**2 * T), 2 * theta * T / mp.pi, mp.exp(-2 * theta * T)
+    return mp.fsum(
+        amp * (1 - (-1) ** k0 * eps) * b / 2 * mp.im(mp.digamma(mp.mpf(k0) / 2 + 1j * b / 2))
+        for k0 in (N + 1, N + 2)
+    )
+
+
+@pytest.mark.parametrize("theta", [0.001, 0.05, 0.3, 2.0, 50.0])
+def test_extrapolated_tail_bounds_a_parity_alternating_series(mp, theta):
+    # odd and even entries differ by (1 + eps) / (1 - eps); an even N used to
+    # anchor the fitted law on the lower class (0.004 of the truth at
+    # theta = 0.001, N = 256)
+    for N in (255, 256, 4096):
+        s = coeffs_closed("generalized_ou", 1.0, N, theta=theta, sigma2=1.0)
+        truth = _gen_ou_tail_truth(mp, theta, 1.0, 1.0, N)
+        assert truth <= tail_sum(s, N), (N, float(tail_sum(s, N) / truth))
+
+
+@pytest.mark.parametrize("theta", [0.05, 2.0])
+def test_extrapolated_tail_bounds_the_generic_exp_decay_series(mp, theta):
+    # the generic route's series of the negated exp_decay kernel on [0, 1] is
+    # the gen-OU closed form at T = 1/2, negated
+    spec = negate_spec(builtin_gamma("exp_decay", 1.0, theta=theta, sigma2=4.0))
+    for N in (255, 256):
+        s = build_type_b(spec, 1.0, N).coeff_series
+        truth = _gen_ou_tail_truth(mp, theta, 4.0, 0.5, N)
+        assert truth <= tail_sum(s, N), (N, float(tail_sum(s, N) / truth))
 
 
 def test_hurwitz_zeta_matches_mpmath(mp):

@@ -73,9 +73,14 @@ _INTEGER_ARGS = {
 }
 
 
+# integer arguments that may be left unset (None)
+_OPTIONAL = {"sample_paths_fast-threads"}
+
+
 def _bad_integers():
     for name, (_, minimum) in sorted(_INTEGER_ARGS.items()):
-        bads = [8.7, math.nan, True, None] + ([] if minimum is None else [minimum - 1])
+        bads = [8.7, math.nan, True] + ([] if name in _OPTIONAL else [None])
+        bads += [] if minimum is None else [minimum - 1]
         for bad in bads:
             yield pytest.param(name, bad, id=f"{name}-{bad}")
 
@@ -87,6 +92,15 @@ def test_sizes_counts_and_seeds_must_be_integers(name, bad):
         call(bad)
     # the same entry point accepts a numpy integer
     call(np.int64(max(minimum or 0, 1)))
+
+
+def test_an_unset_thread_cap_is_accepted_and_a_count_below_one_is_not():
+    # None leaves the worker count to the engine: the CPUs this process may use
+    unset = sample_paths_fast(_FBM, 8, 2, 1, threads=None)
+    assert unset.values.tobytes() == sample_paths_fast(_FBM, 8, 2, 1, threads=1).values.tobytes()
+    for bad in (0, -1, -8, 2.0, "2"):
+        with pytest.raises(BadParameter, match="threads must be an integer >= 1"):
+            sample_paths_fast(_FBM, 8, 2, 1, threads=bad)
 
 
 def _gen_ou(**kw):

@@ -478,6 +478,18 @@ def test_covariance_report_matches_scalar_loop():
         covariance_report(model, exp, PathBatch(grid=batch.grid, values=batch.values[:99], seed=0))
 
 
+def test_series_check_holds_for_a_slowly_reverting_gen_ou_at_even_n():
+    # theta = 0.05, N = 256 (the CLI's default): odd and even entries differ
+    # by a factor near 1.2, and the tail bound of the series check must cover
+    # the upper class; the check is deterministic, the batch only sets the grid
+    model = CovModel.gen_ou(0.05, 0.0, 0.0, 1.0, 0.0, 1.0)
+    exp = build_generalized_ou(0.05, 0.0, 0.0, 1.0, 0.0, 1.0, 256)
+    batch = sample_paths_aliased(exp, 32, 100, 11)
+    check = covariance_report(model, exp, batch)["checks"][1]
+    assert check["name"] == "series_vs_analytic"
+    assert check["passed"] and check["statistic"] <= check["bound"], check
+
+
 def test_covariance_report_passes_matched_model():
     # truncation deep enough that the series-vs-fBm bias sits well below
     # the Monte Carlo standard error at this path count
@@ -611,12 +623,12 @@ def _rate_probe_per_rung(model, Ns, replicates, grid_resolution, seed):
         )
     sups = {n: np.empty(replicates) for n in Ns}
 
-    def block(start, stop, z):
+    def block(start, stop, z, work):
         for n in Ns:
-            resid = _engine.fast_values(resids[n], m, z.copy())
+            resid = _engine.fast_values(resids[n], m, z.copy(), work, np.empty((stop - start, m + 1)))
             sups[n][start:stop] = np.max(np.abs(resid), axis=1)
 
-    _engine.run_blocks(resids[Ns[0]], replicates, m + 1, seed, 1, block)
+    _engine.run_blocks(resids[Ns[0]], replicates, _engine.grid_row_doubles(m), seed, 1, block)
     ests = [math.fsum(sups[n]) / replicates for n in Ns]
     stderrs = [float(np.std(sups[n], ddof=1)) / math.sqrt(replicates) for n in Ns]
     return ests, stderrs
