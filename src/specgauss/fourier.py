@@ -10,9 +10,11 @@ a shared per-half-period Gauss-Legendre table of ``v^a cos v``.  Above
 integration-by-parts expansion of its Fourier integral, whose remainder is
 bounded rigorously; other exponents stay on the table.  Such a series
 records its power law, so :func:`tail_sum` sums its tail exactly from the
-same expansion with Hurwitz zeta values.  Any other generating function
-gets per-coefficient half-period panels with geometric refinement toward
-the origin, and its tail is extrapolated from a fitted decay.
+same expansion with Hurwitz zeta values.  Any other generating function is
+integrated on one mesh shared by every k, N uniform panels with the first
+graded toward the origin, g evaluated once per node and the oscillatory
+sums taken by FFT in O(N log N); its tail is extrapolated from a fitted
+decay.
 :func:`oracle_coeff` is an independent brute-force graded trapezoid used to
 anchor reference values; it shares no code with the production routes.
 """
@@ -422,55 +424,119 @@ def power_series_coeffs(amp, exponent, T, k_max, label=None):
 
 
 # ---------------------------------------------------------------------------
-# production route 2: generic per-coefficient half-period panels
+# production route 2: generic g on one shared mesh, oscillatory sums by FFT
 # ---------------------------------------------------------------------------
+
+# even Taylor terms of cos on the graded panels, where the phase is at most
+# pi; the first one omitted, pi^36 / 36!, is below 3e-24
+_TAYLOR_TERMS = 18
 
 
 def _grade_depth(delta):
     return min(400, int(54.0 / max(0.05, min(1.0, 2.0 - delta))) + 8)
 
 
-def _generic_edges(T, k, depth):
-    if k == 0:
-        return T * 2.0 ** (-np.arange(depth, -1.0, -1.0))
-    first = (T / k) * 2.0 ** (-np.arange(depth, -1.0, -1.0))
-    if k == 1:
-        return first
-    rest = (T / k) * np.arange(2.0, k + 1.0)
-    return np.concatenate([first, rest])
+def _mesh_sums(spec, n, depth, x, w):
+    """One Gauss-Legendre rule (nodes ``x``, weights ``w`` on [-1, 1]) on the
+    mesh of n panels of width h = T/n, in units of h.
+
+    Returns S[k] = sum over the nodes y of w g(y h) cos(phi_k y), phi_k =
+    pi k / n, for k = 0..n, so that (2/n) S[k] is c_k on [h 2^-depth, T];
+    and the absolute sums of w g over the uniform and the graded panels.
+
+    The panels [j, j + 1], j = 1..n-1, are uniform: node j + s carries the
+    phase e^(i phi_k j) e^(i phi_k s), so the row of one node is one real
+    FFT of length 2n and one phase per k.  The panels [2^-(m+1), 2^-m],
+    m < depth, grade (0, 1] toward the origin; there phi_k y <= pi, so cos
+    is its even Taylor series, whose moments sum w g y^2m once, and one
+    Horner pass in phi_k^2 takes them to every k.
+    """
+    h = spec.horizon_T / n
+    s = 0.5 * (x + 1.0)
+    half = 0.5 * w
+    k = np.arange(n + 1, dtype=float)
+    edges = 2.0 ** -np.arange(depth, -1.0, -1.0)
+    width = np.diff(edges)
+    y = edges[:-1, None] + width[:, None] * s
+    wg = _eval_chunked(spec.evaluate, (y * h).ravel()).reshape(y.shape)
+    wg *= width[:, None] * half
+    graded_abs = float(np.sum(np.abs(wg)))
+    y *= y
+    moments = []
+    for _ in range(_TAYLOR_TERMS):
+        moments.append(float(np.sum(wg)))
+        wg *= y
+    u = k * (np.pi / n)
+    u *= u
+    total = np.full(n + 1, moments[-1])
+    for m in range(_TAYLOR_TERMS - 2, -1, -1):
+        total *= u
+        total *= -1.0 / ((2 * m + 1) * (2 * m + 2))
+        total += moments[m]
+    uniform_abs = 0.0
+    if n > 1:
+        rows = np.arange(1.0, n)
+        for node, weight in zip(s.tolist(), half.tolist()):
+            # the row of panels 1..n-1, from index 0: its phase is phi_k (1 + s)
+            a = _eval_chunked(spec.evaluate, (rows + node) * h)
+            a *= weight
+            uniform_abs += float(np.sum(np.abs(a)))
+            f = np.fft.rfft(a, 2 * n)
+            np.multiply(k, np.pi * (1.0 + node) / n, out=u)
+            # Re(e^(i theta) conj(f)) = cos(theta) Re f + sin(theta) Im f
+            part = np.cos(u)
+            part *= f.real
+            total += part
+            np.sin(u, out=part)
+            part *= f.imag
+            total += part
+    return total, uniform_abs, graded_abs
 
 
-def _generic_coeff(spec, k, depth, gl_hi, gl_lo):
+def _generic_series(spec, k_max, depth, gl_hi, gl_lo):
+    """c_0..c_k_max of ``spec`` and their bounds from one rule pair on the
+    mesh of n = max(1, k_max) panels (:func:`_mesh_sums`).
+
+    A bound is (2/T) times the sum of the rules' gap, the dropped sliver
+    (0, h 2^-depth], where g ~ t^(1 - delta) integrates to at most
+    2 |g| t / (2 - delta) at its right end, and the rounding: 16 eps per
+    FFT pass plus eps per node row and 4 eps for g on the absolute sum of
+    the uniform panels, and 2 eps per Taylor term on the graded panels'
+    absolute sum times cosh(pi), which bounds the Taylor terms' magnitudes.
+    """
     T = spec.horizon_T
-    w = k * math.pi / T
-    edges = _generic_edges(T, k, depth)
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-
-    def panel_sums(x, wt):
-        v = mid[:, None] + half[:, None] * x[None, :]
-        g = _eval_chunked(spec.evaluate, v.ravel()).reshape(v.shape)
-        return half * ((g * np.cos(w * v)) @ wt)
-
-    p_hi = panel_sums(*gl_hi)
-    p_lo = panel_sums(*gl_lo)
-    # dropped sliver [0, edges[0]] contributes at most ~ |g| * width there
-    h0 = edges[0]
-    drop = abs(float(spec.evaluate(np.array([h0]))[0])) * h0 * 2.0
-    val = (2.0 / T) * float(np.sum(p_hi))
-    err = (2.0 / T) * (float(np.sum(np.abs(p_hi - p_lo))) + drop)
-    return val, err
+    n = max(1, k_max)
+    hi, uniform_abs, graded_abs = _mesh_sums(spec, n, depth, *gl_hi)
+    lo = _mesh_sums(spec, n, depth, *gl_lo)[0]
+    h0 = (T / n) * 2.0**-depth
+    sliver = abs(float(spec.evaluate(np.array([h0]))[0])) * h0 * 2.0 / min(1.0, 2.0 - spec.delta)
+    rounding = _EPS * (
+        uniform_abs * (16.0 * math.log2(2 * n) + gl_hi[0].size + 4.0)
+        + graded_abs * math.cosh(math.pi) * 2.0 * _TAYLOR_TERMS
+    )
+    bounds = np.abs(hi - lo)[: k_max + 1]
+    bounds += rounding
+    bounds *= 2.0 / n
+    bounds += (2.0 / T) * sliver
+    values = hi[: k_max + 1]
+    values *= 2.0 / n
+    return values, bounds
 
 
 def coeffs_quadrature(spec, k_max):
     """Panel quadrature of the coefficient series of ``spec``.
 
-    Exact power laws (``spec.power_amp`` set) ride the shared panel table;
-    everything else gets per-coefficient half-period panels, geometrically
-    refined toward the origin, with an embedded lower-order rule providing
-    the per-entry error bound.  Raises QuadratureNonConvergence when a bound
-    stays above ``_QUAD_TOL * max(1, |c_k|)`` after one escalation.
+    Exact power laws (``spec.power_amp`` set) ride the shared panel table.
+    Everything else is integrated on one mesh shared by all k: n =
+    max(1, k_max) uniform panels of width h = T/n, the first one graded
+    geometrically toward the origin, 16-point Gauss-Legendre with the
+    8-point rule beside it for the per-entry bound.  g is evaluated once
+    per node and the oscillatory sums come out of one FFT per node row, in
+    O(k_max log k_max) time and O(k_max) memory (:func:`_mesh_sums`).  The
+    bound adds the dropped sliver and the rounding to the rules' gap
+    (:func:`_generic_series`).  When a bound is above ``_QUAD_TOL * max(1,
+    |c_k|)`` the mesh escalates once, to 32/16 points and 120 more graded
+    panels; a bound still above raises QuadratureNonConvergence.
     """
     k_max = check_int(k_max, "k_max", 0)
     if spec.delta >= 2.0:
@@ -489,18 +555,16 @@ def coeffs_quadrature(spec, k_max):
         return series
 
     depth = _grade_depth(spec.delta)
-    values = np.empty(k_max + 1)
-    bounds = np.empty(k_max + 1)
-    for k in range(k_max + 1):
-        val, err = _generic_coeff(spec, k, depth, _GL16, _GL8)
-        if err > _QUAD_TOL * max(1.0, abs(val)):
-            val, err = _generic_coeff(spec, k, depth + 120, _GL32, _GL16)
-            if err > _QUAD_TOL * max(1.0, abs(val)):
-                raise QuadratureNonConvergence(
-                    f"error estimate {err:.3e} stalled above tol at k={k}"
-                )
-        values[k] = val
-        bounds[k] = err
+    values, bounds = _generic_series(spec, k_max, depth, _GL16, _GL8)
+    bad = bounds > _QUAD_TOL * np.maximum(1.0, np.abs(values))
+    if np.any(bad):
+        values, bounds = _generic_series(spec, k_max, depth + 120, _GL32, _GL16)
+        bad = bounds > _QUAD_TOL * np.maximum(1.0, np.abs(values))
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise QuadratureNonConvergence(
+                f"error estimate {bounds[k]:.3e} stalled above tol at k={k}"
+            )
     return CosineSeries(
         horizon_T=spec.horizon_T,
         k_max=k_max,

@@ -153,16 +153,24 @@ def test_aliased_sampler_draws_each_path_from_its_own_philox_stream(
                     assert got.tobytes() == ref.tobytes(), f"{name} budget={budget} threads={threads}"
 
 
-def _workers_seen(mp, exp, n_paths, threads, cpus, budget_rows, row_doubles=0):
+def _workers_seen(mp, exp, n_paths, threads, cpus, budget_rows, row_doubles=0, workers=1):
     """The threads that ran blocks of ``exp`` when the engine sees ``cpus``
     CPUs and one budget holds ``budget_rows`` rows, and the largest
-    workspace a block got."""
+    workspace a block got.
+
+    Each thread's first block waits until ``workers`` threads have started
+    one, so that no worker finishes before the next is submitted, which
+    would let the pool run the next on the idle thread."""
     seen, spaces = set(), [0]
+    barrier = threading.Barrier(workers, timeout=30)
     mp.setattr(_engine, "_cpu_count", lambda: cpus)
     mp.setattr(_engine, "BLOCK_DOUBLES", budget_rows * (_engine.draw_width(exp) + row_doubles))
 
     def block(start, stop, z, work):
-        seen.add(threading.get_ident())
+        ident = threading.get_ident()
+        if ident not in seen:
+            seen.add(ident)
+            barrier.wait()
         spaces.append(work.size)
 
     _engine.run_blocks(exp, n_paths, row_doubles, 1, threads, block)
@@ -176,10 +184,10 @@ def test_worker_count_is_the_cap_within_blocks_and_width(monkeypatch):
     main = {threading.get_ident()}
     # unset, the cap is the CPUs this process may use
     for cpus in (1, 2, 3):
-        assert len(_workers_seen(monkeypatch, wide, 60, None, cpus, 12)[0]) == cpus
+        assert len(_workers_seen(monkeypatch, wide, 60, None, cpus, 12, workers=cpus)[0]) == cpus
     # a set cap overrides the CPU count; the calling thread is worker 0, and
     # the four workers' draws and workspaces share the one budget of 12 rows
-    seen, space = _workers_seen(monkeypatch, wide, 60, 4, 1, 12, row_doubles=30)
+    seen, space = _workers_seen(monkeypatch, wide, 60, 4, 1, 12, row_doubles=30, workers=4)
     assert len(seen) == 4 and main <= seen and space == 3 * 30
     # narrow rows run on the calling thread alone, whatever the cap
     assert _workers_seen(monkeypatch, narrow, 60, 4, 4, 12)[0] == main

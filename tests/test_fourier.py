@@ -16,7 +16,9 @@ import pytest
 from specgauss import (
     BadParameter,
     CosineSeries,
+    GammaSpec,
     InsufficientData,
+    QuadratureNonConvergence,
     build_type_b,
     builtin_gamma,
     coeffs_closed,
@@ -29,6 +31,7 @@ from specgauss import (
     power_series_coeffs,
     tail_sum,
 )
+from specgauss import fourier
 from specgauss.fourier import _K0, _asymptotic_entries, _hurwitz_zeta, _power_cumulative
 
 # oracle_coeff(builtin_gamma("power2H", 1.0, hurst=0.3), 1.0, 1), converged
@@ -65,13 +68,115 @@ def test_power_series_agrees_with_oracle():
         assert s.values[k] == pytest.approx(r.value, abs=1e-9)
 
 
+def _generic(spec):
+    """``spec`` without its power law, so that it takes the generic route."""
+    return dataclasses.replace(spec, power_amp=None, power_exponent=None)
+
+
 def test_generic_quadrature_agrees_with_oracle_on_singular_derivative():
-    spec = builtin_gamma("neg_power", 1.0, hurst=0.75)  # delta = 1.5
+    spec = _generic(builtin_gamma("neg_power", 1.0, hurst=0.75))  # delta = 1.5
     s = coeffs_quadrature(spec, 8)
+    assert s.method == "quadrature" and s.power_law is None
     for k in (1, 3, 8):
         r = oracle_coeff(spec, 1.0, k)
         assert r.converged
         assert s.values[k] == pytest.approx(r.value, abs=1e-9)
+    # at k = 777 the oracle stops at its point budget, its last doubling
+    # still moving it by 7e-10: its estimate is inside the tolerance
+    r = oracle_coeff(spec, 1.0, 777)
+    assert r.est_error < 1e-9
+    assert coeffs_quadrature(spec, 1000).values[777] == pytest.approx(r.value, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind, H", [("power2H", 0.05), ("power2H", 0.3),
+                                     ("neg_power", 0.75), ("neg_power", 0.95)])
+def test_generic_bounds_cover_the_power_table(kind, H):
+    # the same power law on both routes: every generic entry is inside its
+    # bound plus the table's
+    spec = builtin_gamma(kind, 1.0, hurst=H)
+    for N in (8, 1000, 4096):
+        s = coeffs_quadrature(_generic(spec), N)
+        ref = power_series_coeffs(spec.power_amp, spec.power_exponent, 1.0, N)
+        gap = np.abs(s.values - ref.values)
+        over = np.flatnonzero(gap > s.error_bounds + ref.error_bounds)
+        assert over.size == 0, f"N={N}: {over.size} entries over their bounds from k={over[:1]}"
+
+
+def test_generic_bounds_cover_the_gen_ou_closed_form():
+    # the negated exp_decay kernel on [0, 1] is the gen-OU closed form at
+    # T = 1/2, negated
+    spec = negate_spec(builtin_gamma("exp_decay", 1.0, theta=2.0, sigma2=4.0))
+    for N in (0, 1, 2, 8, 1000, 4096, 32768):
+        s = coeffs_quadrature(spec, N)
+        closed = coeffs_closed("generalized_ou", 0.5, N, theta=2.0, sigma2=4.0)
+        gap = np.abs(s.values + closed.values)
+        over = np.flatnonzero(gap > s.error_bounds + closed.error_bounds)
+        assert over.size == 0, f"N={N}: {over.size} entries over their bounds from k={over[:1]}"
+
+
+def _smooth_spec(evaluate, gamma_at_zero):
+    return GammaSpec(evaluate=evaluate, derivative=lambda t: np.zeros_like(t), delta=0.0,
+                     horizon_T=1.0, gamma_at_zero=gamma_at_zero)
+
+
+def test_generic_route_escalates_once_then_gives_up(monkeypatch):
+    depths = []
+    rule_pair = fourier._generic_series
+
+    def recording(spec, k_max, depth, *rules):
+        depths.append(depth)
+        return rule_pair(spec, k_max, depth, *rules)
+
+    monkeypatch.setattr(fourier, "_generic_series", recording)
+    # a bump 0.4 panels wide at N = 20 needs the 32/16-point rules
+    bump = _smooth_spec(lambda t: np.exp(-(((t - 0.5) / 0.02) ** 2)), math.exp(-625.0))
+    s = coeffs_quadrature(bump, 20)
+    assert depths == [62, 182]
+    assert np.all(s.error_bounds <= fourier._QUAD_TOL)
+    for k in (0, 7, 20):
+        assert s.values[k] == pytest.approx(oracle_coeff(bump, 1.0, k).value, abs=1e-10)
+    # a kink inside a panel defeats both rule pairs
+    depths.clear()
+    kink = _smooth_spec(lambda t: np.sqrt(np.abs(t - 1.0 / 3.0)), math.sqrt(1.0 / 3.0))
+    with pytest.raises(QuadratureNonConvergence, match="stalled above tol at k=0"):
+        coeffs_quadrature(kink, 10)
+    assert depths == [62, 182]
+
+
+def _evaluated_points(spec, N):
+    """The points at which the generic route evaluates ``spec`` for N entries."""
+    count = [0]
+    evaluate = spec.evaluate
+
+    def counting(t):
+        count[0] += np.size(t)
+        return evaluate(t)
+
+    coeffs_quadrature(dataclasses.replace(spec, evaluate=counting), N)
+    return count[0]
+
+
+def test_generic_route_evaluates_g_once_per_node():
+    # one shared mesh of N panels: the points grow like N, not N^2
+    spec = negate_spec(builtin_gamma("exp_decay", 1.0, theta=2.0, sigma2=4.0))
+    small, large = _evaluated_points(spec, 1000), _evaluated_points(spec, 8000)
+    assert large <= 8.5 * small, (small, large)
+
+
+def test_generic_route_memory_is_a_few_tables():
+    spec = negate_spec(builtin_gamma("exp_decay", 1.0, theta=2.0, sigma2=4.0))
+    N = 32768
+    coeffs_quadrature(spec, 64)  # warm imports and caches
+    tracemalloc.start()
+    try:
+        s = coeffs_quadrature(spec, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # values and bounds are 16 bytes an entry; the route's per-k arrays and
+    # one node row stay within 8 times that
+    table = s.values.nbytes + s.error_bounds.nbytes
+    assert peak <= 8 * table, f"peak {peak / table:.1f} tables"
 
 
 def test_sign_property_smoke():

@@ -37,7 +37,6 @@ from specgauss import (
 from specgauss import _engine, validate
 from specgauss.expansion import PathBatch, SeriesExpansion
 from test_expansion import (
-    FAMILY_BUILDERS,
     _assert_within_one_budget,
     _traced_peak,
     all_family_expansions,
@@ -174,8 +173,7 @@ def _type_b_closed_form(n):
     """The type_b member of all_family_expansions at n terms, from the
     closed-form coefficients of its exp_decay kernel (theta = 2, sigma2 = 4,
     T = 1): ``coeffs_closed("generalized_ou", T / 2, ...)`` is that series on
-    the doubled interval 2 (T / 2) = T.  The generic quadrature behind
-    build_type_b costs O(n^2), minutes at n = 32768."""
+    the doubled interval 2 (T / 2) = T."""
     c = coeffs_closed("generalized_ou", 0.5, n, theta=2.0, sigma2=4.0).values
     amps = np.sqrt(c[1:])
     return SeriesExpansion(family="type_b", horizon_T=1.0, truncation_N=n,
@@ -185,10 +183,7 @@ def _type_b_closed_form(n):
 @pytest.fixture(scope="module")
 def kernel_families():
     """Every family of all_family_expansions at the largest kernel N."""
-    n = _KERNEL_NS[-1]
-    fams = {name: build(n) for name, build in FAMILY_BUILDERS.items() if name != "type_b"}
-    fams["type_b"] = _type_b_closed_form(n)
-    return fams
+    return all_family_expansions(_KERNEL_NS[-1])
 
 
 def _series_cov_longdouble(exp, s, t):
