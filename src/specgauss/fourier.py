@@ -494,15 +494,17 @@ def _mesh_sums(spec, n, depth, x, w):
 
 
 def _generic_series(spec, k_max, depth, gl_hi, gl_lo):
-    """c_0..c_k_max of ``spec`` and their bounds from one rule pair on the
-    mesh of n = max(1, k_max) panels (:func:`_mesh_sums`).
+    """c_0..c_k_max of ``spec`` from one rule pair on the mesh of n =
+    max(1, k_max) panels (:func:`_mesh_sums`), with two parts of their
+    bounds: the discretization error and the rounding.
 
-    A bound is (2/T) times the sum of the rules' gap, the dropped sliver
-    (0, h 2^-depth], where g ~ t^(1 - delta) integrates to at most
-    2 |g| t / (2 - delta) at its right end, and the rounding: 16 eps per
-    FFT pass plus eps per node row and 4 eps for g on the absolute sum of
-    the uniform panels, and 2 eps per Taylor term on the graded panels'
-    absolute sum times cosh(pi), which bounds the Taylor terms' magnitudes.
+    The discretization error of an entry is (2/T) times the rules' gap plus
+    the dropped sliver (0, t0], t0 = h 2^-depth, where g ~ t^(1 - delta)
+    integrates to |g(t0)| t0 / (2 - delta), taken at least twice over.  The
+    rounding, one number for all entries, is 16 eps per FFT pass plus eps
+    per node row and 4 eps for g on the absolute sum of the uniform panels,
+    and 2 eps per Taylor term on the graded panels' absolute sum times
+    cosh(pi), which bounds the Taylor terms' magnitudes.
     """
     T = spec.horizon_T
     n = max(1, k_max)
@@ -514,13 +516,12 @@ def _generic_series(spec, k_max, depth, gl_hi, gl_lo):
         uniform_abs * (16.0 * math.log2(2 * n) + gl_hi[0].size + 4.0)
         + graded_abs * math.cosh(math.pi) * 2.0 * _TAYLOR_TERMS
     )
-    bounds = np.abs(hi - lo)[: k_max + 1]
-    bounds += rounding
-    bounds *= 2.0 / n
-    bounds += (2.0 / T) * sliver
+    error = np.abs(hi - lo)[: k_max + 1]
+    error *= 2.0 / n
+    error += (2.0 / T) * sliver
     values = hi[: k_max + 1]
     values *= 2.0 / n
-    return values, bounds
+    return values, error, (2.0 / n) * rounding
 
 
 def coeffs_quadrature(spec, k_max):
@@ -532,11 +533,13 @@ def coeffs_quadrature(spec, k_max):
     geometrically toward the origin, 16-point Gauss-Legendre with the
     8-point rule beside it for the per-entry bound.  g is evaluated once
     per node and the oscillatory sums come out of one FFT per node row, in
-    O(k_max log k_max) time and O(k_max) memory (:func:`_mesh_sums`).  The
-    bound adds the dropped sliver and the rounding to the rules' gap
-    (:func:`_generic_series`).  When a bound is above ``_QUAD_TOL * max(1,
-    |c_k|)`` the mesh escalates once, to 32/16 points and 120 more graded
-    panels; a bound still above raises QuadratureNonConvergence.
+    O(k_max log k_max) time and O(k_max) memory (:func:`_mesh_sums`).  An
+    entry's bound is its discretization error, the rules' gap and the
+    dropped sliver, plus the rounding (:func:`_generic_series`).  When a
+    discretization error is above ``_QUAD_TOL * max(1, |c_k|)`` the mesh
+    escalates once, to 32/16 points and 120 more graded panels; one still
+    above raises QuadratureNonConvergence.  The rounding, which scales with
+    |g| and no escalation reduces, only widens the bounds.
     """
     k_max = check_int(k_max, "k_max", 0)
     if spec.delta >= 2.0:
@@ -555,22 +558,23 @@ def coeffs_quadrature(spec, k_max):
         return series
 
     depth = _grade_depth(spec.delta)
-    values, bounds = _generic_series(spec, k_max, depth, _GL16, _GL8)
-    bad = bounds > _QUAD_TOL * np.maximum(1.0, np.abs(values))
+    values, error, rounding = _generic_series(spec, k_max, depth, _GL16, _GL8)
+    bad = error > _QUAD_TOL * np.maximum(1.0, np.abs(values))
     if np.any(bad):
-        values, bounds = _generic_series(spec, k_max, depth + 120, _GL32, _GL16)
-        bad = bounds > _QUAD_TOL * np.maximum(1.0, np.abs(values))
+        values, error, rounding = _generic_series(spec, k_max, depth + 120, _GL32, _GL16)
+        bad = error > _QUAD_TOL * np.maximum(1.0, np.abs(values))
         if np.any(bad):
             k = int(np.argmax(bad))
             raise QuadratureNonConvergence(
-                f"error estimate {bounds[k]:.3e} stalled above tol at k={k}"
+                f"error estimate {error[k]:.3e} stalled above tol at k={k}"
             )
+    error += rounding
     return CosineSeries(
         horizon_T=spec.horizon_T,
         k_max=k_max,
         values=values,
         method="quadrature",
-        error_bounds=bounds,
+        error_bounds=error,
         source_label=spec.label,
     )
 

@@ -102,19 +102,23 @@ def test_generic_bounds_cover_the_power_table(kind, H):
         assert over.size == 0, f"N={N}: {over.size} entries over their bounds from k={over[:1]}"
 
 
-def test_generic_bounds_cover_the_gen_ou_closed_form():
+@pytest.mark.parametrize("theta", [2.0, 0.01])
+def test_generic_bounds_cover_the_gen_ou_closed_form(theta):
     # the negated exp_decay kernel on [0, 1] is the gen-OU closed form at
-    # T = 1/2, negated
-    spec = negate_spec(builtin_gamma("exp_decay", 1.0, theta=2.0, sigma2=4.0))
+    # T = 1/2, negated; at theta = 0.01 it is 400 e^(-t / 100), whose
+    # rounding alone is above the absolute tolerance, and must not stall
+    spec = negate_spec(builtin_gamma("exp_decay", 1.0, theta=theta, sigma2=4.0))
     for N in (0, 1, 2, 8, 1000, 4096, 32768):
         s = coeffs_quadrature(spec, N)
-        closed = coeffs_closed("generalized_ou", 0.5, N, theta=2.0, sigma2=4.0)
+        closed = coeffs_closed("generalized_ou", 0.5, N, theta=theta, sigma2=4.0)
         gap = np.abs(s.values + closed.values)
         over = np.flatnonzero(gap > s.error_bounds + closed.error_bounds)
         assert over.size == 0, f"N={N}: {over.size} entries over their bounds from k={over[:1]}"
 
 
-def _smooth_spec(evaluate, gamma_at_zero):
+def _unit_spec(evaluate, gamma_at_zero):
+    """A delta = 0 spec of ``evaluate`` on (0, 1]; the quadrature never
+    reads its derivative."""
     return GammaSpec(evaluate=evaluate, derivative=lambda t: np.zeros_like(t), delta=0.0,
                      horizon_T=1.0, gamma_at_zero=gamma_at_zero)
 
@@ -129,18 +133,19 @@ def test_generic_route_escalates_once_then_gives_up(monkeypatch):
 
     monkeypatch.setattr(fourier, "_generic_series", recording)
     # a bump 0.4 panels wide at N = 20 needs the 32/16-point rules
-    bump = _smooth_spec(lambda t: np.exp(-(((t - 0.5) / 0.02) ** 2)), math.exp(-625.0))
+    bump = _unit_spec(lambda t: np.exp(-(((t - 0.5) / 0.02) ** 2)), math.exp(-625.0))
     s = coeffs_quadrature(bump, 20)
-    assert depths == [62, 182]
+    depth = fourier._grade_depth(0.0)
+    assert depths == [depth, depth + 120]
     assert np.all(s.error_bounds <= fourier._QUAD_TOL)
     for k in (0, 7, 20):
         assert s.values[k] == pytest.approx(oracle_coeff(bump, 1.0, k).value, abs=1e-10)
     # a kink inside a panel defeats both rule pairs
     depths.clear()
-    kink = _smooth_spec(lambda t: np.sqrt(np.abs(t - 1.0 / 3.0)), math.sqrt(1.0 / 3.0))
+    kink = _unit_spec(lambda t: np.sqrt(np.abs(t - 1.0 / 3.0)), math.sqrt(1.0 / 3.0))
     with pytest.raises(QuadratureNonConvergence, match="stalled above tol at k=0"):
         coeffs_quadrature(kink, 10)
-    assert depths == [62, 182]
+    assert depths == [depth, depth + 120]
 
 
 def _evaluated_points(spec, N):
