@@ -47,7 +47,7 @@ from .expansion import (
     sample_paths_aliased,
     sample_paths_fast,
 )
-from .fourier import coeffs_closed, fbm_coefficients
+from .fourier import coeffs_closed, fbm_coefficients, power_series_coeffs
 from .gamma import builtin_gamma
 from .quantize import product_quantizer
 from .validate import CovModel, covariance_report, rate_probe
@@ -169,7 +169,10 @@ def _cmd_coeffs(parser, args):
     if args.model == "fbm":
         series = fbm_coefficients(args.hurst, args.T, args.kmax)
     elif args.model == "brownian":
-        series = coeffs_closed("brownian_example", args.T, args.kmax)
+        # the power law t^1 that simulate builds from, with its exact tail
+        series = power_series_coeffs(
+            -1.0, 1.0, 2.0 * args.T, args.kmax, label=f"brownian_example(T={args.T})"
+        )
     else:
         series = coeffs_closed(
             "generalized_ou", args.T, args.kmax,

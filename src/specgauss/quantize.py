@@ -1,7 +1,7 @@
 """Functional quantization of truncated series expansions.
 
-Pipeline: optimal scalar quantizers for standard normals (Lloyd fixed
-point with closed-form centroids), level allocation under a product
+Pipeline: optimal scalar quantizers for standard normals (Newton solves
+of the closed-form centroid conditions), level allocation under a product
 budget, Gram-matrix eigenreduction of the non-orthonormal trigonometric
 span, and product codebooks whose distortion splits into exact scalar
 terms plus the expansion tail.  A Monte Carlo estimator cross-checks the
@@ -46,9 +46,8 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-_LLOYD_CYCLES = 12
 _NEWTON_CAP = 60
-# largest Lloyd move or stationarity residual at which a quantizer is done
+# largest stationarity residual (centroid minus level) of a converged quantizer
 _LLOYD_TOL = 1e-10
 
 
@@ -62,8 +61,8 @@ class Quantizer1D:
 
     ``levels`` are increasing and antisymmetric about 0, ``boundaries``
     the n-1 cell midpoints, ``distortion`` the mean squared error
-    E(Z - q(Z))^2.  ``converged`` is False when the Lloyd iteration hit
-    its cap before the level movement dropped below tolerance.
+    E(Z - q(Z))^2.  ``converged`` is False when the Newton iteration hit
+    its cap before the stationarity residual dropped below tolerance.
     """
 
     n: int
@@ -156,68 +155,48 @@ def _newton_delta(y):
 def gauss1d_quantizer(n):
     """Optimal n-level quantizer of a standard normal.
 
-    Lloyd iteration with componentwise Aitken extrapolation does the
-    bulk of the work; because plain Lloyd contracts at 1 - O(1/n^2), a
-    damped Newton corrector on the stationarity system finishes large n
-    off, rejecting any step that breaks the level ordering.  Iteration
-    stops once a move or the stationarity residual is below ``_LLOYD_TOL``.
+    Damped Newton on the stationarity system (each level the centroid
+    of its cell), started from the companding levels, where it converges
+    quadratically in a few steps.  A step is halved up to six times
+    until it keeps the levels increasing and lowers the residual; a step
+    that still fails, or a residual that stops falling, falls back to
+    one Lloyd step.  Iteration stops once the stationarity residual is
+    below ``_LLOYD_TOL``; past n = 2^18, where rounding floors the
+    residual near that tolerance, it warns after ``_NEWTON_CAP`` steps.
     """
     n = check_int(n, "n", 1)
     if n == 1:
         return Quantizer1D(1, np.zeros(1), np.zeros(0), 1.0)
     # high-resolution quantizers have point density ~ phi^(1/3), whose
-    # cdf is Phi(x/sqrt(3)); starting there leaves only small smooth
-    # corrections for the iteration; mirrored, the levels are exactly
+    # cdf is Phi(x/sqrt(3)); starting there puts Newton inside its
+    # region of quadratic convergence; mirrored, the levels are exactly
     # antisymmetric from the start
     left = math.sqrt(3.0) * _special.normal_quantile((np.arange(1, n // 2 + 1) - 0.5) / n)
     y = np.concatenate((left, [0.0] * (n % 2), -left[::-1]))
     converged = False
-    for _ in range(_LLOYD_CYCLES):
-        y1 = _lloyd_step(y)
-        y2 = _lloyd_step(y1)
-        move = float(np.max(np.abs(y2 - y1)))
-        if move < _LLOYD_TOL:
-            y = y2
+    best = math.inf
+    for _ in range(_NEWTON_CAP):
+        r, delta = _newton_delta(y)
+        resid = float(np.max(np.abs(r)))
+        if resid < _LLOYD_TOL:
             converged = True
             break
-        d1 = y1 - y
-        d2 = y2 - y1
-        den = d2 - d1
-        ok = np.abs(den) > 1e-300
-        acc = np.where(ok, y2 - d2 * d2 / np.where(ok, den, 1.0), y2)
-        acc = 0.5 * (acc - acc[::-1])
-        y = y2
-        if np.all(np.diff(acc) > 0.0):
-            y3 = _lloyd_step(acc)
-            resid = float(np.max(np.abs(y3 - acc)))
-            if resid < move:
-                y = y3
-                if resid < _LLOYD_TOL:
-                    converged = True
+        if resid >= best:
+            y = _lloyd_step(y)
+            continue
+        best = resid
+        step = 1.0
+        for _ in range(6):
+            # y and delta are exactly antisymmetric, so the candidate is too
+            cand = y + step * delta
+            if np.all(np.diff(cand) > 0.0):
+                rc = _centroid_residual(cand)[0]
+                if float(np.max(np.abs(rc))) < resid:
+                    y = cand
                     break
-    if not converged:
-        best = math.inf
-        for _ in range(_NEWTON_CAP):
-            r, delta = _newton_delta(y)
-            resid = float(np.max(np.abs(r)))
-            if resid < _LLOYD_TOL:
-                converged = True
-                break
-            if resid >= best:
-                y = _lloyd_step(y)
-                continue
-            best = resid
-            step = 1.0
-            for _ in range(6):
-                cand = 0.5 * ((y + step * delta) - (y + step * delta)[::-1])
-                if np.all(np.diff(cand) > 0.0):
-                    rc = _centroid_residual(cand)[0]
-                    if float(np.max(np.abs(rc))) < resid:
-                        y = cand
-                        break
-                step *= 0.5
-            else:
-                y = _lloyd_step(y)
+            step *= 0.5
+        else:
+            y = _lloyd_step(y)
     if not converged:
         warnings.warn(
             f"gauss1d_quantizer(n={n}): iteration cap reached, returning best",

@@ -1,6 +1,7 @@
 """Command line interface: argument handling, exit codes, artifacts."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from specgauss import (
 from specgauss._util import read_csv_table
 from specgauss.cli import main
 from specgauss.expansion import PathBatch
-from specgauss.fourier import CosineSeries
+from specgauss.fourier import CosineSeries, tail_sum
 
 
 @pytest.fixture(autouse=True)
@@ -133,6 +134,17 @@ def test_coeffs_brownian_to_file(tmp_path):
     series = CosineSeries.from_csv(str(out))
     assert series.values[0] == pytest.approx(-4.0)  # -2T
     assert series.values[2] == 0.0
+
+
+def test_coeffs_brownian_carries_its_exact_tail(tmp_path):
+    out = tmp_path / "c.csv"
+    assert main(["coeffs", "--model", "brownian", "--kmax", "9",
+                 "--T", "0.7", "--out", str(out)]) == 0
+    series = CosineSeries.from_csv(str(out))
+    assert series.power_law == (-1.0, 1.0, False)
+    # c_k = 8T/(pi k)^2 at odd k, and 1/k^2 sums to pi^2/8 over odd k
+    truth = 0.7 * (1.0 - (8.0 / math.pi**2) * (10.0 / 9.0))
+    assert tail_sum(series, 4) == pytest.approx(truth, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

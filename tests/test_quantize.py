@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from specgauss import (
     BadParameter,
     GramSingularWarning,
+    NonConvergenceWarning,
     TooFewPaths,
     allocate_levels,
     build_fbm,
@@ -60,16 +61,76 @@ def test_one_level_quantizer():
 
 
 def test_quantizer_structure_and_stationarity():
-    for n in (2, 3, 4, 7, 16, 33, 128):
+    for n in (2, 3, 4, 7, 16, 33, 128, 1001, 2**17):
         q = gauss1d_quantizer(n)
         assert q.converged
         assert q.levels.size == n
         assert np.all(np.diff(q.levels) > 0)
-        # symmetric about 0
-        assert np.max(np.abs(q.levels + q.levels[::-1])) <= 1e-9
+        # exactly antisymmetric: every iterate is, and _cells relies on it
+        assert np.array_equal(q.levels, -q.levels[::-1])
         # boundaries are cell midpoints
         mids = 0.5 * (q.levels[1:] + q.levels[:-1])
         assert np.allclose(q.boundaries, mids, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [7, 8, 14, 1000, 1001, 2**17])
+def test_quantizer_converges_in_a_few_newton_steps(n, monkeypatch):
+    # from the companding start Newton needs at most 4 steps, each one
+    # _cells for the step and one for its candidate, plus the final
+    # residual and the distortion
+    calls = []
+    cells = quantize._cells
+
+    def spy(y):
+        calls.append(y.size)
+        return cells(y)
+
+    monkeypatch.setattr(quantize, "_cells", spy)
+    q = gauss1d_quantizer(n)
+    assert q.converged
+    assert len(calls) <= 12, len(calls)
+
+
+def test_quantizer_safeguards_when_the_residual_cannot_fall(monkeypatch):
+    # a zero tolerance stands in for the sizes where rounding floors the
+    # residual: steps are halved, then fall back to Lloyd steps, and the
+    # loop ends at its cap with a warning and a usable quantizer
+    events = []
+    inside = []
+    newton, residual, lloyd = quantize._newton_delta, quantize._centroid_residual, quantize._lloyd_step
+
+    def newton_spy(y):
+        events.append("newton")
+        inside.append(True)
+        try:
+            return newton(y)
+        finally:
+            inside.pop()
+
+    def residual_spy(y):
+        if not inside:
+            events.append("candidate")
+        return residual(y)
+
+    def lloyd_spy(y):
+        events.append("lloyd")
+        return lloyd(y)
+
+    monkeypatch.setattr(quantize, "_LLOYD_TOL", 0.0)
+    monkeypatch.setattr(quantize, "_newton_delta", newton_spy)
+    monkeypatch.setattr(quantize, "_centroid_residual", residual_spy)
+    monkeypatch.setattr(quantize, "_lloyd_step", lloyd_spy)
+    with pytest.warns(NonConvergenceWarning, match="iteration cap reached"):
+        q = gauss1d_quantizer(33)
+    steps = events[:-1]  # the last residual is the distortion's
+    halvings = sum(a == b == "candidate" for a, b in zip(steps, steps[1:]))
+    assert not q.converged
+    assert steps.count("newton") == quantize._NEWTON_CAP
+    assert halvings >= 1
+    assert steps.count("lloyd") >= 1
+    assert np.all(np.diff(q.levels) > 0)
+    assert np.array_equal(q.levels, -q.levels[::-1])
+    assert np.max(np.abs(residual(q.levels)[0])) <= 1e-13
 
 
 def test_quantizer_distortion_decreases():
