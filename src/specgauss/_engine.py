@@ -40,7 +40,8 @@ samplers' values are byte-identical across block sizes and thread counts.
 On a uniform grid the series is a fold plus one inverse real FFT of one
 Hermitian spectrum (:func:`fast_values`, :func:`_spectrum`);
 :func:`direct_values` sums the basis at arbitrary points and is the
-reference the fast route is checked against.  The rate probe's fBm
+reference the fast route is checked against; its caller runs it on one
+worker, since BLAS already parallelizes its matrix products.  The rate probe's fBm
 residuals need no fold (their frequencies stay below the grid's Nyquist),
 so :func:`residual_sups` maps a whole ladder of them from one spectrum,
 one inverse real FFT per rung.
@@ -228,7 +229,7 @@ def direct_values(exp, tgrid, z, work, out):
     then a chunk's basis, built in place (angles, then sines; angles again,
     then the cosine channel), and the chunk's scaled draws.  The matrix
     products round according to the block's shape, so direct values agree
-    across blocking and worker counts to rounding, not bit for bit."""
+    across block shapes to rounding, not bit for bit."""
     _, zs, zc = split_draws(exp, z)
     p, size = out.shape
     out[...] = 0.0

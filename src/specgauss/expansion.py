@@ -53,7 +53,6 @@ from .fourier import (
     CosineSeries,
     coeffs_closed,
     coeffs_quadrature,
-    decay_fit,
     fbm_coefficients,
     tail_sum,
 )
@@ -448,14 +447,14 @@ def _run_paths(exp, tgrid, n_paths, seed, threads, synth, row_doubles, n_pairs=N
     )
 
 
-def sample_paths(exp, grid, n_paths, seed, threads=None):
+def sample_paths(exp, grid, n_paths, seed):
     """Sample ``n_paths`` paths of ``exp`` on an arbitrary grid in [0, T].
 
-    Each path draws from its own Philox stream, whatever the blocking and
-    the worker count.  The basis sums are matrix products whose rounding
-    follows the block's shape, so the values agree across blocking and
-    worker counts to rounding (the uniform-grid samplers' are
-    byte-identical).
+    Each path draws from its own Philox stream.  The basis sums are matrix
+    products, which BLAS parallelizes, so the blocks run on one engine
+    worker; the values are then byte-identical whatever the CPU count.
+    Their rounding follows the block's shape, so they agree across block
+    budgets to rounding only.
     """
     check_instance(exp, SeriesExpansion, "exp")
     tgrid = real_array(grid, "grid")
@@ -466,7 +465,7 @@ def sample_paths(exp, grid, n_paths, seed, threads=None):
     if not (-1e-12 * T <= tgrid[0] and tgrid[-1] <= T * (1.0 + 1e-12)):
         raise BadParameter("grid must lie inside [0, T]")
     return _run_paths(
-        exp, tgrid, n_paths, seed, threads,
+        exp, tgrid, n_paths, seed, 1,
         lambda z, work, out: _engine.direct_values(exp, tgrid, z, work, out),
         _engine.direct_row_doubles(exp, tgrid.size),
     )
@@ -543,59 +542,28 @@ def sample_paths_aliased(exp, M, n_paths, seed, threads=None):
 # ---------------------------------------------------------------------------
 
 
+# beyond this N a coefficient index is no longer an exact float
+_MAX_TRUNCATION = 1 << 53
+
+
 def truncation_for_tolerance(series, eps):
     """Smallest N with sqrt(2 * tail_sum(N)) <= eps.
 
     The factor 2 bounds the basis functions; the result is monotone in eps
-    with minimum 1.  A series that records its power law has an exact tail
-    at every N, so N is found by bisection, inside the table or beyond it.
-    Otherwise, when no N inside the table suffices, the power-law model
-    behind the tail estimate is inverted to extend the search beyond k_max.
+    with minimum 1.  :func:`specgauss.fourier.tail_sum` is defined at every
+    N, inside the table or beyond it (exactly for a series that records its
+    power law, else from the fitted decay), and nonincreasing in N, so N is
+    found by doubling, then bisection.
     """
     check_instance(series, CosineSeries, "series")
     if not (check_real(eps, "eps") > 0):
         raise BadParameter("eps must be positive")
     # tiny relative slack so eps = sqrt(2 tail_sum(N)) round-trips to N
     target = eps * eps / 2.0 * (1.0 + 1e-12)
-    if series.power_law is not None:
-        return _bisect_tail(series, target)
-    beyond = tail_sum(series, series.k_max)
-    if not np.isfinite(beyond):
-        raise TailEstimateUnavailable("tail decay fit failed; cannot bound the remainder")
-    absv = np.abs(series.values)
-    # suffix[N] = sum of |c_k| for k > N within the table
-    suffix = np.concatenate([np.cumsum(absv[::-1])[::-1], [0.0]])
-    k_max = series.k_max
-    tails = suffix[2 : k_max + 2] + beyond  # tails[i] = tail_sum(i + 1)
-    hit = np.nonzero(tails <= target)[0]
-    if hit.size:
-        return int(hit[0]) + 1
-    # invert the extrapolation model beyond the table: tail(N) ~ beyond * (N / k_max)^(p+1)
-    if beyond <= 0 or k_max < 1:
-        raise TailEstimateUnavailable("tail model cannot be extended beyond the table")
-    try:
-        p = decay_fit(series, max(1, k_max // 4), k_max)
-    except Exception as exc:
-        raise TailEstimateUnavailable("tail decay fit failed beyond the table") from exc
-    p = min(-1.05, max(-3.0, p))
-    n = int(math.ceil(k_max * (target / beyond) ** (1.0 / (p + 1.0))))
-    n = max(n, k_max + 1)
-    while beyond * (n / k_max) ** (p + 1.0) > target:
-        n += 1
-    return n
-
-
-# beyond this N a coefficient index is no longer an exact float
-_MAX_TRUNCATION = 1 << 53
-
-
-def _bisect_tail(series, target):
-    """Smallest N >= 1 with tail_sum(series, N) <= target, by doubling then
-    bisection; tail_sum of a power-law series is nonincreasing in N."""
     lo, hi = 0, 1
     while (tail := tail_sum(series, hi)) > target:
         if tail == math.inf:
-            raise TailEstimateUnavailable("the power-law tail diverges; no N bounds it")
+            raise TailEstimateUnavailable("the tail diverges or its fit failed; no N bounds it")
         if hi >= _MAX_TRUNCATION:
             raise TailEstimateUnavailable("no N <= 2^53 meets the tolerance")
         lo, hi = hi, 2 * hi

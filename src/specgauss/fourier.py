@@ -4,17 +4,18 @@ For a generating function g on (0, T] the coefficients are
 
     c_k = (2/T) * integral_0^T g(t) cos(k pi t / T) dt,   k = 0, 1, 2, ...
 
-An exact power law amp * t^a has two routes.  Entries k <= ``_K0`` come from
-a shared per-half-period Gauss-Legendre table of ``v^a cos v``.  Above
-``_K0``, for -1 < a < 5, each entry is evaluated in closed form from the
-integration-by-parts expansion of its Fourier integral, whose remainder is
-bounded rigorously; other exponents stay on the table.  Such a series
-records its power law, so :func:`tail_sum` sums its tail exactly from the
-same expansion with Hurwitz zeta values.  Any other generating function is
-integrated on one mesh shared by every k, N uniform panels with the first
-graded toward the origin, g evaluated once per node and the oscillatory
-sums taken by FFT in O(N log N); its tail is extrapolated from a fitted
-decay.
+An exact power law amp * t^a, -1 < a < 5, has two routes.  Entries
+k <= ``_K0`` come from a shared per-half-period Gauss-Legendre table of
+``v^a cos v``.  Above ``_K0`` each entry is evaluated in closed form from
+the integration-by-parts expansion of its Fourier integral, whose remainder
+is bounded rigorously.  Such a series records its power law, so
+:func:`tail_sum` sums its tail exactly from the same expansion with Hurwitz
+zeta values.  Any other generating function is integrated on one mesh
+shared by every k, N uniform panels with the first graded toward the
+origin, g evaluated once per node and the oscillatory sums taken by FFT in
+O(N log N); its tail beyond the table is extrapolated from a fitted decay.
+Either way :func:`tail_sum` is defined at every N >= 0, which is what
+:func:`specgauss.expansion.truncation_for_tolerance` searches.
 :func:`oracle_coeff` is an independent brute-force graded trapezoid used to
 anchor reference values; it shares no code with the production routes.
 """
@@ -260,20 +261,12 @@ def _head_integral(a):
     return total
 
 
-# panel chunk bound keeps the temporaries of _panel_cos_power below ~100 MB
-_PANEL_CHUNK = 1 << 16
-
-
 def _panel_cos_power(a, lo, hi, x, w):
     """Gauss-Legendre integrals of v^a cos v over panels [lo_i, hi_i], 0 < lo_i."""
-    out = np.empty(lo.shape[0])
-    for start in range(0, lo.shape[0], _PANEL_CHUNK):
-        sl = slice(start, min(start + _PANEL_CHUNK, lo.shape[0]))
-        mid = 0.5 * (lo[sl] + hi[sl])
-        half = 0.5 * (hi[sl] - lo[sl])
-        v = mid[:, None] + half[:, None] * x[None, :]
-        out[sl] = half * ((v**a * np.cos(v)) @ w)
-    return out
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    v = mid[:, None] + half[:, None] * x[None, :]
+    return half * ((v**a * np.cos(v)) @ w)
 
 
 def _power_cumulative(a, k_max):
@@ -377,14 +370,15 @@ def _asymptotic_entries(amp, a, T, k_lo, values, bounds):
 
 
 def power_series_coeffs(amp, exponent, T, k_max, label=None):
-    """Coefficient series of amp * t**exponent on (0, T], exponent > -1.
+    """Coefficient series of amp * t**exponent on (0, T], -1 < exponent < 5.
 
-    Entries k <= ``_K0`` come from the panel table of ``v^a cos v``.  For
-    -1 < exponent < 5, entries above ``_K0`` are closed-form (see
-    :func:`_asymptotic_entries`), each bounded by the expansion's remainder
-    plus its rounding, and the series records its power law so that
-    :func:`tail_sum` is exact; other exponents stay on the table.  Exponents
-    0 .. 4, where the expansion terminates, are closed-form from k = 1.
+    Entries k <= ``_K0`` come from the panel table of ``v^a cos v``; entries
+    above are closed-form (see :func:`_asymptotic_entries`), each bounded by
+    the expansion's remainder plus its rounding.  Exponents 0 .. 4, where
+    the expansion terminates, are closed-form from k = 1.  The series
+    records its power law, so :func:`tail_sum` is exact at every N.  An
+    exponent at or below -1 raises SingularityTooStrong, one at or above 5
+    (where the expansion's remainder bound fails) BadParameter.
     """
     amp = check_real(amp, "amp")
     exponent = check_real(exponent, "exponent")
@@ -392,13 +386,12 @@ def power_series_coeffs(amp, exponent, T, k_max, label=None):
         raise BadParameter(f"amp and exponent must be finite, got {amp!r}, {exponent!r}")
     if exponent <= -1.0:
         raise SingularityTooStrong(f"t**{exponent} is not integrable at 0")
+    if exponent >= _ASYMPTOTIC_EXPONENTS[1]:
+        raise BadParameter(f"t**{exponent}: power-law exponents must be below 5")
     k_max = check_int(k_max, "k_max", 0)
     T = check_positive(T, "T")
-    lo, hi = _ASYMPTOTIC_EXPONENTS
-    closed = lo < exponent < hi
     # a terminating expansion (zero remainder) is exact from k = 1
-    exact = closed and _asymptotic_terms(exponent)[2] == 0.0
-    k_head = 0 if exact else min(k_max, _K0) if closed else k_max
+    k_head = 0 if _asymptotic_terms(exponent)[2] == 0.0 else min(k_max, _K0)
     values = np.empty(k_max + 1)
     bounds = np.empty(k_max + 1)
     values[0] = amp * 2.0 * T**exponent / (exponent + 1.0)
@@ -419,7 +412,7 @@ def power_series_coeffs(amp, exponent, T, k_max, label=None):
                 else "asymptotic"),
         error_bounds=bounds,
         source_label=label or f"power(amp={amp},p={exponent},T={T})",
-        power_law=(amp, exponent, False) if closed else None,
+        power_law=(amp, exponent, False),
     )
 
 
@@ -527,7 +520,8 @@ def _generic_series(spec, k_max, depth, gl_hi, gl_lo):
 def coeffs_quadrature(spec, k_max):
     """Panel quadrature of the coefficient series of ``spec``.
 
-    Exact power laws (``spec.power_amp`` set) ride the shared panel table.
+    Exact power laws (``spec.power_amp`` set) go to
+    :func:`power_series_coeffs`, which takes exponents in (-1, 5).
     Everything else is integrated on one mesh shared by all k: n =
     max(1, k_max) uniform panels of width h = T/n, the first one graded
     geometrically toward the origin, 16-point Gauss-Legendre with the
@@ -708,8 +702,9 @@ def decay_fit(series, k_lo, k_hi):
     return float(slope)
 
 
-def _tail_extrapolation(series):
-    """Estimated sum of |c_k| beyond k_max (power-law fit, safety factor 2).
+def _tail_extrapolation(series, m):
+    """Estimated sum of |c_k| beyond m >= k_max (power-law fit, safety
+    factor 2), the fitted decay integrated from m.
 
     The fit skips exact zeros, so its level describes only the nonzero
     entries; the integral is weighted by their density in the fit window
@@ -743,8 +738,8 @@ def _tail_extrapolation(series):
     # between them, so C is matched at whichever of the last two significant
     # entries implies the larger level |c_k| k^-p
     level = max(abs(series.values[k]) * k**-p for k in sig[-2:].tolist())
-    # integral_{k_max}^inf C x^p dx
-    est = density * level * (k_max ** (p + 1.0)) / (-(p + 1.0))
+    # integral_m^inf C x^p dx
+    est = density * level * (m ** (p + 1.0)) / (-(p + 1.0))
     return 2.0 * est
 
 
@@ -824,19 +819,18 @@ def tail_sum(series, N):
     For a series that records its power law (``series.power_law``) the sum
     is exact: entries up to min(k_max, ``_K0``) are summed from the table
     with their error bounds, and everything beyond from the closed-form
-    expansion with Hurwitz zeta values (:func:`_power_tail`), rounded up;
-    any N >= 0 is accepted.  For any other series N <= k_max, the table is
-    summed and the remainder beyond k_max is extrapolated from a fitted
-    power law with a safety factor of 2; inf when the tail decays too slowly
-    to extrapolate.
+    expansion with Hurwitz zeta values (:func:`_power_tail`), rounded up.
+    For any other series the table beyond N is summed, and the rest beyond
+    max(N, k_max) is the power law fitted to the table's last quarter,
+    integrated with a safety factor of 2; inf when the tail decays too
+    slowly to extrapolate.  Either way any N >= 0 is accepted, and the sum
+    is nonincreasing in N up to the rounding of the table's sum.
     """
     check_instance(series, CosineSeries, "series")
     N = check_int(N, "N", 0)
     if series.power_law is None:
-        if N > series.k_max:
-            raise BadParameter("need 0 <= N <= k_max")
         computed = float(np.sum(np.abs(series.values[N + 1 :])))
-        return computed + _tail_extrapolation(series)
+        return computed + _tail_extrapolation(series, max(N, series.k_max))
     m = max(N, min(series.k_max, _K0))
     head = math.fsum(np.abs(series.values[N + 1 : m + 1])) + math.fsum(
         series.error_bounds[N + 1 : m + 1]

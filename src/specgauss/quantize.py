@@ -162,7 +162,8 @@ def gauss1d_quantizer(n):
     that still fails, or a residual that stops falling, falls back to
     one Lloyd step.  Iteration stops once the stationarity residual is
     below ``_LLOYD_TOL``; past n = 2^18, where rounding floors the
-    residual near that tolerance, it warns after ``_NEWTON_CAP`` steps.
+    residual near that tolerance, it warns after ``_NEWTON_CAP`` steps and
+    returns the iterate with the smallest residual it evaluated.
     """
     n = check_int(n, "n", 1)
     if n == 1:
@@ -174,7 +175,7 @@ def gauss1d_quantizer(n):
     left = math.sqrt(3.0) * _special.normal_quantile((np.arange(1, n // 2 + 1) - 0.5) / n)
     y = np.concatenate((left, [0.0] * (n % 2), -left[::-1]))
     converged = False
-    best = math.inf
+    best, best_y = math.inf, y
     for _ in range(_NEWTON_CAP):
         r, delta = _newton_delta(y)
         resid = float(np.max(np.abs(r)))
@@ -184,7 +185,7 @@ def gauss1d_quantizer(n):
         if resid >= best:
             y = _lloyd_step(y)
             continue
-        best = resid
+        best, best_y = resid, y
         step = 1.0
         for _ in range(6):
             # y and delta are exactly antisymmetric, so the candidate is too
@@ -202,6 +203,7 @@ def gauss1d_quantizer(n):
             f"gauss1d_quantizer(n={n}): iteration cap reached, returning best",
             NonConvergenceWarning,
         )
+        y = best_y
     # the integral of (z - y)^2 phi(z) over each cell, in closed form
     _, _, mass, phi, xphi = _centroid_residual(y)
     dist = float(np.sum(mass * (1.0 + y * y) + xphi[:-1] - xphi[1:] - 2.0 * y * (phi[:-1] - phi[1:])))

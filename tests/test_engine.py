@@ -199,7 +199,8 @@ def test_worker_count_is_the_cap_within_blocks_and_width(monkeypatch):
 
 def test_values_are_byte_identical_whatever_the_cpu_count(monkeypatch):
     # a budget of 2^14 doubles makes 4 to 17 blocks of each run below, so
-    # that with the thread cap unset up to three workers share them
+    # that with the thread cap unset up to three workers share them; direct
+    # synthesis runs on one worker whatever the CPU count
     fbm = build_fbm(0.3, 1.0, 200, fbm_coefficients(0.3, 1.0, 200))
     ou = build_generalized_ou(2.0, 0.0, 0.0, 2.0, 0.5, 1.0, 300)
     deep_ou = build_generalized_ou(2.0, 0.0, 0.0, 2.0, 0.5, 1.0, 4096)
@@ -225,11 +226,9 @@ def test_values_are_byte_identical_whatever_the_cpu_count(monkeypatch):
             monkeypatch.setattr(_engine, "_cpu_count", lambda: cpus)
             for name, run in runs.items():
                 got.setdefault(name, []).append(run().tobytes())
-            direct = sample_paths(fbm, np.linspace(0.0, 1.0, 17), 97, 3).values
-            if cpus == 1:
-                ref = direct
-            # direct synthesis's matrix products round by the block's shape
-            np.testing.assert_allclose(direct, ref, rtol=0, atol=1e-14)
+            got.setdefault("direct", []).append(
+                sample_paths(fbm, np.linspace(0.0, 1.0, 17), 97, 3).values.tobytes()
+            )
     finally:
         sys.setswitchinterval(interval)
     for name, values in got.items():

@@ -292,8 +292,10 @@ def test_tail_sum_pure_extrapolation_brackets_truth():
 def test_tail_sum_monotone_and_validates():
     s = coeffs_closed("brownian_example", 1.0, 1024)
     assert tail_sum(s, 64) > tail_sum(s, 256) > tail_sum(s, 1024) > 0
+    # past the table the fitted decay continues, integrated from N
+    assert tail_sum(s, 1024) > tail_sum(s, 1025) > tail_sum(s, 2048) > tail_sum(s, 1 << 30) > 0
     with pytest.raises(BadParameter):
-        tail_sum(s, 2048)
+        tail_sum(s, -1)
 
 
 def test_tail_sum_infinite_for_slow_decay():
@@ -389,7 +391,7 @@ def _mp_abs_tail(mp, amp, a, T, N, lifted):
     return head + mp.fsum(abs(c) for c in _mp_class_tails(mp, amp, a, T, max(N, 400), lifted))
 
 
-@pytest.mark.parametrize("H", [0.05, 0.3, 0.45, 0.55, 0.75, 0.95])
+@pytest.mark.parametrize("H", [0.05, 0.3, 0.45, 0.501, 0.51, 0.55, 0.75, 0.95])
 def test_entry_bounds_cover_an_mpmath_reference(mp, H):
     amp, a, lifted = _fbm_power_law(H)
     s = fbm_coefficients(H, 1.0, 1 << 20)
@@ -570,6 +572,7 @@ def _series(**kw):
     pytest.param(lambda: power_series_coeffs("1", 0.6, 1.0, 8), id="power-amp-string"),
     pytest.param(lambda: power_series_coeffs(math.nan, 0.6, 1.0, 8), id="power-amp-nan"),
     pytest.param(lambda: power_series_coeffs(1, math.nan, 1.0, 8), id="power-exponent-nan"),
+    pytest.param(lambda: power_series_coeffs(1, 5.0, 1.0, 8), id="power-exponent-five"),
     pytest.param(lambda: fbm_coefficients(0.3, 0.0, 8), id="fbm-T-zero"),
     pytest.param(lambda: fbm_coefficients("0.3", 1.0, 8), id="fbm-H-string"),
     pytest.param(lambda: fbm_coefficients(math.nan, 1.0, 8), id="fbm-H-nan"),

@@ -133,6 +133,39 @@ def test_quantizer_safeguards_when_the_residual_cannot_fall(monkeypatch):
     assert np.max(np.abs(residual(q.levels)[0])) <= 1e-13
 
 
+def test_at_the_cap_the_best_iterate_is_returned(monkeypatch):
+    # with a zero tolerance the residual floors at rounding and Lloyd
+    # fallbacks follow; a cap right after one whose iterate is worse than
+    # an earlier one must return that earlier iterate, not the last
+    steps = []  # (levels, residual) of each Newton step
+    after_lloyd = set()  # the steps that a Lloyd fallback led to
+    newton, lloyd = quantize._newton_delta, quantize._lloyd_step
+
+    def newton_spy(y):
+        r, delta = newton(y)
+        steps.append((y.copy(), float(np.max(np.abs(r)))))
+        return r, delta
+
+    def lloyd_spy(y):
+        after_lloyd.add(len(steps))
+        return lloyd(y)
+
+    monkeypatch.setattr(quantize, "_LLOYD_TOL", 0.0)
+    monkeypatch.setattr(quantize, "_newton_delta", newton_spy)
+    monkeypatch.setattr(quantize, "_lloyd_step", lloyd_spy)
+    with pytest.warns(NonConvergenceWarning, match="iteration cap reached"):
+        gauss1d_quantizer(33)
+    resid = [r for _, r in steps]
+    cap = min(j for j in after_lloyd if j < len(steps) and resid[j] > min(resid[:j]))
+    best = steps[int(np.argmin(resid[:cap]))][0]
+    monkeypatch.setattr(quantize, "_NEWTON_CAP", cap)
+    with pytest.warns(NonConvergenceWarning, match="iteration cap reached"):
+        q = gauss1d_quantizer(33)
+    assert not q.converged
+    assert np.array_equal(q.levels, best)
+    assert not np.array_equal(q.levels, steps[cap][0])  # the last iterate
+
+
 def test_quantizer_distortion_decreases():
     d = [gauss1d_quantizer(n).distortion for n in (1, 2, 3, 5, 9, 17, 40)]
     assert all(a > b for a, b in zip(d, d[1:]))
