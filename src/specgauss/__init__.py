@@ -14,7 +14,6 @@ from .errors import (
     ClampWarning,
     DeltaOutOfRange,
     GramSingularWarning,
-    GridNotUniform,
     InsufficientData,
     NegativeC0,
     NegativeRadicand,

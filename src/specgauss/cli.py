@@ -23,8 +23,8 @@ statistic (the truncation gap) well below the Monte Carlo standard error at
 ``--paths``; otherwise the check fails for some seeds on correct paths.
 ``rate`` adds ``Ns``, ``sup_err_estimates``, ``sup_err_stderrs``,
 ``fitted_slope``, ``reference_slope``, ``slope_tolerance``, and the probe's
-``n_reference`` (reference truncation), ``grid_resolution`` (the sup grid's
-cells m actually used) and ``replicate_count``.
+``n_reference`` (reference truncation, 8 max(Ns)), ``grid_resolution`` (the
+sup grid's cells, m = 16 max(Ns)) and ``replicate_count``.
 """
 
 from __future__ import annotations
@@ -51,9 +51,6 @@ from .fourier import coeffs_closed, fbm_coefficients, power_series_coeffs
 from .gamma import builtin_gamma
 from .quantize import product_quantizer
 from .validate import CovModel, covariance_report, rate_probe
-
-_STOCHASTIC = ("simulate", "validate-cov", "rate")
-
 
 def _add_model_flags(p, *, require_model=True):
     p.add_argument(
@@ -120,17 +117,16 @@ def _expansion(args, N):
 
 
 def _resolve_seed(parser, args):
-    if getattr(args, "seed", None) is not None:
+    """The seed of a stochastic command: ``--seed``, else SPECGAUSS_SEED."""
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("SPECGAUSS_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            parser.error(f"SPECGAUSS_SEED is not an integer: {env!r}")
-    if args.command in _STOCHASTIC:
+    if env is None:
         parser.error(f"{args.command} is stochastic: pass --seed or set SPECGAUSS_SEED")
-    return None
+    try:
+        return int(env)
+    except ValueError:
+        parser.error(f"SPECGAUSS_SEED is not an integer: {env!r}")
 
 
 def _header_line(cfg, seed):
@@ -223,11 +219,9 @@ def _cmd_validate_cov(parser, args):
 
 
 def _cmd_rate(parser, args):
-    _require(parser, args.hurst is not None, "rate requires --hurst")
     _require(parser, 0.0 < args.hurst < 1.0, "--hurst must lie in (0, 1)")
     _require(parser, args.T > 0, "--T must be positive")
     _require(parser, args.replicates >= 100, "--replicates must be >= 100")
-    _require(parser, args.grid_resolution >= 0, "--grid-resolution must be >= 0")
     _require(parser, 0.0 < args.slope_tol < math.inf, "--slope-tol must be positive and finite")
     try:
         Ns = [int(tok) for tok in args.Ns.split(",") if tok]
@@ -236,11 +230,10 @@ def _cmd_rate(parser, args):
     seed = _resolve_seed(parser, args)
     cfg = {
         "command": args.command, "hurst": args.hurst, "T": args.T, "Ns": Ns,
-        "replicates": args.replicates, "grid_resolution": args.grid_resolution,
-        "seed": seed,
+        "replicates": args.replicates, "seed": seed,
     }
     model = CovModel.fbm(args.hurst, args.T)
-    res = rate_probe(model, Ns, args.replicates, args.grid_resolution, seed)
+    res = rate_probe(model, Ns, args.replicates, seed)
     gap = abs(res.fitted_slope - res.reference_slope)
     payload = {
         "Ns": list(res.Ns),
@@ -327,8 +320,6 @@ def _build_parser():
     p.add_argument("--Ns", default="64,128,256,512,1024",
                    help="comma list of truncations")
     p.add_argument("--replicates", type=int, default=200)
-    p.add_argument("--grid-resolution", type=int, default=0,
-                   help="sup grid cells (0 = automatic)")
     p.add_argument("--slope-tol", type=float, default=0.15)
     p.add_argument("--seed", type=int, help="RNG seed (or SPECGAUSS_SEED)")
     p.add_argument("--out", help="JSON report path (default stdout)")

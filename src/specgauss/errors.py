@@ -45,10 +45,6 @@ class NegativeC0(BadParameter):
     """The stationary construction requires a nonnegative mean coefficient."""
 
 
-class GridNotUniform(BadParameter):
-    """The fast synthesis path requires an exactly uniform grid on [0, T]."""
-
-
 class InsufficientData(SpecgaussError):
     """Too few usable points for a fit."""
 

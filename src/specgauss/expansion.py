@@ -43,7 +43,6 @@ from .errors import (
     BranchMismatch,
     ClampWarning,
     DeltaOutOfRange,
-    GridNotUniform,
     NegativeC0,
     NegativeRadicand,
     StarViolated,
@@ -471,33 +470,19 @@ def sample_paths(exp, grid, n_paths, seed):
     )
 
 
-def _uniform_resolution(grid, T):
-    g = real_array(grid, "grid")
-    if g.size < 2:
-        raise GridNotUniform("uniform grid needs at least the two endpoints")
-    m = g.size - 1
-    # negated so that NaN fails the match
-    if not float(np.max(np.abs(g - _engine.uniform_grid(T, m)))) <= 1e-9 * max(1.0, T):
-        raise GridNotUniform("grid does not match t_j = j T / M")
-    return m
-
-
 def _uniform_grid(exp, M):
     """The resolution m and the grid t_j = j T / m of the expansion ``exp``
-    from ``M``, a resolution or the grid array itself."""
+    from the resolution ``M``."""
     check_instance(exp, SeriesExpansion, "exp")
-    if isinstance(M, (list, tuple, np.ndarray)):
-        m = _uniform_resolution(M, exp.horizon_T)
-    else:
-        m = check_int(M, "M", 1)
+    m = check_int(M, "M", 1)
     return m, _engine.uniform_grid(exp.horizon_T, m)
 
 
 def sample_paths_fast(exp, M, n_paths, seed, threads=None):
     """Sample on the uniform grid t_j = j T / M via fast trig transforms.
 
-    ``M`` is the resolution; passing the grid array itself is also accepted
-    and validated for uniformity.  Paths are drawn, weighted, folded and
+    ``M`` is the resolution, an integer >= 1; the grid is
+    ``_engine.uniform_grid(T, M)``.  Paths are drawn, weighted, folded and
     transformed one bounded block at a time, on at most ``threads`` workers
     (default: the CPUs this process may use) that share one block budget,
     so memory stays bounded whatever N and the worker count are, and the

@@ -43,6 +43,7 @@ from .errors import (
     QuadratureNonConvergence,
     SingularityTooStrong,
 )
+from .gamma import GammaSpec
 
 _GL24 = np.polynomial.legendre.leggauss(24)
 _GL16 = np.polynomial.legendre.leggauss(16)
@@ -201,6 +202,7 @@ def oracle_coeff(spec, T, k, refine_limit=23):
     Deliberately naive: this is the reference implementation the panel
     quadrature is tested against, so it shares no machinery with it.
     """
+    check_instance(spec, GammaSpec, "spec")
     k = check_int(k, "k", 0)
     T = check_positive(T, "T")
     w = k * math.pi / T
@@ -535,6 +537,7 @@ def coeffs_quadrature(spec, k_max):
     above raises QuadratureNonConvergence.  The rounding, which scales with
     |g| and no escalation reduces, only widens the bounds.
     """
+    check_instance(spec, GammaSpec, "spec")
     k_max = check_int(k_max, "k_max", 0)
     if spec.delta >= 2.0:
         raise SingularityTooStrong(f"delta={spec.delta} makes the coefficients divergent")
@@ -612,19 +615,18 @@ def coeffs_closed(model, T, k_max, *, theta=None, sigma2=None):
     )
 
 
-def lemma2_transform(series, T):
-    """Scale entry k by (T / k pi)^2; the k = 0 entry becomes undefined.
+def lemma2_transform(series):
+    """Scale entry k by (T / k pi)^2, T the series' horizon; the k = 0 entry
+    becomes undefined.
 
     Turns the coefficient series of the (negated) second derivative into the
     series of the function itself, up to the quadratic correction that the
     construction removes.  A power-law series keeps its power law, lifted.
     """
-    T = check_positive(T, "T")
-    if abs(series.horizon_T - T) > 1e-12 * max(1.0, T):
-        raise BadParameter(f"series horizon {series.horizon_T} does not match T={T}")
+    check_instance(series, CosineSeries, "series")
     factor = np.arange(1, series.k_max + 1, dtype=float)
     factor *= np.pi
-    np.divide(T, factor, out=factor)
+    np.divide(series.horizon_T, factor, out=factor)
     np.square(factor, out=factor)
     values = np.zeros(series.k_max + 1)
     bounds = np.zeros(series.k_max + 1)
@@ -662,7 +664,7 @@ def fbm_coefficients(H, T, k_max):
         -2.0 * H * (2.0 * H - 1.0), 2.0 * H - 2.0, T, k_max,
         label=f"neg_power(H={H},T={T})",
     )
-    out = lemma2_transform(base, T)
+    out = lemma2_transform(base)
     return replace(out, source_label=f"fbm_high(H={H},T={T})")
 
 
@@ -688,6 +690,7 @@ def decay_fit(series, k_lo, k_hi):
     particular the parity-suppressed ones) are skipped; fewer than 8 usable
     points raises InsufficientData.
     """
+    check_instance(series, CosineSeries, "series")
     k_lo, k_hi = check_int(k_lo, "k_lo", 1), check_int(k_hi, "k_hi", 1)
     if not (k_lo < k_hi <= series.k_max):
         raise BadParameter("need 1 <= k_lo < k_hi <= k_max")
@@ -721,19 +724,15 @@ def _tail_extrapolation(series, m):
     if sig.size == 0:
         return 0.0
     lo = max(1, k_max // 4)
-    density = 1.0
     try:
-        p = decay_fit(series, lo, k_max) if k_max >= 4 * lo and k_max > lo else None
+        p = decay_fit(series, lo, k_max)
     except (InsufficientData, BadParameter):
-        p = None
-    if p is None:
-        p = -1.0
-    else:
-        window = np.arange(lo, k_max + 1)
-        density = np.count_nonzero(_significant(series, window)) / window.size
+        return math.inf  # too few entries to fit; tail unknown
     if p > -1.05:
         return math.inf  # too flat to integrate; tail unknown
-    p = min(-1.0, max(-3.0, p))
+    p = max(-3.0, p)
+    window = np.arange(lo, k_max + 1)
+    density = np.count_nonzero(_significant(series, window)) / window.size
     # a parity-alternating series decays on two levels and the fit lands
     # between them, so C is matched at whichever of the last two significant
     # entries implies the larger level |c_k| k^-p
@@ -822,8 +821,9 @@ def tail_sum(series, N):
     expansion with Hurwitz zeta values (:func:`_power_tail`), rounded up.
     For any other series the table beyond N is summed, and the rest beyond
     max(N, k_max) is the power law fitted to the table's last quarter,
-    integrated with a safety factor of 2; inf when the tail decays too
-    slowly to extrapolate.  Either way any N >= 0 is accepted, and the sum
+    integrated with a safety factor of 2; inf when that quarter holds too
+    few significant entries to fit, or the tail decays too slowly to
+    extrapolate.  Either way any N >= 0 is accepted, and the sum
     is nonincreasing in N up to the rounding of the table's sum.
     """
     check_instance(series, CosineSeries, "series")

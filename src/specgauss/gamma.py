@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._util import check_int, check_positive, check_real
+from ._util import check_instance, check_positive, check_real
 from .errors import BadParameter, NonFiniteEvaluation
 
 
@@ -72,6 +72,7 @@ class StarReport:
 
 def negate_spec(spec):
     """GammaSpec of -g, with metadata negated accordingly."""
+    check_instance(spec, GammaSpec, "spec")
     ev, dv = spec.evaluate, spec.derivative
     return GammaSpec(
         evaluate=lambda t: -ev(t),
@@ -171,27 +172,26 @@ def builtin_gamma(kind, T, *, hurst=None, theta=None, sigma2=None, slope=1.0):
 
 # largest relative derivative and concavity violation the star probe passes
 _STAR_TOL = 1e-9
+# points of the star probe's grid
+_STAR_POINTS = 1024
 # geometric window (x_lo, x_hi, points) of the singularity-exponent fit
 _FIT_WINDOW = (1e-8, 1e-4, 64)
 
 
-def _star_grid(T, grid_size):
-    # geometric tail T*2^-j down to T*2^-40 catches the endpoint behavior,
-    # the rest of the budget samples [T/2, T] uniformly
-    geo = T * 2.0 ** (-np.arange(1.0, 41.0))
-    uni = np.linspace(T / 2.0, T, max(2, grid_size - geo.size))
-    return np.unique(np.concatenate([geo, uni])), geo
-
-
-def check_star(spec, grid_size=1024):
+def check_star(spec):
     """Probe increasingness, concavity and the derivative's singular bound.
 
-    Violations are measured relative to the local derivative scale so that the
-    huge derivative values near a singular origin do not drown the check in
-    rounding noise.  ``passed`` requires both violations <= ``_STAR_TOL`` and
-    a finite singular-bound estimate.
+    The probe grid spends ``_STAR_POINTS`` points: a geometric tail T 2^-j,
+    j = 1..40, catches the endpoint behaviour, and the rest sample
+    [T/2, T] uniformly (T/2 is in both, so the grid keeps one fewer).  Violations are measured relative to the local
+    derivative scale so that the huge derivative values near a singular
+    origin do not drown the check in rounding noise.  ``passed`` requires
+    both violations <= ``_STAR_TOL`` and a finite singular-bound estimate.
     """
-    grid, geo = _star_grid(spec.horizon_T, check_int(grid_size, "grid_size", 16))
+    check_instance(spec, GammaSpec, "spec")
+    T = spec.horizon_T
+    geo = T * 2.0 ** (-np.arange(1.0, 41.0))
+    grid = np.unique(np.concatenate([geo, np.linspace(T / 2.0, T, _STAR_POINTS - geo.size)]))
     g = np.asarray(spec.evaluate(grid), dtype=float)
     d = np.asarray(spec.derivative(grid), dtype=float)
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(d))):
@@ -223,6 +223,7 @@ def fit_singularity_exponent(spec):
 
     For an admissible spec this recovers ``delta`` up to grid effects.
     """
+    check_instance(spec, GammaSpec, "spec")
     x = np.geomspace(*_FIT_WINDOW)
     d = np.asarray(spec.derivative(x), dtype=float)
     if np.any(~np.isfinite(d)) or np.any(d <= 0):

@@ -17,19 +17,20 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 from . import _engine, _special
-from ._util import check_int, csv_table_text, real_array
+from ._util import check_instance, check_int, csv_table_text, real_array
 from .errors import (
     BadParameter,
     GramSingularWarning,
     NonConvergenceWarning,
     TooFewPaths,
 )
+from .expansion import SeriesExpansion
 from .fourier import tail_sum
 
 __all__ = [
@@ -49,6 +50,8 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 _NEWTON_CAP = 60
 # largest stationarity residual (centroid minus level) of a converged quantizer
 _LLOYD_TOL = 1e-10
+# points t_j = j T / 256 of the grid on which distortion_mc integrates
+_MC_GRID_POINTS = 257
 
 
 def _phi(x):
@@ -411,6 +414,7 @@ def _gram_of_terms(terms, T):
 
 def gram_matrix(exp):
     """Gram matrix of the full basis of an expansion on [0, horizon_T]."""
+    check_instance(exp, SeriesExpansion, "exp")
     terms, _ = _basis_terms(exp, exp.truncation_N)
     return _gram_of_terms(terms, exp.horizon_T)
 
@@ -487,6 +491,7 @@ class ReducedKL:
 def kl_reduce(exp, m):
     """Eigenreduction of the truncated covariance on the span of the
     first m frequencies (plus the drift coordinate when present)."""
+    check_instance(exp, SeriesExpansion, "exp")
     m = check_int(m, "m", 1)
     terms, lams = _basis_terms(exp, m)
     gram = _gram_of_terms(terms, exp.horizon_T)
@@ -563,11 +568,9 @@ class FunctionalQuantizer:
         """Array (n_codewords, reduced_dim) of sqrt(mu_j) y_j per codeword,
         multi-indices enumerated in row-major order."""
         root_mu = np.sqrt(self.reduced.mu)
-        out = np.empty((self.n_codewords, self.reduced.reduced_dim))
-        for row, idx in enumerate(np.ndindex(*self.levels_per_dim)):
-            for j, (q, i) in enumerate(zip(self.quantizers, idx)):
-                out[row, j] = root_mu[j] * q.levels[i]
-        return out
+        axes = [r * q.levels for r, q in zip(root_mu, self.quantizers)]
+        grids = np.meshgrid(*axes, indexing="ij")
+        return np.stack(grids, axis=-1).reshape(self.n_codewords, len(axes))
 
     def codebook_paths(self, tgrid):
         """Codeword paths on a grid, deterministic mean included."""
@@ -605,7 +608,9 @@ class FunctionalQuantizer:
 
 def product_quantizer(model, exp, budget_N, m=None):
     """Rate-optimal product quantizer of an expansion under a codebook
-    budget.  ``m`` defaults to max(1, ceil(log2 budget))."""
+    budget.  ``m`` defaults to max(1, ceil(log2 budget)).  ``model`` only
+    names the codebook; its label, when it has one, is the codebook's."""
+    check_instance(exp, SeriesExpansion, "exp")
     budget = check_int(budget_N, "budget_N", 1)
     if m is None:
         m = max(1, math.ceil(math.log2(budget)))
@@ -644,18 +649,21 @@ def _coordinate_draws(exp, red, z):
     return np.concatenate(cols, axis=1)
 
 
-def distortion_mc(q, exp, n_paths, seed, grid_points=257):
+def distortion_mc(q, exp, n_paths, seed):
     """Monte Carlo estimate of the integrated squared quantization error.
 
     Samples fresh paths, projects each onto its nearest codeword through
     the reduced coordinates, and integrates the squared gap by the
-    trapezoid rule.  Returns (estimate, stderr).
+    trapezoid rule on the ``_MC_GRID_POINTS`` points t_j = j T / 256.
+    Returns (estimate, stderr).
     """
+    check_instance(q, FunctionalQuantizer, "q")
+    check_instance(exp, SeriesExpansion, "exp")
     n_paths = check_int(n_paths, "n_paths")
     seed = check_int(seed, "seed")
     if n_paths < 100:
         raise TooFewPaths(f"distortion estimate needs >= 100 paths, got {n_paths}")
-    m_panels = check_int(grid_points, "grid_points", 257) - 1
+    m_panels = _MC_GRID_POINTS - 1
     tgrid = _engine.uniform_grid(exp.horizon_T, m_panels)
     red = q.reduced
     fmat = red.reduced_functions(tgrid)

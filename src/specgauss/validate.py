@@ -38,7 +38,7 @@ so its memory is bounded by the block budget whatever the ladder.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -196,6 +196,7 @@ def series_cov(exp, s, t):
     product with its squared amplitudes: O(N) multiplications and O(sqrt N)
     complex exponentials per point.
     """
+    check_instance(exp, SeriesExpansion, "exp")
     s, t = _points_in_horizon(exp.horizon_T, s, t)
     total = 0.0
     n = exp.truncation_N
@@ -235,6 +236,7 @@ def series_cov_grid(exp, grid):
     rebuilt for the cosine channel), so besides the output only that block
     and one output-sized Gram product are alive.
     """
+    check_instance(exp, SeriesExpansion, "exp")
     T = exp.horizon_T
     t = real_array(grid, "grid")
     if not np.all((t >= -1e-12 * T) & (t <= T * (1.0 + 1e-12))):
@@ -304,6 +306,7 @@ def series_cov_uniform(exp, m):
     each channel's covariance is a combination of its folded cosine sums
     Phi(d).  The error is a few ulps of the total variance.
     """
+    check_instance(exp, SeriesExpansion, "exp")
     m = check_int(m, "m", 1)
     i = np.arange(m + 1)
     cov = _folded_cov(exp, m, i[:, None], i[None, :])
@@ -313,6 +316,7 @@ def series_cov_uniform(exp, m):
 def series_var_uniform(exp, m):
     """The diagonal of :func:`series_cov_uniform`, the series variance at
     each of the m + 1 points t_j = j T / m, in O(N + L log L + m)."""
+    check_instance(exp, SeriesExpansion, "exp")
     m = check_int(m, "m", 1)
     i = np.arange(m + 1)
     var = _folded_cov(exp, m, i, i)
@@ -329,7 +333,8 @@ def _exact_uniform_m(exp, grid):
 
 
 def _require_paths(batch):
-    n = batch.n_paths
+    """The path count of ``batch``, a PathBatch of at least 100 paths."""
+    n = check_instance(batch, PathBatch, "batch").n_paths
     if n < 100:
         raise TooFewPaths(f"covariance estimation needs >= 100 paths, got {n}")
     return n
@@ -482,14 +487,14 @@ class RateProbeResult:
     grid_resolution: int
 
 
-def rate_probe(model, Ns, replicates, grid_resolution, seed):
+def rate_probe(model, Ns, replicates, seed):
     """Monte Carlo estimate of E sup_t |B_t - B_t^N| over a geometric ladder
     of truncations, with a common high-truncation reference and coupled
     draws; fits the slope of log(est / sqrt(log N)) against log N.
 
-    The sup over [0, T] is approximated by the max over a uniform grid of
-    at least 16 * max(Ns) cells; the residual is band-limited, so the grid
-    max converges quickly.
+    The sup over [0, T] is approximated by the max over the uniform grid of
+    m = 16 * max(Ns) cells, recorded as ``grid_resolution``; the residual is
+    band-limited, so no finer grid is needed.
 
     Every replicate draws the 2 n_ref + 1 normals of one reference expansion
     (n_ref = 8 max(Ns)), so the whole ladder is coupled.  The residual beyond
@@ -500,7 +505,7 @@ def rate_probe(model, Ns, replicates, grid_resolution, seed):
     this process may use, and the draws, spectra and transform buffers of
     all workers share one budget of ``BLOCK_DOUBLES`` doubles.
     """
-    if model.kind != "fbm":
+    if check_instance(model, CovModel, "model").kind != "fbm":
         raise BadParameter("rate probe is defined for the fractional model")
     try:
         Ns = list(Ns)
@@ -510,12 +515,11 @@ def rate_probe(model, Ns, replicates, grid_resolution, seed):
     if len(Ns) < 2 or any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise BadParameter("Ns must be a strictly increasing ladder of length >= 2")
     replicates = check_int(replicates, "replicates", 100)
-    grid_resolution = check_int(grid_resolution, "grid_resolution", 0)
     seed = check_int(seed, "seed")
     H = model.hurst
     T = model.horizon_T
     n_ref = 8 * Ns[-1]
-    m = max(grid_resolution, 16 * Ns[-1])
+    m = 16 * Ns[-1]
     ref = build_fbm(H, T, n_ref, fbm_coefficients(H, T, n_ref))
     sups = np.empty((len(Ns), replicates))
 
@@ -550,7 +554,7 @@ def lemma1_check(spec, K, grid):
     The grid may cover [-T, T]; the reconstruction is even in t.  Requires
     a bounded generating function (delta < 1).
     """
-    if spec.delta >= 1.0:
+    if check_instance(spec, GammaSpec, "spec").delta >= 1.0:
         raise DeltaOutOfRange(f"reconstruction check needs delta < 1, got {spec.delta}")
     T = spec.horizon_T
     g = real_array(grid, "grid")

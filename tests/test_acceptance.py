@@ -151,7 +151,7 @@ def test_06_uniform_rate_probe(capsys):
     ok = True
     for h in (0.3, 0.75):
         res = rate_probe(
-            CovModel.fbm(h, 1.0), [128, 256, 512, 1024, 2048], 200, 0, 2026
+            CovModel.fbm(h, 1.0), [128, 256, 512, 1024, 2048], 200, 2026
         )
         gap = abs(res.fitted_slope - res.reference_slope)
         ok = ok and gap <= 0.15

@@ -11,6 +11,7 @@ from specgauss import (
     NumericalFailure,
     _engine,
     build_fbm,
+    coeffs_closed,
     covariance_report,
     fbm_coefficients,
     product_quantizer,
@@ -68,6 +69,19 @@ def test_simulate_requires_seed():
     assert code == 2
 
 
+def test_non_integer_env_seed_exits_2(monkeypatch):
+    monkeypatch.setenv("SPECGAUSS_SEED", "7.5")
+    code = _usage_exit(
+        ["simulate", "--model", "brownian", "--paths", "4", "--N", "8"]
+    )
+    assert code == 2
+
+
+def test_rate_ns_must_be_integers():
+    code = _usage_exit(["rate", "--hurst", "0.3", "--Ns", "64,x", "--seed", "1"])
+    assert code == 2
+
+
 def test_bin_format_requires_out():
     code = _usage_exit(
         ["simulate", "--model", "brownian", "--paths", "4", "--N", "8",
@@ -88,12 +102,6 @@ def test_rate_slope_tol_must_be_positive_and_finite():
             "--seed", "1"]
     for bad in ("0", "-0.1", "nan", "inf"):
         assert _usage_exit(base + [f"--slope-tol={bad}"]) == 2, bad
-
-
-def test_rate_grid_resolution_must_be_nonnegative():
-    code = _usage_exit(["rate", "--hurst", "0.75", "--Ns", "8,16", "--replicates",
-                        "100", "--seed", "1", "--grid-resolution=-1"])
-    assert code == 2
 
 
 def test_numerical_failure_exits_3(monkeypatch, capsys):
@@ -124,6 +132,18 @@ def test_coeffs_matches_library(tmp_path, capsys):
     ref = fbm_coefficients(0.3, 1.0, 8)
     assert np.array_equal(series.values, ref.values)
     assert out.read_text() == text
+
+
+def test_coeffs_gen_ou_matches_the_closed_form(tmp_path):
+    out = tmp_path / "c.csv"
+    assert main(["coeffs", "--model", "gen-ou", "--theta", "2", "--sigma", "1.5",
+                 "--T", "0.5", "--kmax", "16", "--out", str(out)]) == 0
+    series = CosineSeries.from_csv(str(out))
+    ref = coeffs_closed("generalized_ou", 0.5, 16, theta=2.0, sigma2=2.25)
+    assert series.horizon_T == ref.horizon_T == 1.0
+    assert np.array_equal(series.values, ref.values)
+    assert np.array_equal(series.error_bounds, ref.error_bounds)
+    assert series.method == "closed_form" and series.source_label == ref.source_label
 
 
 def test_coeffs_brownian_to_file(tmp_path):
@@ -252,7 +272,7 @@ def test_validate_cov_samples_the_aliased_grid_law(tmp_path, monkeypatch, capsys
 def test_rate_report_schema(tmp_path, capsys):
     out = tmp_path / "rate.json"
     code = main(["rate", "--hurst", "0.75", "--Ns", "8,16", "--replicates",
-                 "100", "--grid-resolution", "64", "--slope-tol", "5.0",
+                 "100", "--slope-tol", "5.0",
                  "--seed", "21", "--out", str(out)])
     assert code == 0
     assert capsys.readouterr().out.startswith("PASS rate")
@@ -265,11 +285,10 @@ def test_rate_report_schema(tmp_path, capsys):
 
 
 def test_rate_report_records_the_probe_sizes(tmp_path):
-    # the reference truncation is 8 max(Ns); the sup grid is at least
-    # 16 max(Ns) cells, so the requested 64 becomes 256
+    # the reference truncation is 8 max(Ns), the sup grid 16 max(Ns) cells
     out = tmp_path / "rate.json"
     code = main(["rate", "--hurst", "0.3", "--Ns", "8,16", "--replicates",
-                 "120", "--grid-resolution", "64", "--slope-tol", "5.0",
+                 "120", "--slope-tol", "5.0",
                  "--seed", "21", "--out", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
@@ -282,7 +301,7 @@ def test_rate_tight_tolerance_can_fail(tmp_path):
     # two tiny truncations cannot land within 1e-6 of the asymptote
     out = tmp_path / "rate.json"
     code = main(["rate", "--hurst", "0.75", "--Ns", "8,16", "--replicates",
-                 "100", "--grid-resolution", "64", "--slope-tol", "1e-6",
+                 "100", "--slope-tol", "1e-6",
                  "--seed", "21", "--out", str(out)])
     assert code == 1
     assert json.loads(out.read_text())["passed"] is False

@@ -206,7 +206,7 @@ def test_values_are_byte_identical_whatever_the_cpu_count(monkeypatch):
     deep_ou = build_generalized_ou(2.0, 0.0, 0.0, 2.0, 0.5, 1.0, 4096)
 
     def probe():
-        res = rate_probe(CovModel.fbm(0.3, 1.0), [8, 16, 32], 100, 0, 3)
+        res = rate_probe(CovModel.fbm(0.3, 1.0), [8, 16, 32], 100, 3)
         return np.array([*res.sup_err_estimates, *res.sup_err_stderrs, res.fitted_slope])
 
     runs = {

@@ -18,7 +18,6 @@ from specgauss import (
     BranchMismatch,
     ClampWarning,
     DeltaOutOfRange,
-    GridNotUniform,
     NegativeRadicand,
     PathBatch,
     StarViolated,
@@ -428,11 +427,10 @@ def test_sampling_argument_validation(exp_low):
             uniform(exp_low, 0, 5, 1)
         with pytest.raises(BadParameter):
             uniform(exp_low, 16, 5, 1.5)
-        with pytest.raises(GridNotUniform):
-            uniform(exp_low, np.array([0.0, 0.3, 1.0]), 5, 1)
-        with pytest.raises(GridNotUniform):
-            uniform(exp_low, np.array([0.0, math.nan, 1.0]), 5, 1)
-        assert uniform(exp_low, np.linspace(0.0, 1.0, 9), 5, 1).grid.size == 9
+        # M is the resolution only: a grid array, even the uniform one, is not
+        for grid in (np.array([0.0, 0.3, 1.0]), np.linspace(0.0, 1.0, 9)):
+            with pytest.raises(BadParameter, match="M must be an integer"):
+                uniform(exp_low, grid, 5, 1)
     with pytest.raises(BadParameter):
         sample_paths(exp_low, np.array([0.0, 0.3, 0.2]), 5, 1)
 

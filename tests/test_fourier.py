@@ -226,16 +226,10 @@ def test_closed_vs_quadrature_gen_ou():
 def test_high_branch_series_is_lemma2_of_neg_power():
     H = 0.75
     base = power_series_coeffs(-2 * H * (2 * H - 1), 2 * H - 2, 1.0, 32)
-    via = lemma2_transform(base, 1.0)
+    via = lemma2_transform(base)
     s = fbm_coefficients(H, 1.0, 32)
     assert not s.has_c0
     assert np.allclose(s.values[1:], via.values[1:], rtol=0, atol=0)
-
-
-def test_lemma2_rejects_horizon_mismatch():
-    base = power_series_coeffs(1.0, 0.6, 1.0, 8)
-    with pytest.raises(BadParameter):
-        lemma2_transform(base, 2.0)
 
 
 def test_fbm_coefficients_rejects_half_and_out_of_range():
@@ -509,7 +503,7 @@ def test_power_tail_at_the_edges_of_decay():
     # the raw series of t^-0.5 decays like k^-0.5: no finite tail
     s = power_series_coeffs(1.0, -0.5, 1.0, 256)
     assert tail_sum(s, 256) == math.inf
-    assert tail_sum(lemma2_transform(s, 1.0), 256) < math.inf
+    assert tail_sum(lemma2_transform(s), 256) < math.inf
     # a constant has no coefficient past c_0, although 1/k would diverge
     flat = power_series_coeffs(2.0, 0.0, 1.0, 256)
     assert not np.any(flat.values[_K0 + 1 :])
@@ -586,7 +580,6 @@ def _series(**kw):
     pytest.param(lambda: _ou("2", 1), id="ou-theta-string"),
     pytest.param(lambda: _ou(None, 1), id="ou-theta-missing"),
     pytest.param(lambda: coeffs_closed("brownian_example", math.inf, 8), id="closed-T-inf"),
-    pytest.param(lambda: lemma2_transform(_S, "1"), id="lemma2-T-string"),
     pytest.param(lambda: _series(horizon_T=math.inf), id="series-T-inf"),
     pytest.param(lambda: _series(horizon_T="1"), id="series-T-string"),
     pytest.param(lambda: _series(power_law=(1.0, 6.0, False)), id="series-power-exponent"),

@@ -97,11 +97,6 @@ def test_check_star_rejects_decreasing_and_convex():
     assert not rep.passed  # decreasing and convex
 
 
-def test_check_star_grid_validation():
-    with pytest.raises(BadParameter):
-        check_star(builtin_gamma("linear", 1.0), grid_size=4)
-
-
 def test_check_star_non_finite_evaluation():
     spec = GammaSpec(
         evaluate=lambda t: np.where(t < 0.5, np.nan, t),

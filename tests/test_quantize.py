@@ -549,6 +549,26 @@ def test_distortion_mc_matches_analytic_at_budget_20(exp_fbm04):
     assert abs(est - target) <= 4.0 * se
 
 
+# the drift column of the coordinate draws (fBm H > 1/2, type B), the "one"
+# and "cos" basis rows (type B) and the deterministic mean (gen-OU)
+_MC_EXPANSIONS = {
+    "fbm_high": FAMILY_BUILDERS["fbm_high"],
+    "type_b": FAMILY_BUILDERS["type_b"],
+    "gen_ou_mean": lambda n: build_generalized_ou(2.0, 1.0, 0.5, 2.0, 0.0, 1.0, n),
+}
+
+
+@pytest.mark.filterwarnings("ignore::specgauss.GramSingularWarning")
+@pytest.mark.parametrize("budget", [1, 20])
+@pytest.mark.parametrize("name", sorted(_MC_EXPANSIONS))
+def test_distortion_mc_matches_analytic_on_every_basis_term(name, budget):
+    exp = _MC_EXPANSIONS[name](64)
+    q = product_quantizer(None, exp, budget)
+    est, se = distortion_mc(q, exp, 4000, seed=321)
+    target = q.distortion_sq - quantize._tail_variance_integral(exp)
+    assert abs(est - target) <= 4.0 * se, (est, target, se)
+
+
 def test_distortion_mc_holds_one_budget(exp_fbm04):
     # 4000 paths on 257 points: the paths, their codes and the trapezoid
     # rule's temporaries are per-row and count against the block budget
@@ -574,8 +594,6 @@ def test_distortion_mc_validation(exp_fbm04):
     q = product_quantizer(None, exp_fbm04, 4)
     with pytest.raises(TooFewPaths):
         distortion_mc(q, exp_fbm04, 50, seed=1)
-    with pytest.raises(BadParameter):
-        distortion_mc(q, exp_fbm04, 200, seed=1, grid_points=65)
 
 
 def test_quantizer_rejects_initial_coupling():
@@ -602,6 +620,19 @@ def test_codebook_csv_shape_and_pinning(exp_fbm04):
     first = [float(v) for v in lines[2].split(",")]
     assert first[0] == 0.0
     assert max(abs(v) for v in first[1:]) == 0.0  # all codewords start at 0
+
+
+@pytest.mark.filterwarnings("ignore::specgauss.GramSingularWarning")
+@pytest.mark.parametrize("budget", [77, 1000])
+def test_codeword_coeffs_enumerate_the_product_in_row_major_order(exp_fbm04, budget):
+    q = product_quantizer(None, exp_fbm04, budget)
+    root_mu = np.sqrt(q.reduced.mu)
+    # one codeword per multi-index, one product per entry: the same bits
+    ref = np.array([[r * s.levels[i] for r, s, i in zip(root_mu, q.quantizers, idx)]
+                    for idx in np.ndindex(*q.levels_per_dim)])
+    got = q.codeword_coeffs()
+    assert got.shape == (q.n_codewords, q.reduced.reduced_dim)
+    assert np.array_equal(got, ref)
 
 
 def test_codebook_includes_mean_path():

@@ -20,19 +20,33 @@ from specgauss import (
     build_type_b,
     build_type_c,
     builtin_gamma,
+    check_star,
     coeffs_closed,
     coeffs_quadrature,
     covariance_report,
     decay_fit,
+    distortion_mc,
+    empirical_cov,
+    empirical_cov_grid,
     fbm_coefficients,
+    fit_singularity_exponent,
     gauss1d_quantizer,
+    gram_matrix,
     kl_reduce,
     lemma1_check,
+    lemma2_transform,
+    negate_spec,
+    oracle_coeff,
     power_series_coeffs,
     product_quantizer,
+    rate_probe,
     sample_paths,
     sample_paths_aliased,
     sample_paths_fast,
+    series_cov,
+    series_cov_grid,
+    series_cov_uniform,
+    series_var_uniform,
     tail_sum,
     truncation_for_tolerance,
 )
@@ -173,6 +187,7 @@ def test_malformed_real_input_is_a_bad_parameter(call):
 
 
 _FBM_MODEL = CovModel.fbm(0.3, 1.0)
+_QUANTIZER = product_quantizer(None, _FBM, 4)
 
 
 @pytest.mark.parametrize("call", [
@@ -192,6 +207,26 @@ _FBM_MODEL = CovModel.fbm(0.3, 1.0)
     pytest.param(lambda: covariance_report(_FBM_MODEL, None, None), id="report-exp-none"),
     pytest.param(lambda: covariance_report(_FBM_MODEL, _FBM, None), id="report-batch-none"),
     pytest.param(lambda: covariance_report(None, _FBM, _BATCH), id="report-model-none"),
+    pytest.param(lambda: series_cov(None, 0.2, 0.5), id="series_cov-exp-none"),
+    pytest.param(lambda: series_cov_grid(None, [0.0, 1.0]), id="series_cov_grid-exp-none"),
+    pytest.param(lambda: series_cov_uniform(None, 4), id="series_cov_uniform-exp-none"),
+    pytest.param(lambda: series_var_uniform(None, 4), id="series_var_uniform-exp-none"),
+    pytest.param(lambda: empirical_cov(None, 0, 1), id="empirical_cov-batch-none"),
+    pytest.param(lambda: empirical_cov_grid(None), id="empirical_cov_grid-batch-none"),
+    pytest.param(lambda: kl_reduce(None, 2), id="kl_reduce-exp-none"),
+    pytest.param(lambda: gram_matrix(None), id="gram_matrix-exp-none"),
+    pytest.param(lambda: product_quantizer(None, None, 4), id="product_quantizer-exp-none"),
+    pytest.param(lambda: distortion_mc(None, _FBM, 200, 1), id="distortion_mc-q-none"),
+    pytest.param(lambda: distortion_mc(_QUANTIZER, None, 200, 1), id="distortion_mc-exp-none"),
+    pytest.param(lambda: lemma1_check(None, 4, [0.0, 1.0]), id="lemma1_check-spec-none"),
+    pytest.param(lambda: rate_probe(None, [8, 16], 100, 1), id="rate_probe-model-none"),
+    pytest.param(lambda: decay_fit(None, 32, 512), id="decay_fit-series-none"),
+    pytest.param(lambda: lemma2_transform(None), id="lemma2_transform-series-none"),
+    pytest.param(lambda: check_star(None), id="check_star-spec-none"),
+    pytest.param(lambda: negate_spec(None), id="negate_spec-spec-none"),
+    pytest.param(lambda: fit_singularity_exponent(None), id="fit_singularity_exponent-spec-none"),
+    pytest.param(lambda: coeffs_quadrature(None, 8), id="coeffs_quadrature-spec-none"),
+    pytest.param(lambda: oracle_coeff(None, 1.0, 1), id="oracle_coeff-spec-none"),
 ])
 def test_malformed_object_argument_is_a_bad_parameter(call):
     with pytest.raises(BadParameter):

@@ -16,6 +16,7 @@ from specgauss import (
     analytic_cov,
     build_fbm,
     build_generalized_ou,
+    build_type_b,
     build_type_c,
     builtin_gamma,
     coeffs_closed,
@@ -24,6 +25,7 @@ from specgauss import (
     empirical_cov_grid,
     fbm_coefficients,
     lemma1_check,
+    negate_spec,
     rate_probe,
     sample_paths,
     sample_paths_aliased,
@@ -59,6 +61,39 @@ def test_analytic_cov_closed_forms():
 
     with pytest.raises(BadParameter):
         analytic_cov(m, -0.5, 0.5)
+
+
+# points of [0, 1]^2 off and on the diagonal and on both edges: at s = t and
+# at 0 the models read the generating function at 0 from its stored limit
+_COV_POINTS = [(0.3, 0.8), (0.8, 0.3), (0.5, 0.5), (0.0, 0.7), (0.7, 0.0), (0.0, 0.0), (1.0, 1.0)]
+
+
+def _exp_decay_neg():
+    return negate_spec(builtin_gamma("exp_decay", 1.0, theta=2.0, sigma2=4.0))
+
+
+def test_analytic_cov_of_the_generating_function_models():
+    type_a = CovModel.type_a(builtin_gamma("power2H", 1.0, hurst=0.3), 1.0)
+    type_b = CovModel.type_b(_exp_decay_neg(), 1.0)
+    type_c = CovModel.type_c(builtin_gamma("linear", 2.0, slope=1.0), 1.0)
+    for s, t in _COV_POINTS:
+        # t^(2H): fractional Brownian motion
+        fbm = 0.5 * (s**0.6 + t**0.6 - abs(t - s) ** 0.6)
+        assert analytic_cov(type_a, s, t) == pytest.approx(fbm, rel=1e-14, abs=0.0)
+        # -(sigma^2 / theta) e^(-theta t): the stationary OU kernel
+        ou = 2.0 * math.exp(-2.0 * abs(t - s))
+        assert analytic_cov(type_b, s, t) == pytest.approx(ou, rel=1e-14, abs=0.0)
+        # -|t| over 2T: Brownian motion
+        assert analytic_cov(type_c, s, t) == pytest.approx(min(s, t), rel=1e-14, abs=0.0)
+
+
+def test_covariance_report_on_a_type_b_aliased_batch():
+    spec = _exp_decay_neg()
+    exp = build_type_b(spec, 1.0, 2000)
+    batch = sample_paths_aliased(exp, 16, 2000, 5)
+    rep = covariance_report(CovModel.type_b(spec, 1.0), exp, batch)
+    assert [c["name"] for c in rep["checks"]] == ["empirical_vs_analytic", "series_vs_analytic"]
+    assert rep["passed"], rep["checks"]
 
 
 @pytest.mark.parametrize("make", [
@@ -565,7 +600,7 @@ def test_lemma1_check_validation():
 
 def test_rate_probe_smoke_and_validation():
     model = CovModel.fbm(0.3, 1.0)
-    res = rate_probe(model, [8, 16, 32], 100, 0, seed=13)
+    res = rate_probe(model, [8, 16, 32], 100, seed=13)
     assert res.replicate_count == 100
     assert res.reference_slope == pytest.approx(-0.3)
     assert res.fitted_slope < 0.0
@@ -575,11 +610,11 @@ def test_rate_probe_smoke_and_validation():
     assert res.sup_err_estimates[0] > res.sup_err_estimates[-1]
 
     with pytest.raises(BadParameter):
-        rate_probe(model, [8, 16], 50, 0, seed=1)
+        rate_probe(model, [8, 16], 50, seed=1)
     with pytest.raises(BadParameter):
-        rate_probe(model, [16, 8], 100, 0, seed=1)
+        rate_probe(model, [16, 8], 100, seed=1)
     with pytest.raises(BadParameter):
-        rate_probe(CovModel.brownian(1.0), [8, 16], 100, 0, seed=1)
+        rate_probe(CovModel.brownian(1.0), [8, 16], 100, seed=1)
     # every size and the seed are integers (bool is not), never truncated
     for bad in (
         dict(Ns=[8.7, 16.2]),
@@ -588,25 +623,22 @@ def test_rate_probe_smoke_and_validation():
         dict(replicates=100.9),
         dict(replicates=math.nan),
         dict(replicates=True),
-        dict(grid_resolution=math.nan),
-        dict(grid_resolution=-1),
-        dict(grid_resolution=64.0),
         dict(seed=None),
         dict(seed=1.5),
         dict(seed=False),
     ):
-        args = {**dict(Ns=[8, 16], replicates=100, grid_resolution=0, seed=1), **bad}
+        args = {**dict(Ns=[8, 16], replicates=100, seed=1), **bad}
         with pytest.raises(BadParameter):
             rate_probe(model, **args)
 
 
-def _rate_probe_per_rung(model, Ns, replicates, grid_resolution, seed):
+def _rate_probe_per_rung(model, Ns, replicates, seed):
     """Per-rung reference for the rate probe: one residual expansion per
     rung, each folded and transformed by ``_engine.fast_values`` on every
     block of the shared draws."""
     H, T = model.hurst, model.horizon_T
     n_ref = 8 * Ns[-1]
-    m = max(grid_resolution, 16 * Ns[-1])
+    m = 16 * Ns[-1]
     amps = build_fbm(H, T, n_ref, fbm_coefficients(H, T, n_ref)).amp
     resids = {}
     for n in Ns:
@@ -629,14 +661,14 @@ def _rate_probe_per_rung(model, Ns, replicates, grid_resolution, seed):
     return ests, stderrs
 
 
-@pytest.mark.parametrize("H, grid_resolution", [(0.3, 0), (0.75, 0), (0.3, 1000)])
-def test_rate_probe_ladder_matches_the_per_rung_route(H, grid_resolution):
+@pytest.mark.parametrize("H, top", [(0.3, 32), (0.75, 32), (0.3, 24)])
+def test_rate_probe_ladder_matches_the_per_rung_route(H, top):
     model = CovModel.fbm(H, 1.0)
-    Ns = [8, 16, 32]
-    res = rate_probe(model, Ns, 100, grid_resolution, seed=17)
-    ests, stderrs = _rate_probe_per_rung(model, Ns, 100, grid_resolution, 17)
-    # grid_resolution 1000 is above 16 max(Ns) = 512 and not a power of two
-    assert res.grid_resolution == max(grid_resolution, 512)
+    Ns = [8, 16, top]
+    res = rate_probe(model, Ns, 100, seed=17)
+    ests, stderrs = _rate_probe_per_rung(model, Ns, 100, 17)
+    # the sup grid has 16 max(Ns) cells: 512, or 384, not a power of two
+    assert res.grid_resolution == 16 * top
     np.testing.assert_allclose(res.sup_err_estimates, ests, rtol=1e-12, atol=0)
     np.testing.assert_allclose(res.sup_err_stderrs, stderrs, rtol=1e-12, atol=0)
 
@@ -646,7 +678,7 @@ def test_rate_probe_memory_is_bounded_by_the_block_budget():
     model = CovModel.fbm(0.3, 1.0)
     tracemalloc.start()
     try:
-        res = rate_probe(model, [64, 128, 256, 512], 600, 0, seed=5)
+        res = rate_probe(model, [64, 128, 256, 512], 600, seed=5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -659,6 +691,6 @@ def test_rate_probe_spectra_share_the_block_budget():
     # 32768 cells, so its spectrum and buffer hold 65538 doubles, four times
     # its draws; 300 replicates would fill a draw-only block
     model = CovModel.fbm(0.3, 1.0)
-    res, peak = _traced_peak(lambda: rate_probe(model, [512, 1024], 300, 0, seed=5))
+    res, peak = _traced_peak(lambda: rate_probe(model, [512, 1024], 300, seed=5))
     _assert_within_one_budget(0, peak)
     assert res.sup_err_estimates[0] > res.sup_err_estimates[-1] > 0.0
