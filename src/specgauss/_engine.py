@@ -14,11 +14,13 @@ stream keyed by (seed, path index).  Every family draws the full block of
 whether or not it consumes all of them, so a path's randomness depends only
 on (seed, index), never on the family or the execution schedule.  The
 aliased sampler (:func:`aliased_values`) keeps that layout but draws one
-(sine, cosine) pair per grid residue instead of per frequency: 2R+1 normals,
-R = min(N, 2L), plus the initial-value draw, each pair scaled by the root of
-its residue's folded variance (:func:`folded_amplitudes`).  That is exact in
-law on the grid, and for N <= 2L it draws and returns exactly what
-:func:`fast_values` does.
+(sine, cosine) pair per distinct grid function instead of per frequency:
+residues r and 2L - r of k mod 2L give the same functions up to the sine's
+sign, so a path draws 2R+1 normals, R = min(N, L), plus the initial-value
+draw, each pair scaled by the root of its reflected residue's variance and
+Z_0 by a drift amplitude that also carries residue 0's constant
+(:func:`folded_amplitudes`).  That is exact in law on the grid, and for
+N <= L it draws and returns exactly what :func:`fast_values` does.
 
 Sampling streams paths one bounded block at a time, and everything the
 engine holds per path row counts against one budget of ``BLOCK_DOUBLES``
@@ -47,9 +49,10 @@ so :func:`residual_sups` maps a whole ladder of them from one spectrum,
 one inverse real FFT per rung.
 
 One fold of the squared amplitudes (:func:`folded_variances`) serves both
-the sampler and the covariance: its root scales the aliased draws, and its
-real FFT (:func:`folded_cosine_sums`) gives the covariance of the
-series on the grid, from which :mod:`specgauss.validate` reads every pair
+the sampler and the covariance: the root of its reflection onto residues
+1 .. L scales the aliased draws, and its real FFT
+(:func:`folded_cosine_sums`) gives the covariance of the series on the
+grid, from which :mod:`specgauss.validate` reads every pair
 without evaluating a sine or cosine per frequency.
 """
 
@@ -202,14 +205,15 @@ def split_draws(exp, z):
     return block[:, 0], block[:, 1::2], block[:, 2::2]
 
 
-def _deterministic_terms(exp, tgrid, z, out, scratch):
-    """Add the drift, mean and initial-value terms of one block to ``out``;
-    the (paths, grid) outer products are formed in ``scratch``."""
+def _deterministic_terms(exp, tgrid, z, out, scratch, drift_amp):
+    """Add the drift (amplitude ``drift_amp``), mean and initial-value terms
+    of one block to ``out``; the (paths, grid) outer products are formed in
+    ``scratch``."""
     # Z_0 leads and the initial-value draw closes every layout of a path
     z0 = z[:, 0]
     xi = z[:, -1]
-    if exp.drift_amp > 0.0:
-        drift = (exp.drift_amp * z0)[:, None]
+    if drift_amp > 0.0:
+        drift = (drift_amp * z0)[:, None]
         out += np.multiply(drift, tgrid[None, :], out=scratch) if exp.drift_kind == "t" else drift
     if exp.mean_fn is not None:
         out += np.asarray(exp.mean_fn(tgrid), dtype=float)[None, :]
@@ -249,7 +253,7 @@ def direct_values(exp, tgrid, z, work, out):
             if exp.cos_kind == "omc":
                 np.subtract(1.0, basis, out=basis)
             out += np.matmul(np.multiply(zc[:, k0:k1], exp.amp[k0:k1], out=coef), basis, out=scratch)
-    return _deterministic_terms(exp, tgrid, z, out, scratch)
+    return _deterministic_terms(exp, tgrid, z, out, scratch, exp.drift_amp)
 
 
 def _fold(z, weights, length, work):
@@ -317,7 +321,7 @@ def fast_values(exp, m, z, work, out):
     (:func:`grid_row_doubles` per row).  The draws are weighted in place, so
     ``z`` no longer holds them afterwards."""
     res, work = _fold(z, _weights(exp), exp.period_multiple * m, work)
-    return _grid_values(exp, m, res, z, work, out)
+    return _grid_values(exp, m, res, z, work, out, exp.drift_amp)
 
 
 def folded_variances(exp, m):
@@ -336,11 +340,36 @@ def folded_variances(exp, m):
     return var
 
 
+def aliased_width(exp, m):
+    """Normals per path of the aliased sampler on the grid t_j = j T / m:
+    :func:`draw_width` of one (sine, cosine) pair per reflected residue
+    r = 1 .. min(N, L) (:func:`folded_amplitudes`)."""
+    return draw_width(exp, min(exp.truncation_N, exp.period_multiple * m))
+
+
 def folded_amplitudes(exp, m):
-    """The (R, 2) table of root folded variances (:func:`folded_variances`)
-    in the layout of :func:`_weights`, the per-residue scale of
-    :func:`aliased_values`."""
-    return np.outer(np.sqrt(folded_variances(exp, m)), _weights_row(exp))
+    """The scales of :func:`aliased_values` on the grid t_j = j T / m: the
+    (R, 2) table, R = min(N, L), of the roots of the reflected variances
+    W(r) = V(r) + V(2L - r) of residues r = 1 .. R in the layout of
+    :func:`_weights`, V the folded variances (:func:`folded_variances`),
+    and the amplitude of the drift draw Z_0.
+
+    On the grid, sin(pi (2L - r) j / L) = -sin(pi r j / L) and the cosines
+    agree, so the independent draw sums of residues r and 2L - r are one
+    Gaussian per channel with the summed variance; residue L is its own
+    reflection, and its sine draw meets sin(pi j) = 0.  Residue 0, reached
+    when N >= 2L, vanishes on the grid except in a cos channel, where it is
+    the constant, the function of that family's drift: its variance joins
+    the drift draw's."""
+    lng = exp.period_multiple * m
+    var = folded_variances(exp, m)
+    own = var[:lng]
+    mirror = var[lng : 2 * lng - 1]
+    own[lng - 1 - mirror.size : lng - 1] += mirror[::-1]
+    drift = exp.drift_amp
+    if var.size == 2 * lng and exp.cos_kind == "cos":
+        drift = math.sqrt(drift * drift + var[-1])
+    return np.outer(np.sqrt(own), _weights_row(exp)), drift
 
 
 def folded_cosine_sums(exp, m):
@@ -358,15 +387,16 @@ def folded_cosine_sums(exp, m):
     return np.fft.rfft(full).real
 
 
-def aliased_values(exp, m, table, z, work, out):
+def aliased_values(exp, m, table, drift, z, work, out):
     """Path values on the uniform grid t_j = j T / m from one block of
-    aliased draws: (Z_0, one (sine, cosine) pair per residue, initial-value
-    draw), written into ``out`` through the workspace ``work``.  Each
-    residue sum of :func:`fast_values` is a sum of independent Gaussians, so
-    one normal scaled by ``table`` (:func:`folded_amplitudes`) has the same
-    law.  The pairs are scaled in place in ``z``."""
+    aliased draws: (Z_0, one (sine, cosine) pair per reflected residue,
+    initial-value draw), written into ``out`` through the workspace
+    ``work``.  Each residue sum of :func:`fast_values`, reflected onto
+    residues 1 .. L, is a sum of independent Gaussians, so one normal scaled
+    by ``table`` has the same law, and ``drift`` scales Z_0
+    (:func:`folded_amplitudes`).  The pairs are scaled in place in ``z``."""
     res = _scale_pairs(z[:, 1 : 2 * table.shape[0] + 1], table)
-    return _grid_values(exp, m, res, z, work, out)
+    return _grid_values(exp, m, res, z, work, out, drift)
 
 
 def _spectrum(res, lng, omc, x):
@@ -378,8 +408,9 @@ def _spectrum(res, lng, omc, x):
     With Y_r = C_r - i S_r, bin r holds (Y_r + conj Y_{2L-r}) / 2: residues
     1 .. L land on their own bin, L + 1 .. 2L (2L is residue 0) reflect onto
     bins L - 1 .. 0, and the transform reads only the real part of bins 0
-    and L, C_0 and C_L.  With ``omc`` the cosine channel is 1 - cos: the
-    constant sum of C less the cosine series.
+    and L, C_0 and C_L.  The aliased sampler's sums, reflected already,
+    fill bins 1 .. min(N, L) alone.  With ``omc`` the cosine channel is
+    1 - cos: the constant sum of C less the cosine series.
     """
     k = res.shape[1]
     own = min(k, lng)
@@ -425,13 +456,14 @@ def residual_sups(exp, m, Ns, z, work):
     return sups
 
 
-def _grid_values(exp, m, res, z, work, out):
+def _grid_values(exp, m, res, z, work, out, drift_amp):
     """Map residue sums ``res`` (the layout of :func:`_fold`) onto the grid,
     into ``out``: one inverse real FFT of length 2L per row
     (:func:`_spectrum`), whose first m + 1 values are the grid's; type C's
     sine frequencies k pi / (2T) live on a virtual grid of L = 2m cells.
     Spectrum and transform output are carved from the workspace ``work``,
-    and the deterministic terms reuse the transform's output.
+    and the deterministic terms (drift amplitude ``drift_amp``) reuse the
+    transform's output.
     """
     p, lng = z.shape[0], exp.period_multiple * m
     x, work = carve(work, (p, lng + 1), complex)
@@ -439,4 +471,4 @@ def _grid_values(exp, m, res, z, work, out):
     buf, _ = carve(work, (p, 2 * lng))
     v = np.fft.irfft(x, norm="forward", out=buf)[:, : m + 1]
     out[...] = v
-    return _deterministic_terms(exp, uniform_grid(exp.horizon_T, m), z, out, v)
+    return _deterministic_terms(exp, uniform_grid(exp.horizon_T, m), z, out, v, drift_amp)

@@ -16,11 +16,15 @@ JSON report schema (validate-cov, rate)
 ---------------------------------------
 Common keys: ``command``, ``version``, ``config``, ``seed``, ``passed``.
 ``validate-cov`` adds the :func:`specgauss.validate.covariance_report` dict
-under ``report`` (named checks with statistic/bound/passed each).  Its
-``empirical_vs_analytic`` check compares the sample covariance with the
-untruncated covariance, so ``--N`` must push the ``series_vs_analytic``
-statistic (the truncation gap) well below the Monte Carlo standard error at
-``--paths``; otherwise the check fails for some seeds on correct paths.
+under ``report`` (named checks with statistic/bound/passed each) and
+``normals_per_path``, the normals each sampled path drew: 2 min(N, L) + 1,
+one (sine, cosine) pair per reflected grid residue and Z_0, plus one for an
+initial value, with L = grid - 1, or 2 (grid - 1) on the doubled period of
+Brownian motion and gen-OU.  Its ``empirical_vs_analytic`` check compares
+the sample covariance with the untruncated covariance, so ``--N`` must push
+the ``series_vs_analytic`` statistic (the truncation gap) well below the
+Monte Carlo standard error at ``--paths``; otherwise the check fails for
+some seeds on correct paths.
 ``rate`` adds ``Ns``, ``sup_err_estimates``, ``sup_err_stderrs``,
 ``fitted_slope``, ``reference_slope``, ``slope_tolerance``, and the probe's
 ``n_reference`` (reference truncation, 8 max(Ns)), ``grid_resolution`` (the
@@ -37,7 +41,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _engine
 from ._util import atomic_write_text, config_hash
 from .errors import NumericalFailure, SpecgaussError
 from .expansion import (
@@ -212,7 +216,8 @@ def _cmd_validate_cov(parser, args):
     exp = _expansion(args, args.N)
     batch = sample_paths_aliased(exp, args.grid - 1, args.paths, seed, threads=args.threads)
     report = covariance_report(model, exp, batch, z_bound=args.z_bound)
-    code = _write_report(args, cfg, seed, {"report": report}, report["passed"])
+    payload = {"normals_per_path": _engine.aliased_width(exp, args.grid - 1), "report": report}
+    code = _write_report(args, cfg, seed, payload, report["passed"])
     print(("PASS" if code == 0 else "FAIL") + f" covariance: worst check "
           f"{max(c['statistic'] / c['bound'] for c in report['checks']):.3f}x bound")
     return code

@@ -500,23 +500,26 @@ def sample_paths_fast(exp, M, n_paths, seed, threads=None):
 
 def sample_paths_aliased(exp, M, n_paths, seed, threads=None):
     """Sample the law of ``exp`` on the uniform grid t_j = j T / M with one
-    normal per grid residue instead of one per frequency.
+    normal per distinct grid function instead of one per frequency.
 
     On the grid, sin and cos of pi k j / L depend on k only mod 2L (L = M,
-    or 2M for type C), so each residue's sum of amplitude-weighted normals
-    is one Gaussian whose variance is the folded sum of squared amplitudes.
-    Each path draws 2R+1 normals, R = min(N, 2L), plus one for an initial
+    or 2M for type C), and residues r and 2L - r give the same functions up
+    to the sine's sign, so each reflected residue r = 1 .. L has one sum of
+    amplitude-weighted normals per channel, one Gaussian whose variance is
+    the folded sum of squared amplitudes of both residues.  Residue 0 is
+    the constant in a cos channel, whose variance joins the drift draw's.
+    Each path draws 2R+1 normals, R = min(N, L), plus one for an initial
     value: the paths have exactly the grid law of :func:`sample_paths_fast`,
     at a cost that does not grow with N beyond the O(N) amplitude fold, but
-    they are not the same realizations.  When N <= 2L the two samplers
+    they are not the same realizations.  When N <= L the two samplers
     return identical values.  Arguments, blocking and byte-identity across
     block sizes and thread counts are as in :func:`sample_paths_fast`.
     """
     m, tgrid = _uniform_grid(exp, M)
-    table = _engine.folded_amplitudes(exp, m)
+    table, drift = _engine.folded_amplitudes(exp, m)
     return _run_paths(
         exp, tgrid, n_paths, seed, threads,
-        lambda z, work, out: _engine.aliased_values(exp, m, table, z, work, out),
+        lambda z, work, out: _engine.aliased_values(exp, m, table, drift, z, work, out),
         _engine.grid_row_doubles(exp.period_multiple * m),
         table.shape[0],
     )

@@ -14,8 +14,8 @@ per frequency plus the family table, so every route squares one amplitude
 sequence and reads the basis from ``cos_kind`` and ``drift_kind`` alone.
 On the samplers' uniform grid t_j = j T / m the series covariance needs no
 sine or cosine per frequency: the fold of the squared amplitudes onto the
-grid's residues that scales the aliased draws also fixes the covariance,
-through one real FFT (``_engine.folded_cosine_sums``), and each family's
+grid's residues, whose reflection scales the aliased draws, also fixes the
+covariance, through one real FFT (``_engine.folded_cosine_sums``), and each family's
 covariance is one formula in it.  :func:`series_cov_uniform` reads the
 whole matrix off it in O(N + L log L + m^2), :func:`series_var_uniform` its
 diagonal in O(N + L log L + m), and the report takes that route whenever

@@ -223,6 +223,8 @@ def test_validate_cov_pass(tmp_path, capsys):
     assert report["passed"] is True
     assert report["command"] == "validate-cov"
     assert report["seed"] == 13
+    # Brownian motion is type C: L = 2 * 8 reflected residues, and Z_0
+    assert report["normals_per_path"] == 2 * 16 + 1
     names = {c["name"] for c in report["report"]["checks"]}
     assert names == {"empirical_vs_analytic", "series_vs_analytic"}
 
@@ -239,13 +241,13 @@ def test_validate_cov_detects_truncation_gap(tmp_path, capsys):
 
 
 def test_validate_cov_samples_the_aliased_grid_law(tmp_path, monkeypatch, capsys):
-    # N = 256 > 2L = 16: each path draws 2 * 16 + 1 normals, not 513
+    # N = 256 > L = 8: each path draws 2 * 8 + 1 normals, not 513
     argv = ["validate-cov", "--model", "fbm", "--hurst", "0.3", "--N", "256",
             "--paths", "400", "--grid", "9", "--seed", "29"]
     # blocks of 50 paths, so that two threads share the work: a row holds
-    # its 33 draws, the spectrum and the transform buffer (L = 8); rows this
+    # its 17 draws, the spectrum and the transform buffer (L = 8); rows this
     # narrow run on one worker unless the cutoff is lifted
-    monkeypatch.setattr(_engine, "BLOCK_DOUBLES", 50 * (33 + _engine.grid_row_doubles(8)))
+    monkeypatch.setattr(_engine, "BLOCK_DOUBLES", 50 * (17 + _engine.grid_row_doubles(8)))
     monkeypatch.setattr(_engine, "PARALLEL_MIN_DRAWS", 0)
     texts = []
     for threads in (1, 2):
@@ -254,6 +256,7 @@ def test_validate_cov_samples_the_aliased_grid_law(tmp_path, monkeypatch, capsys
         texts.append(out.read_bytes())
     capsys.readouterr()
     assert texts[0] == texts[1]
+    assert json.loads(texts[0])["normals_per_path"] == 2 * 8 + 1
     got = json.loads(texts[0])["report"]
     model = CovModel.fbm(0.3, 1.0)
     exp = build_fbm(0.3, 1.0, 256, fbm_coefficients(0.3, 1.0, 256))

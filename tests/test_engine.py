@@ -59,8 +59,9 @@ def test_run_blocks_hands_each_path_its_own_philox_stream(monkeypatch, seed):
 
 _M = 16
 # around the band edges of the fold at M = 16 (L = 16, or 32 for type C):
-# one residue per frequency up to N = 2L, then whole 2L-wide bands plus a
-# remainder (32 bands and 5 at N = 1029)
+# one residue per frequency up to N = 2L, residues past L reflected onto
+# 2L - r, residue 0 from N = 2L, then whole 2L-wide bands plus a remainder
+# (32 bands and 5 at N = 1029)
 _ALIAS_NS = (_M - 2, _M - 1, _M, _M + 1, 2 * _M - 1, 2 * _M, 2 * _M + 1,
              4 * _M, 4 * _M + 3, 64 * _M + 5, 1000)
 
@@ -74,10 +75,10 @@ def _aliased_width(exp, table):
     return 2 * table.shape[0] + 1 + (exp.init_coupling is not None)
 
 
-def _aliased(exp, m, table, z):
+def _aliased(exp, m, scales, z):
     """aliased_values of the draws ``z`` with a workspace of its own."""
     work = np.empty(z.shape[0] * _engine.grid_row_doubles(exp.period_multiple * m))
-    return _engine.aliased_values(exp, m, table, z, work, np.empty((z.shape[0], m + 1)))
+    return _engine.aliased_values(exp, m, *scales, z, work, np.empty((z.shape[0], m + 1)))
 
 
 def test_aliased_values_carry_the_series_covariance_on_the_grid(deep_families):
@@ -87,12 +88,13 @@ def test_aliased_values_carry_the_series_covariance_on_the_grid(deep_families):
     for name, full in deep_families.items():
         for n in _ALIAS_NS:
             exp = truncated(full, n)
-            table = _engine.folded_amplitudes(exp, _M)
+            scales = _engine.folded_amplitudes(exp, _M)
             cells = 2 * _M if exp.family == "type_c" else _M
-            assert table.shape == (min(n, 2 * cells), 2)
-            width = _aliased_width(exp, table)
-            mean = _aliased(exp, _M, table, np.zeros((1, width)))
-            basis = _aliased(exp, _M, table, np.eye(width)) - mean
+            # one row per reflected residue 1 .. min(N, L)
+            assert scales[0].shape == (min(n, cells), 2)
+            width = _aliased_width(exp, scales[0])
+            mean = _aliased(exp, _M, scales, np.zeros((1, width)))
+            basis = _aliased(exp, _M, scales, np.eye(width)) - mean
             ref = series_cov_grid(exp, tgrid)
             err = np.max(np.abs(basis.T @ basis - ref)) / np.max(np.abs(ref))
             assert err <= 1e-12, f"{name} N={n}: relative covariance error {err:.2e}"
@@ -120,7 +122,8 @@ def test_aliased_sampler_is_the_fast_sampler_up_to_one_residue_per_frequency(dee
     for name, full in deep_families.items():
         cells = 2 * _M if full.family == "type_c" else _M
         for n in _ALIAS_NS:
-            if n > 2 * cells:
+            # past N = L residue r and 2L - r share one pair of draws
+            if n > cells:
                 continue
             exp = truncated(full, n)
             got = sample_paths_aliased(exp, _M, 9, 5).values
@@ -135,11 +138,15 @@ def test_aliased_sampler_draws_each_path_from_its_own_philox_stream(
     hi = (seed % 2**64) << 64
     for name in ("fbm_high", "gen_ou"):
         exp = truncated(deep_families[name], 4 * _M + 3)
-        table = _engine.folded_amplitudes(exp, _M)
-        width = _aliased_width(exp, table)
+        scales = _engine.folded_amplitudes(exp, _M)
+        width = _aliased_width(exp, scales[0])
+        # Z_0, one (sine, cosine) pair per residue 1 .. min(N, L), and the
+        # initial-value draw of gen-OU
+        cells = exp.period_multiple * _M
+        assert width == 2 * cells + 1 + (name == "gen_ou") == _engine.aliased_width(exp, _M)
         draws = np.array([np.random.Generator(np.random.Philox(key=hi + i)).standard_normal(width)
                           for i in range(n_paths)])
-        ref = _aliased(exp, _M, table, draws)
+        ref = _aliased(exp, _M, scales, draws)
         # blocks of one path, of all paths, and of two paths with their
         # spectra and transform buffers (gen-OU's on its doubled grid, type
         # C), which three threads share as two workers of one path each

@@ -453,6 +453,20 @@ def test_csv_and_binary_round_trips(tmp_path, exp_ou):
     assert back2.seed == batch.seed
 
 
+def test_binary_v1_keeps_the_grid_values_and_seed_word_only(exp_ou):
+    # what the README promises of the binary format, and no more
+    batch = sample_paths_fast(exp_ou, 16, 9, -5)
+    back = PathBatch.from_binary_bytes(batch.to_binary_bytes())
+    assert back.grid.tobytes() == batch.grid.tobytes()
+    assert back.values.tobytes() == batch.values.tobytes()
+    # the seed comes back modulo 2^64, the word that keys the same streams
+    assert back.seed == 2**64 - 5
+    assert sample_paths_fast(exp_ou, 16, 9, back.seed).values.tobytes() == batch.values.tobytes()
+    # v1 has no field for the expansion label or N (ROADMAP item 7)
+    assert batch.expansion_ref and batch.truncation_N == exp_ou.truncation_N
+    assert (back.expansion_ref, back.truncation_N) == ("", 0)
+
+
 def _corrupt_blobs(blob):
     """(message fragment, corrupted blob) for each rejection of the format."""
     yield "bytes, expected", blob + b"junk"
