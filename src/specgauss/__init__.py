@@ -43,13 +43,13 @@ from .fourier import (
 from .expansion import (
     PathBatch,
     SeriesExpansion,
+    aliased_expansion,
     build_fbm,
     build_generalized_ou,
     build_type_a,
     build_type_b,
     build_type_c,
     sample_paths,
-    sample_paths_aliased,
     sample_paths_fast,
     truncation_for_tolerance,
 )

@@ -12,15 +12,13 @@ Draw discipline: the doubly-indexed normals are serialized per path as
 stream keyed by (seed, path index).  Every family draws the full block of
 2N+1 normals (plus one trailing draw for the initial value when present),
 whether or not it consumes all of them, so a path's randomness depends only
-on (seed, index), never on the family or the execution schedule.  The
-aliased sampler (:func:`aliased_values`) keeps that layout but draws one
-(sine, cosine) pair per distinct grid function instead of per frequency:
-residues r and 2L - r of k mod 2L give the same functions up to the sine's
-sign, so a path draws 2R+1 normals, R = min(N, L), plus the initial-value
-draw, each pair scaled by the root of its reflected residue's variance and
-Z_0 by a drift amplitude that also carries residue 0's constant
-(:func:`folded_amplitudes`).  That is exact in law on the grid, and for
-N <= L it draws and returns exactly what :func:`fast_values` does.
+on (seed, index), never on the family or the execution schedule.  On the
+uniform grid an expansion has the law of its folded expansion
+(:func:`specgauss.expansion.aliased_expansion`), an ordinary expansion of
+R = min(N, L) frequencies, one per distinct grid function, with the
+amplitudes of :func:`folded_amplitudes`; its paths draw 2R+1 normals in the
+same layout, plus the initial-value draw, and for N <= L they are exactly
+the paths of the expansion itself.
 
 Sampling streams paths one bounded block at a time, and everything the
 engine holds per path row counts against one budget of ``BLOCK_DOUBLES``
@@ -36,8 +34,8 @@ drawn.  Sampling memory is therefore the budget whatever N and the worker
 count are, or one row when a single row outgrows it (one path of fBm past
 N = 2^19 on a small grid).  The worker count defaults to the CPUs the
 process may run on (:func:`run_blocks`).  Because every path keeps its own
-stream and every per-path operation is row-independent, the uniform-grid
-samplers' values are byte-identical across block sizes and thread counts.
+stream and every per-path operation is row-independent, the fast sampler's
+values are byte-identical across block sizes and thread counts.
 
 On a uniform grid the series is a fold plus one inverse real FFT of one
 Hermitian spectrum (:func:`fast_values`, :func:`_spectrum`);
@@ -49,8 +47,8 @@ so :func:`residual_sups` maps a whole ladder of them from one spectrum,
 one inverse real FFT per rung.
 
 One fold of the squared amplitudes (:func:`folded_variances`) serves both
-the sampler and the covariance: the root of its reflection onto residues
-1 .. L scales the aliased draws, and its real FFT
+the folded expansion and the covariance: the root of its reflection onto
+residues 1 .. L gives the folded amplitudes, and its real FFT
 (:func:`folded_cosine_sums`) gives the covariance of the series on the
 grid, from which :mod:`specgauss.validate` reads every pair
 without evaluating a sine or cosine per frequency.
@@ -89,23 +87,20 @@ def uniform_grid(T, m):
     return np.arange(m + 1) * (T / m)
 
 
-def draw_width(exp, n_pairs=None):
-    """Normals per path: Z_0, ``n_pairs`` (sine, cosine) pairs (default
-    ``exp.truncation_N``) and the initial-value draw when present."""
-    if n_pairs is None:
-        n_pairs = exp.truncation_N
-    return 2 * n_pairs + 1 + (1 if exp.init_coupling is not None else 0)
+def draw_width(exp):
+    """Normals per path: Z_0, one (sine, cosine) pair per frequency and the
+    initial-value draw when present."""
+    return 2 * exp.truncation_N + 1 + (1 if exp.init_coupling is not None else 0)
 
 
-def grid_row_doubles(lng, fold_pairs=0):
+def grid_row_doubles(exp, m):
     """Doubles the fold and the transform carve from the workspace per path
-    row on a grid of ``lng`` = L cells per half period, in this order: the
-    residue table of :func:`_fold`
-    when its ``fold_pairs`` frequencies fill a 2L-wide band (2L sine and
-    cosine sums), the half spectrum (L + 1 complex bins) and the inverse
-    transform's 2L values.  Aliased draws are residue sums already and
-    fold nothing (``fold_pairs`` = 0)."""
-    table = 4 * lng if fold_pairs >= 2 * lng else 0
+    row of ``exp`` on the grid t_j = j T / m, L = ``period_multiple`` m cells
+    per half period, in this order: the residue table of :func:`_fold` when
+    the N frequencies fill a 2L-wide band (2L sine and cosine sums), the half
+    spectrum (L + 1 complex bins) and the inverse transform's 2L values."""
+    lng = exp.period_multiple * m
+    table = 4 * lng if exp.truncation_N >= 2 * lng else 0
     return table + 2 * (lng + 1) + 2 * lng
 
 
@@ -116,13 +111,13 @@ def direct_row_doubles(exp, size):
     return draw_width(exp) + 2 * size
 
 
-def run_blocks(exp, n_paths, row_doubles, seed, threads, block_fn, n_pairs=None):
+def run_blocks(exp, n_paths, row_doubles, seed, threads, block_fn):
     """Draw the normals of ``n_paths`` paths of ``exp`` one bounded block at
     a time and hand each block to ``block_fn(start, stop, z, work)``.
 
-    Each path draws :func:`draw_width` normals: Z_0, ``n_pairs`` (sine,
-    cosine) pairs (default ``exp.truncation_N``) and the initial-value draw
-    when present.  ``work`` is a flat workspace of ``row_doubles`` doubles
+    Each path draws :func:`draw_width` normals: Z_0, one (sine, cosine)
+    pair per frequency and the initial-value draw when present.  ``work``
+    is a flat workspace of ``row_doubles`` doubles
     per row of a full block (:func:`grid_row_doubles`,
     :func:`direct_row_doubles`), from whose front the block function carves
     its buffers (:func:`carve`).  Draws and workspaces of all workers share
@@ -143,7 +138,7 @@ def run_blocks(exp, n_paths, row_doubles, seed, threads, block_fn, n_pairs=None)
     raw draws must read them before weighting; it must keep neither, which
     the next block overwrites.
     """
-    width = draw_width(exp, n_pairs)
+    width = draw_width(exp)
     per_row = width + row_doubles
     hi = (int(seed) % (1 << 64)) << 64
     workers = 1
@@ -205,15 +200,14 @@ def split_draws(exp, z):
     return block[:, 0], block[:, 1::2], block[:, 2::2]
 
 
-def _deterministic_terms(exp, tgrid, z, out, scratch, drift_amp):
-    """Add the drift (amplitude ``drift_amp``), mean and initial-value terms
-    of one block to ``out``; the (paths, grid) outer products are formed in
-    ``scratch``."""
+def _deterministic_terms(exp, tgrid, z, out, scratch):
+    """Add the drift, mean and initial-value terms of one block to ``out``;
+    the (paths, grid) outer products are formed in ``scratch``."""
     # Z_0 leads and the initial-value draw closes every layout of a path
     z0 = z[:, 0]
     xi = z[:, -1]
-    if drift_amp > 0.0:
-        drift = (drift_amp * z0)[:, None]
+    if exp.drift_amp > 0.0:
+        drift = (exp.drift_amp * z0)[:, None]
         out += np.multiply(drift, tgrid[None, :], out=scratch) if exp.drift_kind == "t" else drift
     if exp.mean_fn is not None:
         out += np.asarray(exp.mean_fn(tgrid), dtype=float)[None, :]
@@ -253,7 +247,7 @@ def direct_values(exp, tgrid, z, work, out):
             if exp.cos_kind == "omc":
                 np.subtract(1.0, basis, out=basis)
             out += np.matmul(np.multiply(zc[:, k0:k1], exp.amp[k0:k1], out=coef), basis, out=scratch)
-    return _deterministic_terms(exp, tgrid, z, out, scratch, exp.drift_amp)
+    return _deterministic_terms(exp, tgrid, z, out, scratch)
 
 
 def _fold(z, weights, length, work):
@@ -277,7 +271,11 @@ def _fold(z, weights, length, work):
     band = 2 * length
     pairs = z[:, 1 : 2 * n + 1].reshape(p, n, 2)
     full = n - n % band
-    rem = _scale_pairs(z[:, 2 * full + 1 : 2 * n + 1], weights[full:])
+    # the remainder is scaled on its 2-D columns, which numpy does through
+    # small buffers; on the 3-D view a broadcast table copies the operand
+    rem = z[:, 2 * full + 1 : 2 * n + 1]
+    rem *= weights[full:].ravel()
+    rem = rem.reshape(p, -1, 2)
     if not full:
         return rem, work
     res, work = carve(work, (p, band, 2))
@@ -291,27 +289,11 @@ def _fold(z, weights, length, work):
     return res, work
 
 
-def _scale_pairs(cols, table):
-    """Scale the (sine, cosine) draw columns ``cols`` of a block in place by
-    the (pairs, 2) ``table`` and view them as (paths, pairs, 2).  The product
-    is taken on the 2-D columns, which numpy scales through small buffers;
-    on the 3-D view with a broadcast table it copies the whole operand."""
-    cols *= table.ravel()
-    return cols.reshape(cols.shape[0], -1, 2)
-
-
 def _weights(exp):
     """The flat (N, 2) table of the weights of each frequency's (sine,
     cosine) draw pair: its amplitude twice, or the amplitude and 0 for a
     family without a cosine channel."""
-    return np.outer(exp.amp, _weights_row(exp))
-
-
-def _weights_row(exp):
-    """The weight of a frequency's (sine, cosine) draw pair per unit
-    amplitude: both draws, or the sine draw alone for a family without a
-    cosine channel."""
-    return (1.0, 1.0 if exp.cos_kind is not None else 0.0)
+    return np.outer(exp.amp, (1.0, 1.0 if exp.cos_kind is not None else 0.0))
 
 
 def fast_values(exp, m, z, work, out):
@@ -321,7 +303,7 @@ def fast_values(exp, m, z, work, out):
     (:func:`grid_row_doubles` per row).  The draws are weighted in place, so
     ``z`` no longer holds them afterwards."""
     res, work = _fold(z, _weights(exp), exp.period_multiple * m, work)
-    return _grid_values(exp, m, res, z, work, out, exp.drift_amp)
+    return _grid_values(exp, m, res, z, work, out)
 
 
 def folded_variances(exp, m):
@@ -340,19 +322,12 @@ def folded_variances(exp, m):
     return var
 
 
-def aliased_width(exp, m):
-    """Normals per path of the aliased sampler on the grid t_j = j T / m:
-    :func:`draw_width` of one (sine, cosine) pair per reflected residue
-    r = 1 .. min(N, L) (:func:`folded_amplitudes`)."""
-    return draw_width(exp, min(exp.truncation_N, exp.period_multiple * m))
-
-
 def folded_amplitudes(exp, m):
-    """The scales of :func:`aliased_values` on the grid t_j = j T / m: the
-    (R, 2) table, R = min(N, L), of the roots of the reflected variances
-    W(r) = V(r) + V(2L - r) of residues r = 1 .. R in the layout of
-    :func:`_weights`, V the folded variances (:func:`folded_variances`),
-    and the amplitude of the drift draw Z_0.
+    """The amplitudes and the drift amplitude of the folded expansion of
+    ``exp`` on the grid t_j = j T / m: the R = min(N, L) roots of the
+    reflected variances W(r) = V(r) + V(2L - r) of residues r = 1 .. R, V
+    the folded variances (:func:`folded_variances`), and the amplitude of
+    the drift draw Z_0.
 
     On the grid, sin(pi (2L - r) j / L) = -sin(pi r j / L) and the cosines
     agree, so the independent draw sums of residues r and 2L - r are one
@@ -369,7 +344,7 @@ def folded_amplitudes(exp, m):
     drift = exp.drift_amp
     if var.size == 2 * lng and exp.cos_kind == "cos":
         drift = math.sqrt(drift * drift + var[-1])
-    return np.outer(np.sqrt(own), _weights_row(exp)), drift
+    return np.sqrt(own), drift
 
 
 def folded_cosine_sums(exp, m):
@@ -387,18 +362,6 @@ def folded_cosine_sums(exp, m):
     return np.fft.rfft(full).real
 
 
-def aliased_values(exp, m, table, drift, z, work, out):
-    """Path values on the uniform grid t_j = j T / m from one block of
-    aliased draws: (Z_0, one (sine, cosine) pair per reflected residue,
-    initial-value draw), written into ``out`` through the workspace
-    ``work``.  Each residue sum of :func:`fast_values`, reflected onto
-    residues 1 .. L, is a sum of independent Gaussians, so one normal scaled
-    by ``table`` has the same law, and ``drift`` scales Z_0
-    (:func:`folded_amplitudes`).  The pairs are scaled in place in ``z``."""
-    res = _scale_pairs(z[:, 1 : 2 * table.shape[0] + 1], table)
-    return _grid_values(exp, m, res, z, work, out, drift)
-
-
 def _spectrum(res, lng, omc, x):
     """Write into ``x`` the half spectrum X (bins 0 .. L, L = ``lng``) of
     each row of the residue sums ``res`` (the layout of :func:`_fold`), whose
@@ -408,7 +371,7 @@ def _spectrum(res, lng, omc, x):
     With Y_r = C_r - i S_r, bin r holds (Y_r + conj Y_{2L-r}) / 2: residues
     1 .. L land on their own bin, L + 1 .. 2L (2L is residue 0) reflect onto
     bins L - 1 .. 0, and the transform reads only the real part of bins 0
-    and L, C_0 and C_L.  The aliased sampler's sums, reflected already,
+    and L, C_0 and C_L.  A folded expansion's sums, reflected already,
     fill bins 1 .. min(N, L) alone.  With ``omc`` the cosine channel is
     1 - cos: the constant sum of C less the cosine series.
     """
@@ -456,14 +419,13 @@ def residual_sups(exp, m, Ns, z, work):
     return sups
 
 
-def _grid_values(exp, m, res, z, work, out, drift_amp):
+def _grid_values(exp, m, res, z, work, out):
     """Map residue sums ``res`` (the layout of :func:`_fold`) onto the grid,
     into ``out``: one inverse real FFT of length 2L per row
     (:func:`_spectrum`), whose first m + 1 values are the grid's; type C's
     sine frequencies k pi / (2T) live on a virtual grid of L = 2m cells.
     Spectrum and transform output are carved from the workspace ``work``,
-    and the deterministic terms (drift amplitude ``drift_amp``) reuse the
-    transform's output.
+    and the deterministic terms reuse the transform's output.
     """
     p, lng = z.shape[0], exp.period_multiple * m
     x, work = carve(work, (p, lng + 1), complex)
@@ -471,4 +433,4 @@ def _grid_values(exp, m, res, z, work, out, drift_amp):
     buf, _ = carve(work, (p, 2 * lng))
     v = np.fft.irfft(x, norm="forward", out=buf)[:, : m + 1]
     out[...] = v
-    return _deterministic_terms(exp, uniform_grid(exp.horizon_T, m), z, out, v, drift_amp)
+    return _deterministic_terms(exp, uniform_grid(exp.horizon_T, m), z, out, v)

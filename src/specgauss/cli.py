@@ -5,7 +5,8 @@ Exit codes
 ----------
 0   success (for validation commands: every check passed)
 1   a validation check failed; the JSON report is still written
-2   usage error: bad flags, out-of-range parameters, missing seed
+2   usage error: bad flags, out-of-range parameters, missing seed, an
+    ``--out`` that cannot be written
 3   numerical failure (quadrature non-convergence and friends)
 
 Stochastic artifacts embed ``seed=... version=... config=...`` in a header
@@ -17,8 +18,9 @@ JSON report schema (validate-cov, rate)
 Common keys: ``command``, ``version``, ``config``, ``seed``, ``passed``.
 ``validate-cov`` adds the :func:`specgauss.validate.covariance_report` dict
 under ``report`` (named checks with statistic/bound/passed each) and
-``normals_per_path``, the normals each sampled path drew: 2 min(N, L) + 1,
-one (sine, cosine) pair per reflected grid residue and Z_0, plus one for an
+``normals_per_path``, the normals each path of the folded expansion
+(:func:`specgauss.expansion.aliased_expansion`) drew: 2 min(N, L) + 1, one
+(sine, cosine) pair per reflected grid residue and Z_0, plus one for an
 initial value, with L = grid - 1, or 2 (grid - 1) on the doubled period of
 Brownian motion and gen-OU.  Its ``empirical_vs_analytic`` check compares
 the sample covariance with the untruncated covariance, so ``--N`` must push
@@ -45,10 +47,10 @@ from . import __version__, _engine
 from ._util import atomic_write_text, config_hash
 from .errors import NumericalFailure, SpecgaussError
 from .expansion import (
+    aliased_expansion,
     build_fbm,
     build_generalized_ou,
     build_type_c,
-    sample_paths_aliased,
     sample_paths_fast,
 )
 from .fourier import coeffs_closed, fbm_coefficients, power_series_coeffs
@@ -214,9 +216,12 @@ def _cmd_validate_cov(parser, args):
     cfg.update(N=args.N, grid=args.grid, paths=args.paths, seed=seed)
     model = _cov_model(args)
     exp = _expansion(args, args.N)
-    batch = sample_paths_aliased(exp, args.grid - 1, args.paths, seed, threads=args.threads)
+    # the report judges the law on the grid alone, which the folded expansion
+    # draws at a width that stops growing with N past the grid's L
+    folded = aliased_expansion(exp, args.grid - 1)
+    batch = sample_paths_fast(folded, args.grid - 1, args.paths, seed, threads=args.threads)
     report = covariance_report(model, exp, batch, z_bound=args.z_bound)
-    payload = {"normals_per_path": _engine.aliased_width(exp, args.grid - 1), "report": report}
+    payload = {"normals_per_path": _engine.draw_width(folded), "report": report}
     code = _write_report(args, cfg, seed, payload, report["passed"])
     print(("PASS" if code == 0 else "FAIL") + f" covariance: worst check "
           f"{max(c['statistic'] / c['bound'] for c in report['checks']):.3f}x bound")
@@ -351,7 +356,7 @@ def main(argv=None):
     except NumericalFailure as e:
         print(f"specgauss {args.command}: numerical failure: {e}", file=sys.stderr)
         return 3
-    except SpecgaussError as e:
+    except (SpecgaussError, OSError) as e:
         print(f"specgauss {args.command}: {e}", file=sys.stderr)
         return 2
     return code

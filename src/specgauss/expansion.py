@@ -12,7 +12,9 @@ pairs each amplitude with an independent standard normal per channel.
 
 Sampling goes through :mod:`specgauss._engine`, which owns the draw
 discipline, the bounded path blocks, the fold and fast transforms, and
-direct synthesis on arbitrary grids.
+direct synthesis on arbitrary grids.  On a uniform grid an expansion has the
+law of a shorter one, its folded expansion (:func:`aliased_expansion`), which
+the same fast sampler draws.
 """
 
 import io
@@ -20,7 +22,7 @@ import math
 import os
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -426,7 +428,7 @@ def build_generalized_ou(theta, alpha, mu, sigma, sigma0, T, N):
 # ---------------------------------------------------------------------------
 
 
-def _run_paths(exp, tgrid, n_paths, seed, threads, synth, row_doubles, n_pairs=None):
+def _run_paths(exp, tgrid, n_paths, seed, threads, synth, row_doubles):
     n_paths = check_int(n_paths, "n_paths", 1)
     seed = check_int(seed, "seed")
     if threads is not None:
@@ -436,7 +438,7 @@ def _run_paths(exp, tgrid, n_paths, seed, threads, synth, row_doubles, n_pairs=N
     def block(start, stop, z, work):
         synth(z, work, values[start:stop])
 
-    _engine.run_blocks(exp, n_paths, row_doubles, seed, threads, block, n_pairs)
+    _engine.run_blocks(exp, n_paths, row_doubles, seed, threads, block)
     return PathBatch(
         grid=tgrid,
         values=values,
@@ -470,12 +472,11 @@ def sample_paths(exp, grid, n_paths, seed):
     )
 
 
-def _uniform_grid(exp, M):
-    """The resolution m and the grid t_j = j T / m of the expansion ``exp``
-    from the resolution ``M``."""
+def _resolution(exp, M):
+    """The resolution m of the uniform grid t_j = j T / m of the expansion
+    ``exp``: ``M``, checked to be an integer >= 1."""
     check_instance(exp, SeriesExpansion, "exp")
-    m = check_int(M, "M", 1)
-    return m, _engine.uniform_grid(exp.horizon_T, m)
+    return check_int(M, "M", 1)
 
 
 def sample_paths_fast(exp, M, n_paths, seed, threads=None):
@@ -490,38 +491,42 @@ def sample_paths_fast(exp, M, n_paths, seed, threads=None):
     Matches :func:`sample_paths` on the same grid and seed to 1e-10
     absolute.
     """
-    m, tgrid = _uniform_grid(exp, M)
+    m = _resolution(exp, M)
     return _run_paths(
-        exp, tgrid, n_paths, seed, threads,
+        exp, _engine.uniform_grid(exp.horizon_T, m), n_paths, seed, threads,
         lambda z, work, out: _engine.fast_values(exp, m, z, work, out),
-        _engine.grid_row_doubles(exp.period_multiple * m, exp.truncation_N),
+        _engine.grid_row_doubles(exp, m),
     )
 
 
-def sample_paths_aliased(exp, M, n_paths, seed, threads=None):
-    """Sample the law of ``exp`` on the uniform grid t_j = j T / M with one
-    normal per distinct grid function instead of one per frequency.
+def aliased_expansion(exp, M):
+    """The folded expansion of ``exp`` on the uniform grid t_j = j T / M: an
+    expansion with the same law on that grid, one frequency per distinct
+    grid function instead of one per frequency of ``exp``.
 
     On the grid, sin and cos of pi k j / L depend on k only mod 2L (L = M,
     or 2M for type C), and residues r and 2L - r give the same functions up
-    to the sine's sign, so each reflected residue r = 1 .. L has one sum of
-    amplitude-weighted normals per channel, one Gaussian whose variance is
-    the folded sum of squared amplitudes of both residues.  Residue 0 is
-    the constant in a cos channel, whose variance joins the drift draw's.
-    Each path draws 2R+1 normals, R = min(N, L), plus one for an initial
-    value: the paths have exactly the grid law of :func:`sample_paths_fast`,
-    at a cost that does not grow with N beyond the O(N) amplitude fold, but
-    they are not the same realizations.  When N <= L the two samplers
-    return identical values.  Arguments, blocking and byte-identity across
-    block sizes and thread counts are as in :func:`sample_paths_fast`.
+    to the sine's sign, so the amplitude-weighted draws of all frequencies
+    landing on reflected residue r = 1 .. L are one Gaussian per channel,
+    whose variance is the folded sum of squared amplitudes of both residues.
+    Residue 0 is the constant in a cos channel, whose variance joins the
+    drift's.  The result keeps the family, horizon, mean and initial-value
+    coupling of ``exp``, has R = min(N, L) amplitudes (the roots of those
+    variances, ``_engine.folded_amplitudes``) and no coefficient series,
+    and its label names the grid.  :func:`sample_paths_fast` draws it at
+    2R+1 normals a path, plus one for an initial value: a cost that does not
+    grow with N beyond the O(N) amplitude fold.  Its paths are not those of
+    ``exp`` past N = L, and are exactly those when N <= L.
     """
-    m, tgrid = _uniform_grid(exp, M)
-    table, drift = _engine.folded_amplitudes(exp, m)
-    return _run_paths(
-        exp, tgrid, n_paths, seed, threads,
-        lambda z, work, out: _engine.aliased_values(exp, m, table, drift, z, work, out),
-        _engine.grid_row_doubles(exp.period_multiple * m),
-        table.shape[0],
+    m = _resolution(exp, M)
+    amp, drift = _engine.folded_amplitudes(exp, m)
+    return replace(
+        exp,
+        truncation_N=amp.size,
+        drift_amp=drift,
+        amp=amp,
+        label=f"aliased({exp.label},M={m})",
+        coeff_series=None,
     )
 
 

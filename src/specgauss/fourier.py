@@ -539,9 +539,6 @@ def coeffs_quadrature(spec, k_max):
     """
     check_instance(spec, GammaSpec, "spec")
     k_max = check_int(k_max, "k_max", 0)
-    if spec.delta >= 2.0:
-        raise SingularityTooStrong(f"delta={spec.delta} makes the coefficients divergent")
-
     if spec.power_amp is not None:
         series = power_series_coeffs(
             spec.power_amp, spec.power_exponent, spec.horizon_T, k_max,

@@ -291,14 +291,14 @@ def _inner(term_i, term_j, T):
     """Closed-form inner product over [0, T] of two basis terms.
 
     Terms are ("one"|"t"|"sin"|"cos"|"omc", omega); "omc" is
-    1 - cos(omega t).  Expanded combinations reduce everything to the
-    primitive sin/cos integrals.
+    1 - cos(omega t).  ``term_i`` comes no later than ``term_j`` in a
+    family's basis, drift then sines then its one cosine channel
+    (:func:`_basis_terms`), so only the pairs that order forms have a
+    formula; expanded combinations reduce each to the primitive sin/cos
+    integrals.
     """
     ki, wi = term_i
     kj, wj = term_j
-    order = {"one": 0, "t": 1, "sin": 2, "cos": 3, "omc": 4}
-    if order[ki] > order[kj]:
-        ki, wi, kj, wj = kj, wj, ki, wi
 
     def one_sin(b):
         return (1.0 - math.cos(b * T)) / b
@@ -335,36 +335,30 @@ def _inner(term_i, term_j, T):
             + (1.0 - math.cos((a - b) * T)) / (a - b)
         )
 
-    if ki == "one":
-        if kj == "one":
-            return T
-        if kj == "t":
-            return T * T / 2.0
-        if kj == "sin":
-            return one_sin(wj)
-        if kj == "cos":
-            return one_cos(wj)
-        return T - one_cos(wj)
-    if ki == "t":
-        if kj == "t":
-            return T**3 / 3.0
-        if kj == "sin":
-            return t_sin(wj)
-        if kj == "cos":
-            return t_cos(wj)
+    pair = (ki, kj)
+    if pair == ("one", "one"):
+        return T
+    if pair == ("one", "sin"):
+        return one_sin(wj)
+    if pair == ("one", "cos"):
+        return one_cos(wj)
+    if pair == ("t", "t"):
+        return T**3 / 3.0
+    if pair == ("t", "sin"):
+        return t_sin(wj)
+    if pair == ("t", "omc"):
         return T * T / 2.0 - t_cos(wj)
-    if ki == "sin":
-        if kj == "sin":
-            return sin_sin(wi, wj)
-        if kj == "cos":
-            return sin_cos(wi, wj)
+    if pair == ("sin", "sin"):
+        return sin_sin(wi, wj)
+    if pair == ("sin", "cos"):
+        return sin_cos(wi, wj)
+    if pair == ("sin", "omc"):
         return one_sin(wi) - sin_cos(wi, wj)
-    if ki == "cos":
-        if kj == "cos":
-            return cos_cos(wi, wj)
-        return one_cos(wi) - cos_cos(wi, wj)
-    # omc-omc
-    return T - one_cos(wi) - one_cos(wj) + cos_cos(wi, wj)
+    if pair == ("cos", "cos"):
+        return cos_cos(wi, wj)
+    if pair == ("omc", "omc"):
+        return T - one_cos(wi) - one_cos(wj) + cos_cos(wi, wj)
+    raise BadParameter(f"no basis orders the term pair {pair}")
 
 
 # Squared L2[0, T] norms over T of the basis functions of frequency
@@ -695,7 +689,7 @@ def distortion_mc(q, exp, n_paths, seed):
     # per row besides the draws: the path and its code, then the fold and
     # transform; the coordinate draws and their projections, a few dozen
     # doubles per row, are the block's own
-    row = 2 * size + _engine.grid_row_doubles(exp.period_multiple * m_panels, exp.truncation_N)
+    row = 2 * size + _engine.grid_row_doubles(exp, m_panels)
     _engine.run_blocks(exp, n_paths, row, seed, None, block)
     est = float(np.mean(sq))
     se = float(np.std(sq, ddof=1) / math.sqrt(n_paths))

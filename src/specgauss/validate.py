@@ -14,7 +14,7 @@ per frequency plus the family table, so every route squares one amplitude
 sequence and reads the basis from ``cos_kind`` and ``drift_kind`` alone.
 On the samplers' uniform grid t_j = j T / m the series covariance needs no
 sine or cosine per frequency: the fold of the squared amplitudes onto the
-grid's residues, whose reflection scales the aliased draws, also fixes the
+grid's residues, whose reflection gives the folded expansion, also fixes the
 covariance, through one real FFT (``_engine.folded_cosine_sums``), and each family's
 covariance is one formula in it.  :func:`series_cov_uniform` reads the
 whole matrix off it in O(N + L log L + m^2), :func:`series_var_uniform` its
@@ -202,11 +202,12 @@ def series_cov(exp, s, t):
     n = exp.truncation_N
     if n > 0:
         w = math.pi / exp.period_T
+        a2 = exp.amp**2
         # on the diagonal the phases are built once and used twice
         es = _unit_phases(w * s, n)
         et = es if t == s else _unit_phases(w * t, n)
         basis = es.imag * et.imag
-        total += float(np.dot(exp.amp**2, basis))
+        total += float(np.dot(a2, basis))
         if exp.cos_kind is not None:
             # reusing the sine channel's buffer keeps the peak at the phase
             # tables plus one product buffer
@@ -215,7 +216,7 @@ def series_cov(exp, s, t):
                 basis *= 1.0 - et.real
             else:
                 np.multiply(es.real, et.real, out=basis)
-            total += float(np.dot(exp.amp**2, basis))
+            total += float(np.dot(a2, basis))
     if exp.drift_amp > 0.0:
         total += exp.drift_amp**2 * (s * t if exp.drift_kind == "t" else 1.0)
     if exp.init_coupling is not None:
@@ -526,7 +527,7 @@ def rate_probe(model, Ns, replicates, seed):
     def block(start, stop, z, work):
         sups[:, start:stop] = _engine.residual_sups(ref, m, Ns, z, work)
 
-    _engine.run_blocks(ref, replicates, _engine.grid_row_doubles(m), seed, None, block)
+    _engine.run_blocks(ref, replicates, _engine.grid_row_doubles(ref, m), seed, None, block)
     ests = []
     stderrs = []
     for vals in sups:

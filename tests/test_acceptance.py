@@ -32,7 +32,6 @@ from specgauss import (
     product_quantizer,
     rate_probe,
     sample_paths,
-    sample_paths_aliased,
     sample_paths_fast,
     allocate_levels,
 )
@@ -40,6 +39,7 @@ from specgauss.cli import main as cli_main
 from specgauss.fourier import coeffs_closed, coeffs_quadrature, decay_fit, tail_sum
 from specgauss.quantize import _scalar_distortion
 from specgauss.validate import series_var_uniform
+from test_expansion import sample_folded
 
 pytestmark = [
     pytest.mark.filterwarnings("ignore::specgauss.GramSingularWarning"),
@@ -181,7 +181,7 @@ def test_07_distributional_validation(capsys):
          sample_paths_fast),
         ("fbm 0.3 aliased N=2^18", CovModel.fbm(0.3, 1.0),
          lambda: build_fbm(0.3, 1.0, 1 << 18, fbm_coefficients(0.3, 1.0, 1 << 18)), 106,
-         sample_paths_aliased),
+         sample_folded),
     ]
     detail = []
     ok = True

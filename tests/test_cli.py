@@ -10,12 +10,12 @@ from specgauss import (
     CovModel,
     NumericalFailure,
     _engine,
+    aliased_expansion,
     build_fbm,
     coeffs_closed,
     covariance_report,
     fbm_coefficients,
     product_quantizer,
-    sample_paths_aliased,
     sample_paths_fast,
 )
 from specgauss._util import read_csv_table
@@ -60,6 +60,38 @@ def test_excluded_hurst_is_reported_as_usage(capsys):
     code = main(["coeffs", "--model", "fbm", "--hurst", "0.5", "--kmax", "4"])
     assert code == 2
     assert "coeffs" in capsys.readouterr().err
+
+
+# one small run of each command that writes --out
+_WRITERS = {
+    "coeffs": ["coeffs", "--model", "fbm", "--hurst", "0.3", "--kmax", "4"],
+    "simulate": ["simulate", "--model", "brownian", "--paths", "4", "--N", "8", "--grid", "4",
+                 "--seed", "1"],
+    "simulate-bin": ["simulate", "--model", "brownian", "--paths", "4", "--N", "8", "--grid", "4",
+                     "--seed", "1", "--format", "bin"],
+    "validate-cov": ["validate-cov", "--model", "brownian", "--paths", "100", "--N", "8",
+                     "--grid", "5", "--seed", "1"],
+    "rate": ["rate", "--hurst", "0.3", "--Ns", "8,16", "--replicates", "100", "--seed", "1"],
+    "quantize": ["quantize", "--model", "fbm", "--hurst", "0.4", "--budget", "4", "--N", "8"],
+}
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "a-dir"])
+@pytest.mark.parametrize("command", sorted(_WRITERS))
+def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys, command, target):
+    # a path under a missing directory, and one that names a directory: the
+    # write fails after the run, with one line and no traceback, and the
+    # temporary file beside the target is gone
+    out = tmp_path / "missing" / "x.out"
+    if target == "a-dir":
+        out = tmp_path / "taken"
+        out.mkdir()
+    capsys.readouterr()
+    assert main(_WRITERS[command] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"specgauss {command.split('-bin')[0]}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list(tmp_path.rglob(".tmp-*"))
 
 
 def test_simulate_requires_seed():
@@ -244,10 +276,13 @@ def test_validate_cov_samples_the_aliased_grid_law(tmp_path, monkeypatch, capsys
     # N = 256 > L = 8: each path draws 2 * 8 + 1 normals, not 513
     argv = ["validate-cov", "--model", "fbm", "--hurst", "0.3", "--N", "256",
             "--paths", "400", "--grid", "9", "--seed", "29"]
+    model = CovModel.fbm(0.3, 1.0)
+    exp = build_fbm(0.3, 1.0, 256, fbm_coefficients(0.3, 1.0, 256))
+    folded = aliased_expansion(exp, 8)
     # blocks of 50 paths, so that two threads share the work: a row holds
     # its 17 draws, the spectrum and the transform buffer (L = 8); rows this
     # narrow run on one worker unless the cutoff is lifted
-    monkeypatch.setattr(_engine, "BLOCK_DOUBLES", 50 * (17 + _engine.grid_row_doubles(8)))
+    monkeypatch.setattr(_engine, "BLOCK_DOUBLES", 50 * (17 + _engine.grid_row_doubles(folded, 8)))
     monkeypatch.setattr(_engine, "PARALLEL_MIN_DRAWS", 0)
     texts = []
     for threads in (1, 2):
@@ -258,9 +293,7 @@ def test_validate_cov_samples_the_aliased_grid_law(tmp_path, monkeypatch, capsys
     assert texts[0] == texts[1]
     assert json.loads(texts[0])["normals_per_path"] == 2 * 8 + 1
     got = json.loads(texts[0])["report"]
-    model = CovModel.fbm(0.3, 1.0)
-    exp = build_fbm(0.3, 1.0, 256, fbm_coefficients(0.3, 1.0, 256))
-    want = covariance_report(model, exp, sample_paths_aliased(exp, 8, 400, 29))
+    want = covariance_report(model, exp, sample_paths_fast(folded, 8, 400, 29))
     series = covariance_report(model, exp, sample_paths_fast(exp, 8, 400, 29))
     stat = [c["statistic"] for c in got["checks"]]
     assert stat == [c["statistic"] for c in want["checks"]]

@@ -9,17 +9,17 @@ import threading
 
 import numpy as np
 import pytest
-from test_expansion import all_family_expansions, truncated
+from test_expansion import all_family_expansions, sample_folded, truncated
 
 from specgauss import (
     CovModel,
     _engine,
+    aliased_expansion,
     build_fbm,
     build_generalized_ou,
     fbm_coefficients,
     rate_probe,
     sample_paths,
-    sample_paths_aliased,
     sample_paths_fast,
     series_cov_grid,
     series_cov_uniform,
@@ -71,33 +71,33 @@ def deep_families():
     return all_family_expansions(max(_ALIAS_NS))
 
 
-def _aliased_width(exp, table):
-    return 2 * table.shape[0] + 1 + (exp.init_coupling is not None)
-
-
-def _aliased(exp, m, scales, z):
-    """aliased_values of the draws ``z`` with a workspace of its own."""
-    work = np.empty(z.shape[0] * _engine.grid_row_doubles(exp.period_multiple * m))
-    return _engine.aliased_values(exp, m, *scales, z, work, np.empty((z.shape[0], m + 1)))
+def _fast(exp, m, z):
+    """fast_values of the draws ``z`` with a workspace of its own."""
+    work = np.empty(z.shape[0] * _engine.grid_row_doubles(exp, m))
+    return _engine.fast_values(exp, m, z, work, np.empty((z.shape[0], m + 1)))
 
 
 def test_aliased_values_carry_the_series_covariance_on_the_grid(deep_families):
-    # aliased_values is affine in the draws: its rows at the unit vectors,
-    # less its mean, are the columns B of the map, and B^T B is the grid law
+    # the folded expansion's grid covariance, from its amplitudes and from
+    # its sampler: fast_values is affine in the draws, so its rows at the
+    # unit vectors, less its mean, are the columns B of the map, and B^T B
+    # is the grid law
     tgrid = np.arange(_M + 1) / _M
     for name, full in deep_families.items():
         for n in _ALIAS_NS:
             exp = truncated(full, n)
-            scales = _engine.folded_amplitudes(exp, _M)
+            folded = aliased_expansion(exp, _M)
             cells = 2 * _M if exp.family == "type_c" else _M
-            # one row per reflected residue 1 .. min(N, L)
-            assert scales[0].shape == (min(n, cells), 2)
-            width = _aliased_width(exp, scales[0])
-            mean = _aliased(exp, _M, scales, np.zeros((1, width)))
-            basis = _aliased(exp, _M, scales, np.eye(width)) - mean
+            # one frequency per reflected residue 1 .. min(N, L)
+            assert folded.truncation_N == folded.amp.size == min(n, cells)
+            assert folded.coeff_series is None and folded.family == exp.family
             ref = series_cov_grid(exp, tgrid)
-            err = np.max(np.abs(basis.T @ basis - ref)) / np.max(np.abs(ref))
-            assert err <= 1e-12, f"{name} N={n}: relative covariance error {err:.2e}"
+            width = _engine.draw_width(folded)
+            mean = _fast(folded, _M, np.zeros((1, width)))
+            basis = _fast(folded, _M, np.eye(width)) - mean
+            for route, cov in (("data", series_cov_grid(folded, tgrid)), ("draws", basis.T @ basis)):
+                err = np.max(np.abs(cov - ref)) / np.max(np.abs(ref))
+                assert err <= 1e-12, f"{name} N={n} {route}: relative covariance error {err:.2e}"
 
 
 def test_folded_covariance_is_the_trig_covariance_on_the_grid(deep_families):
@@ -126,7 +126,7 @@ def test_aliased_sampler_is_the_fast_sampler_up_to_one_residue_per_frequency(dee
             if n > cells:
                 continue
             exp = truncated(full, n)
-            got = sample_paths_aliased(exp, _M, 9, 5).values
+            got = sample_folded(exp, _M, 9, 5).values
             ref = sample_paths_fast(exp, _M, 9, 5).values
             assert got.tobytes() == ref.tobytes(), f"{name} N={n}"
 
@@ -138,25 +138,25 @@ def test_aliased_sampler_draws_each_path_from_its_own_philox_stream(
     hi = (seed % 2**64) << 64
     for name in ("fbm_high", "gen_ou"):
         exp = truncated(deep_families[name], 4 * _M + 3)
-        scales = _engine.folded_amplitudes(exp, _M)
-        width = _aliased_width(exp, scales[0])
+        folded = aliased_expansion(exp, _M)
+        width = _engine.draw_width(folded)
         # Z_0, one (sine, cosine) pair per residue 1 .. min(N, L), and the
         # initial-value draw of gen-OU
         cells = exp.period_multiple * _M
-        assert width == 2 * cells + 1 + (name == "gen_ou") == _engine.aliased_width(exp, _M)
+        assert width == 2 * cells + 1 + (name == "gen_ou")
         draws = np.array([np.random.Generator(np.random.Philox(key=hi + i)).standard_normal(width)
                           for i in range(n_paths)])
-        ref = _aliased(exp, _M, scales, draws)
+        ref = _fast(folded, _M, draws)
         # blocks of one path, of all paths, and of two paths with their
         # spectra and transform buffers (gen-OU's on its doubled grid, type
         # C), which three threads share as two workers of one path each
-        row = width + _engine.grid_row_doubles(exp.period_multiple * _M)
+        row = width + _engine.grid_row_doubles(folded, _M)
         for budget in (row, _engine.BLOCK_DOUBLES, 2 * row):
             with monkeypatch.context() as mp:
                 mp.setattr(_engine, "BLOCK_DOUBLES", budget)
                 mp.setattr(_engine, "PARALLEL_MIN_DRAWS", 0)
                 for threads in (1, 3):
-                    got = sample_paths_aliased(exp, _M, n_paths, seed, threads=threads).values
+                    got = sample_folded(exp, _M, n_paths, seed, threads=threads).values
                     assert got.tobytes() == ref.tobytes(), f"{name} budget={budget} threads={threads}"
 
 
@@ -219,7 +219,7 @@ def test_values_are_byte_identical_whatever_the_cpu_count(monkeypatch):
     runs = {
         "fast-fbm": lambda: sample_paths_fast(fbm, 16, 97, 3).values,
         "fast-gen-ou": lambda: sample_paths_fast(ou, 16, 97, 3).values,
-        "aliased-gen-ou": lambda: sample_paths_aliased(deep_ou, 128, 97, 3).values,
+        "aliased-gen-ou": lambda: sample_folded(deep_ou, 128, 97, 3).values,
         "rate-probe": probe,
     }
     monkeypatch.setattr(_engine, "BLOCK_DOUBLES", 1 << 14)

@@ -22,6 +22,7 @@ from specgauss import (
     PathBatch,
     StarViolated,
     TailEstimateUnavailable,
+    aliased_expansion,
     build_fbm,
     build_generalized_ou,
     build_type_a,
@@ -32,7 +33,6 @@ from specgauss import (
     fbm_coefficients,
     negate_spec,
     sample_paths,
-    sample_paths_aliased,
     sample_paths_fast,
     truncation_for_tolerance,
 )
@@ -68,6 +68,12 @@ FAMILY_BUILDERS = {
 
 def all_family_expansions(n=64):
     return {name: build(n) for name, build in FAMILY_BUILDERS.items()}
+
+
+def sample_folded(exp, M, n_paths, seed, threads=None):
+    """Paths of the folded expansion of ``exp`` on the uniform grid of
+    resolution ``M``, which has the law of ``exp`` on that grid."""
+    return sample_paths_fast(aliased_expansion(exp, M), M, n_paths, seed, threads=threads)
 
 
 def test_fbm_low_amplitudes_and_drift(exp_low):
@@ -252,8 +258,7 @@ def test_fast_path_is_byte_identical_across_blocks_and_threads(monkeypatch):
         # a row holds its draws, the fold's residue table once N >= 2L
         # (L = 8 cells per half period, 16 on type C's doubled grid), the
         # spectrum and the transform buffer
-        row = _engine.draw_width(exp) + _engine.grid_row_doubles(
-            exp.period_multiple * 8, exp.truncation_N)
+        row = _engine.draw_width(exp) + _engine.grid_row_doubles(exp, 8)
         # three threads share blocks of 7 rows as three workers of 2, and
         # blocks of 12 as two workers of 6; the cutoff is lifted for these
         # 129-normal rows
@@ -346,7 +351,7 @@ def test_direct_synthesis_holds_the_output_and_one_budget():
 def test_aliased_sampling_writes_in_place_within_two_blocks():
     # 40 blocks of 511 paths, with the initial-value term of gen-OU
     exp = build_generalized_ou(2.0, 0.0, 0.0, 2.0, 0.5, 1.0, 512)
-    _assert_within_two_blocks(*_traced_peak(lambda: sample_paths_aliased(exp, 128, 20000, 2)))
+    _assert_within_two_blocks(*_traced_peak(lambda: sample_folded(exp, 128, 20000, 2)))
 
 
 @pytest.fixture(scope="module")
@@ -385,7 +390,7 @@ def test_sampling_is_deterministic_and_extends_by_path(exp_low):
 
 def test_threading_does_not_change_values(exp_low, monkeypatch):
     # blocks of 100 paths, so that four workers share them
-    monkeypatch.setattr(_engine, "BLOCK_DOUBLES", 100 * (129 + _engine.grid_row_doubles(16, 64)))
+    monkeypatch.setattr(_engine, "BLOCK_DOUBLES", 100 * (129 + _engine.grid_row_doubles(exp_low, 16)))
     monkeypatch.setattr(_engine, "PARALLEL_MIN_DRAWS", 0)
     one = sample_paths_fast(exp_low, 16, 2500, 5, threads=1)
     many = sample_paths_fast(exp_low, 16, 2500, 5, threads=4)
@@ -420,7 +425,7 @@ def test_gen_ou_mean_function():
 
 
 def test_sampling_argument_validation(exp_low):
-    for uniform in (sample_paths_fast, sample_paths_aliased):
+    for uniform in (sample_paths_fast, sample_folded):
         with pytest.raises(BadParameter):
             uniform(exp_low, 16, 0, 1)
         with pytest.raises(BadParameter):

@@ -327,6 +327,19 @@ def test_series_csv_rejects_malformed_rows(tmp_path):
             CosineSeries.from_csv(path)
 
 
+def test_series_csv_rejects_malformed_tables(tmp_path):
+    cases = {
+        "columns": ("# T=1.0\nk,c_k\n0,0.0\n1,-1.0\n", "2 columns"),
+        "horizon": ("k,c_k,err_bound\n0,0.0,0.0\n1,-1.0,0.0\n", "missing T="),
+        "order": ("# T=1.0\nk,c_k,err_bound\n1,-1.0,0.0\n0,0.0,0.0\n", "in order"),
+    }
+    for kind, (text, message) in cases.items():
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(text)
+        with pytest.raises(BadParameter, match=message):
+            CosineSeries.from_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # closed-form entries above _K0 and exact power-law tails
 # ---------------------------------------------------------------------------

@@ -529,6 +529,16 @@ def test_beyond_span_variance_matches_the_inner_products():
         assert q.distortion_sq == pytest.approx(ref, rel=1e-13, abs=0.0), name
 
 
+def test_inner_products_exist_only_for_the_pairs_a_basis_orders():
+    # a basis runs drift, sines, then one cosine channel: a pair out of that
+    # order, or of two drift or two cosine-channel kinds, has no formula
+    for pair in ((("cos", 1.0), ("sin", 1.0)), (("one", 0.0), ("t", 0.0)),
+                 (("one", 0.0), ("omc", 1.0)), (("t", 0.0), ("cos", 1.0)),
+                 (("cos", 1.0), ("omc", 2.0))):
+        with pytest.raises(BadParameter, match="no basis orders"):
+            quantize._inner(*pair, 1.0)
+
+
 def test_distortion_mc_matches_analytic_at_budget_one(exp_fbm04):
     from specgauss.quantize import _tail_variance_integral
 

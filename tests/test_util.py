@@ -12,6 +12,12 @@ from specgauss import (
     BadParameter,
     CovModel,
     GammaSpec,
+    GramMatrix,
+    NegativeC0,
+    Quantizer1D,
+    SingularityTooStrong,
+    TailEstimateUnavailable,
+    aliased_expansion,
     allocate_levels,
     analytic_cov,
     build_fbm,
@@ -41,7 +47,6 @@ from specgauss import (
     product_quantizer,
     rate_probe,
     sample_paths,
-    sample_paths_aliased,
     sample_paths_fast,
     series_cov,
     series_cov_grid,
@@ -143,6 +148,8 @@ _BATCH = PathBatch(np.linspace(0.0, 1.0, 3), np.zeros((100, 3)), 1)
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: build_fbm("0.3", 1.0, 8, _SERIES), id="fbm-H-string"),
     pytest.param(lambda: build_fbm(0.3, "1", 8, _SERIES), id="fbm-T-string"),
+    pytest.param(lambda: build_fbm(0.0, 1.0, 8, _SERIES), id="fbm-H-zero"),
+    pytest.param(lambda: build_fbm(1.2, 1.0, 8, _SERIES), id="fbm-H-above-one"),
     pytest.param(lambda: _gen_ou(theta="2"), id="gen_ou-theta-string"),
     pytest.param(lambda: _gen_ou(theta=math.inf), id="gen_ou-theta-inf"),
     pytest.param(lambda: _gen_ou(alpha="0"), id="gen_ou-alpha-string"),
@@ -151,6 +158,8 @@ _BATCH = PathBatch(np.linspace(0.0, 1.0, 3), np.zeros((100, 3)), 1)
     pytest.param(lambda: _gen_ou(sigma0="0.5"), id="gen_ou-sigma0-string"),
     pytest.param(lambda: _gen_ou(sigma0=math.inf), id="gen_ou-sigma0-inf"),
     pytest.param(lambda: CovModel.fbm("0.3", 1.0), id="model-fbm-H-string"),
+    pytest.param(lambda: CovModel.fbm(0.0, 1.0), id="model-fbm-H-zero"),
+    pytest.param(lambda: CovModel.fbm(1.5, 1.0), id="model-fbm-H-above-one"),
     pytest.param(lambda: _ou_model(theta="2"), id="model-gen_ou-theta-string"),
     pytest.param(lambda: _ou_model(alpha=1j), id="model-gen_ou-alpha-complex"),
     pytest.param(lambda: _ou_model(mu="0"), id="model-gen_ou-mu-string"),
@@ -172,18 +181,62 @@ _BATCH = PathBatch(np.linspace(0.0, 1.0, 3), np.zeros((100, 3)), 1)
     pytest.param(lambda: _expansion(drift_amp="0"), id="expansion-drift-string"),
     pytest.param(lambda: _expansion(amp=["a"]), id="expansion-amp-string"),
     pytest.param(lambda: _expansion(amp=[1j]), id="expansion-amp-complex"),
+    pytest.param(lambda: _expansion(family="fbm_mid"), id="expansion-family-unknown"),
+    pytest.param(lambda: _expansion(amp=[1.0, 2.0]), id="expansion-amp-length"),
+    pytest.param(lambda: _expansion(amp=[-1.0]), id="expansion-amp-negative"),
+    pytest.param(lambda: _expansion(amp=[math.inf]), id="expansion-amp-inf"),
+    pytest.param(lambda: _expansion(drift_amp=-1.0), id="expansion-drift-negative"),
     pytest.param(lambda: sample_paths(_FBM, ["a", "b"], 2, 1), id="sample_paths-grid-strings"),
     pytest.param(lambda: sample_paths(_FBM, [[0.0, 1.0]], 2, 1), id="sample_paths-grid-2d"),
+    pytest.param(lambda: sample_paths(_FBM, [0.0, 1.5], 2, 1), id="sample_paths-grid-past-T"),
+    pytest.param(lambda: sample_paths(_FBM, [-0.5, 0.5], 2, 1), id="sample_paths-grid-below-0"),
     pytest.param(lambda: sample_paths_fast(_FBM, ["a", "b"], 2, 1), id="fast-grid-strings"),
     pytest.param(lambda: PathBatch(["a"], np.zeros((1, 1)), 1), id="batch-grid-string"),
     pytest.param(lambda: PathBatch([0.0], [["a"]], 1), id="batch-values-string"),
     pytest.param(lambda: PathBatch([0.0, 1.0], [[0.0, 1.0], [2.0]], 1), id="batch-values-ragged"),
     pytest.param(lambda: allocate_levels(["a"], 4), id="allocate-mu-string"),
     pytest.param(lambda: allocate_levels([], 4), id="allocate-mu-empty"),
+    pytest.param(lambda: CosineSeries(1.0, 2, np.zeros(2), "x", np.zeros(3)), id="series-values-length"),
+    pytest.param(lambda: CosineSeries(1.0, 1, np.zeros(2), "x", np.zeros(1)), id="series-bounds-length"),
+    pytest.param(lambda: CosineSeries(1.0, 1, [0.0, math.nan], "x", np.zeros(2)), id="series-values-nan"),
+    pytest.param(lambda: CosineSeries(1.0, 1, np.zeros(2), "x", [0.0, math.inf]), id="series-bounds-inf"),
+    pytest.param(lambda: coeffs_closed("poisson", 1.0, 4), id="closed-model-unknown"),
+    pytest.param(lambda: GramMatrix(2, np.zeros((2, 3))), id="gram-shape"),
+    pytest.param(lambda: Quantizer1D(2, [-1.0, 1.0], [0.0, 0.5], 0.4), id="quantizer-boundaries-shape"),
+    pytest.param(lambda: Quantizer1D(2, [-1.0, 0.0, 1.0], [0.0], 0.4), id="quantizer-levels-shape"),
 ])
 def test_malformed_real_input_is_a_bad_parameter(call):
     with pytest.raises(BadParameter):
         call()
+
+
+# four significant entries: too few for the decay fit beyond the table
+_UNFITTABLE = CosineSeries(1.0, 4, [0.0, -1.0, -0.5, -0.3, -0.2], "closed", np.zeros(5))
+
+
+@pytest.mark.parametrize("call, error", [
+    # -gamma = t is admissible, but gamma = -t has a negative mean
+    pytest.param(lambda: build_type_b(_LINEAR, 1.0, 8), NegativeC0, id="type_b-negative-mean"),
+    pytest.param(lambda: power_series_coeffs(1.0, -1.0, 1.0, 8), SingularityTooStrong,
+                 id="power-exponent-minus-one"),
+    pytest.param(lambda: power_series_coeffs(1.0, -1.5, 1.0, 8), SingularityTooStrong,
+                 id="power-exponent-below-minus-one"),
+    pytest.param(lambda: truncation_for_tolerance(_UNFITTABLE, 0.1), TailEstimateUnavailable,
+                 id="truncation-fit-fails"),
+])
+def test_reachable_checks_raise_their_named_errors(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_tail_sum_of_a_series_without_a_power_law_at_its_edges():
+    # c_0 alone leaves nothing to fit, so the tail is unknown
+    assert tail_sum(CosineSeries(1.0, 0, [1.0], "closed", [0.0]), 0) == math.inf
+    # entries within their error bounds are zeros: nothing to extrapolate
+    quiet = CosineSeries(1.0, 8, np.full(9, -1e-4), "closed", np.full(9, 1e-3))
+    assert tail_sum(quiet, 8) == 0.0
+    # the table beyond N is summed, and the failed fit makes its rest unknown
+    assert tail_sum(_UNFITTABLE, 1) == math.inf
 
 
 _FBM_MODEL = CovModel.fbm(0.3, 1.0)
@@ -198,7 +251,7 @@ _QUANTIZER = product_quantizer(None, _FBM, 4)
     pytest.param(lambda: build_type_c(None, 1.0, 8), id="type_c-spec-none"),
     pytest.param(lambda: sample_paths(None, [0.0, 1.0], 2, 1), id="sample_paths-exp-none"),
     pytest.param(lambda: sample_paths_fast(None, 8, 2, 1), id="fast-exp-none"),
-    pytest.param(lambda: sample_paths_aliased(_SERIES, 8, 2, 1), id="aliased-exp-series"),
+    pytest.param(lambda: aliased_expansion(_SERIES, 8), id="aliased-exp-series"),
     pytest.param(lambda: analytic_cov(CovModel.type_a(None, 1.0), 0.2, 0.5), id="model-type_a-spec-none"),
     pytest.param(lambda: CovModel.type_c("linear", 2.0), id="model-type_c-spec-string"),
     pytest.param(lambda: analytic_cov(None, 0.2, 0.5), id="analytic_cov-model-none"),

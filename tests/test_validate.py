@@ -28,7 +28,6 @@ from specgauss import (
     negate_spec,
     rate_probe,
     sample_paths,
-    sample_paths_aliased,
     sample_paths_fast,
     series_cov,
     series_cov_grid,
@@ -42,6 +41,7 @@ from test_expansion import (
     _assert_within_one_budget,
     _traced_peak,
     all_family_expansions,
+    sample_folded,
     truncated,
 )
 
@@ -90,7 +90,7 @@ def test_analytic_cov_of_the_generating_function_models():
 def test_covariance_report_on_a_type_b_aliased_batch():
     spec = _exp_decay_neg()
     exp = build_type_b(spec, 1.0, 2000)
-    batch = sample_paths_aliased(exp, 16, 2000, 5)
+    batch = sample_folded(exp, 16, 2000, 5)
     rep = covariance_report(CovModel.type_b(spec, 1.0), exp, batch)
     assert [c["name"] for c in rep["checks"]] == ["empirical_vs_analytic", "series_vs_analytic"]
     assert rep["passed"], rep["checks"]
@@ -349,7 +349,7 @@ def test_covariance_report_keeps_the_trig_route_off_the_uniform_grid(monkeypatch
     grid = np.array([0.0, 0.1, 0.35, 0.5, 0.9, 1.0])
     covariance_report(CovModel.fbm(0.3, 1.0), exp, sample_paths(exp, grid, 200, 3))
     # one ulp off t_j = j T / m is not the uniform grid either
-    uniform = sample_paths_aliased(exp, 8, 200, 3)
+    uniform = sample_folded(exp, 8, 200, 3)
     nudged = uniform.grid.copy()
     nudged[3] = np.nextafter(nudged[3], 1.0)
     covariance_report(CovModel.fbm(0.3, 1.0), exp,
@@ -514,7 +514,7 @@ def test_series_check_holds_for_a_slowly_reverting_gen_ou_at_even_n():
     # the upper class; the check is deterministic, the batch only sets the grid
     model = CovModel.gen_ou(0.05, 0.0, 0.0, 1.0, 0.0, 1.0)
     exp = build_generalized_ou(0.05, 0.0, 0.0, 1.0, 0.0, 1.0, 256)
-    batch = sample_paths_aliased(exp, 32, 100, 11)
+    batch = sample_folded(exp, 32, 100, 11)
     check = covariance_report(model, exp, batch)["checks"][1]
     assert check["name"] == "series_vs_analytic"
     assert check["passed"] and check["statistic"] <= check["bound"], check
@@ -655,7 +655,7 @@ def _rate_probe_per_rung(model, Ns, replicates, seed):
             resid = _engine.fast_values(resids[n], m, z.copy(), work, np.empty((stop - start, m + 1)))
             sups[n][start:stop] = np.max(np.abs(resid), axis=1)
 
-    _engine.run_blocks(resids[Ns[0]], replicates, _engine.grid_row_doubles(m), seed, 1, block)
+    _engine.run_blocks(resids[Ns[0]], replicates, _engine.grid_row_doubles(resids[Ns[0]], m), seed, 1, block)
     ests = [math.fsum(sups[n]) / replicates for n in Ns]
     stderrs = [float(np.std(sups[n], ddof=1)) / math.sqrt(replicates) for n in Ns]
     return ests, stderrs
