@@ -289,20 +289,22 @@ def _fold(z, weights, length, work):
     return res, work
 
 
-def _weights(exp):
+def draw_weights(exp):
     """The flat (N, 2) table of the weights of each frequency's (sine,
     cosine) draw pair: its amplitude twice, or the amplitude and 0 for a
-    family without a cosine channel."""
+    family without a cosine channel.  A sampling call builds it once and
+    hands it to every block (:func:`fast_values`, :func:`residual_sups`)."""
     return np.outer(exp.amp, (1.0, 1.0 if exp.cos_kind is not None else 0.0))
 
 
-def fast_values(exp, m, z, work, out):
+def fast_values(exp, m, weights, z, work, out):
     """Path values on the uniform grid t_j = j T / m from one block of draws,
-    written into ``out``: the amplitude-weighted draws folded onto the
-    grid's residues, then mapped onto the grid, in the workspace ``work``
-    (:func:`grid_row_doubles` per row).  The draws are weighted in place, so
-    ``z`` no longer holds them afterwards."""
-    res, work = _fold(z, _weights(exp), exp.period_multiple * m, work)
+    written into ``out``: the draws weighted by ``weights``
+    (:func:`draw_weights` of ``exp``), folded onto the grid's residues, then
+    mapped onto the grid, in the workspace ``work`` (:func:`grid_row_doubles`
+    per row).  The draws are weighted in place, so ``z`` no longer holds
+    them afterwards."""
+    res, work = _fold(z, weights, exp.period_multiple * m, work)
     return _grid_values(exp, m, res, z, work, out)
 
 
@@ -390,10 +392,11 @@ def _spectrum(res, lng, omc, x):
         x.real[:, 0] += np.sum(res[:, :, 1], axis=1)
 
 
-def residual_sups(exp, m, Ns, z, work):
+def residual_sups(exp, m, Ns, weights, z, work):
     """Sup over the grid t_j = j T / m of each fBm residual along the
     increasing ladder ``Ns``, from one block of draws of a reference fBm
-    expansion ``exp`` with N < m amplitudes a_k.  Returns the
+    expansion ``exp`` with N < m amplitudes a_k, weighted by ``weights``
+    (:func:`draw_weights` of ``exp``).  Returns the
     (len(Ns), paths) maxima of
 
         |sum_{k > n} a_k (sin(pi k j / m) Z_k + (1 - cos(pi k j / m)) Z_-k)|.
@@ -406,7 +409,7 @@ def residual_sups(exp, m, Ns, z, work):
     ``work`` (:func:`grid_row_doubles` per row).
     """
     p = z.shape[0]
-    res, work = _fold(z, _weights(exp), m, work)
+    res, work = _fold(z, weights, m, work)
     x, work = carve(work, (p, m + 1), complex)
     _spectrum(res, m, exp.cos_kind == "omc", x)
     buf, _ = carve(work, (p, 2 * m))

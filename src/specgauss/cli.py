@@ -27,8 +27,9 @@ the sample covariance with the untruncated covariance, so ``--N`` must push
 the ``series_vs_analytic`` statistic (the truncation gap) well below the
 Monte Carlo standard error at ``--paths``; otherwise the check fails for
 some seeds on correct paths.
-``rate`` adds ``Ns``, ``sup_err_estimates``, ``sup_err_stderrs``,
-``fitted_slope``, ``reference_slope``, ``slope_tolerance``, and the probe's
+``rate`` adds ``slope_tolerance`` and the fields of
+:class:`specgauss.validate.RateProbeResult`: ``Ns``, ``sup_err_estimates``,
+``sup_err_stderrs``, ``fitted_slope``, ``reference_slope``, and the probe's
 ``n_reference`` (reference truncation, 8 max(Ns)), ``grid_resolution`` (the
 sup grid's cells, m = 16 max(Ns)) and ``replicate_count``.
 """
@@ -36,6 +37,7 @@ sup grid's cells, m = 16 max(Ns)) and ``replicate_count``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -245,17 +247,7 @@ def _cmd_rate(parser, args):
     model = CovModel.fbm(args.hurst, args.T)
     res = rate_probe(model, Ns, args.replicates, seed)
     gap = abs(res.fitted_slope - res.reference_slope)
-    payload = {
-        "Ns": list(res.Ns),
-        "sup_err_estimates": list(res.sup_err_estimates),
-        "sup_err_stderrs": list(res.sup_err_stderrs),
-        "fitted_slope": res.fitted_slope,
-        "reference_slope": res.reference_slope,
-        "slope_tolerance": args.slope_tol,
-        "n_reference": res.n_reference,
-        "grid_resolution": res.grid_resolution,
-        "replicate_count": res.replicate_count,
-    }
+    payload = {**dataclasses.asdict(res), "slope_tolerance": args.slope_tol}
     code = _write_report(args, cfg, seed, payload, gap <= args.slope_tol)
     print(("PASS" if code == 0 else "FAIL")
           + f" rate: slope {res.fitted_slope:.4f} vs {res.reference_slope:.4f}"

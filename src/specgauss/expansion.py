@@ -492,9 +492,10 @@ def sample_paths_fast(exp, M, n_paths, seed, threads=None):
     absolute.
     """
     m = _resolution(exp, M)
+    weights = _engine.draw_weights(exp)
     return _run_paths(
         exp, _engine.uniform_grid(exp.horizon_T, m), n_paths, seed, threads,
-        lambda z, work, out: _engine.fast_values(exp, m, z, work, out),
+        lambda z, work, out: _engine.fast_values(exp, m, weights, z, work, out),
         _engine.grid_row_doubles(exp, m),
     )
 

@@ -52,6 +52,8 @@ _NEWTON_CAP = 60
 _LLOYD_TOL = 1e-10
 # points t_j = j T / 256 of the grid on which distortion_mc integrates
 _MC_GRID_POINTS = 257
+# nodes and weights of 16-point Gauss-Legendre quadrature on [-1, 1]
+_GAUSS16 = np.polynomial.legendre.leggauss(16)
 
 
 def _phi(x):
@@ -287,80 +289,6 @@ class GramMatrix:
         object.__setattr__(self, "entries", g)
 
 
-def _inner(term_i, term_j, T):
-    """Closed-form inner product over [0, T] of two basis terms.
-
-    Terms are ("one"|"t"|"sin"|"cos"|"omc", omega); "omc" is
-    1 - cos(omega t).  ``term_i`` comes no later than ``term_j`` in a
-    family's basis, drift then sines then its one cosine channel
-    (:func:`_basis_terms`), so only the pairs that order forms have a
-    formula; expanded combinations reduce each to the primitive sin/cos
-    integrals.
-    """
-    ki, wi = term_i
-    kj, wj = term_j
-
-    def one_sin(b):
-        return (1.0 - math.cos(b * T)) / b
-
-    def one_cos(b):
-        return math.sin(b * T) / b
-
-    def t_sin(b):
-        return (math.sin(b * T) - b * T * math.cos(b * T)) / (b * b)
-
-    def t_cos(b):
-        return (math.cos(b * T) + b * T * math.sin(b * T) - 1.0) / (b * b)
-
-    def sin_sin(a, b):
-        if a == b:
-            return T / 2.0 - math.sin(2.0 * a * T) / (4.0 * a)
-        return 0.5 * (
-            math.sin((a - b) * T) / (a - b) - math.sin((a + b) * T) / (a + b)
-        )
-
-    def cos_cos(a, b):
-        if a == b:
-            return T / 2.0 + math.sin(2.0 * a * T) / (4.0 * a)
-        return 0.5 * (
-            math.sin((a - b) * T) / (a - b) + math.sin((a + b) * T) / (a + b)
-        )
-
-    def sin_cos(a, b):
-        # integral of sin(a t) cos(b t)
-        if a == b:
-            return (1.0 - math.cos(2.0 * a * T)) / (4.0 * a)
-        return 0.5 * (
-            (1.0 - math.cos((a + b) * T)) / (a + b)
-            + (1.0 - math.cos((a - b) * T)) / (a - b)
-        )
-
-    pair = (ki, kj)
-    if pair == ("one", "one"):
-        return T
-    if pair == ("one", "sin"):
-        return one_sin(wj)
-    if pair == ("one", "cos"):
-        return one_cos(wj)
-    if pair == ("t", "t"):
-        return T**3 / 3.0
-    if pair == ("t", "sin"):
-        return t_sin(wj)
-    if pair == ("t", "omc"):
-        return T * T / 2.0 - t_cos(wj)
-    if pair == ("sin", "sin"):
-        return sin_sin(wi, wj)
-    if pair == ("sin", "cos"):
-        return sin_cos(wi, wj)
-    if pair == ("sin", "omc"):
-        return one_sin(wi) - sin_cos(wi, wj)
-    if pair == ("cos", "cos"):
-        return cos_cos(wi, wj)
-    if pair == ("omc", "omc"):
-        return T - one_cos(wi) - one_cos(wj) + cos_cos(wi, wj)
-    raise BadParameter(f"no basis orders the term pair {pair}")
-
-
 # Squared L2[0, T] norms over T of the basis functions of frequency
 # w = k pi / period_T.  The period is T or 2T, so sin(2 w T) = 0, and it is T
 # wherever there is a cosine channel, so sin(w T) = 0 there too: sin has
@@ -398,11 +326,29 @@ def _basis_terms(exp, m):
 
 
 def _gram_of_terms(terms, T):
+    """Gram matrix of ``terms`` on [0, T] by 16-point Gauss-Legendre
+    quadrature of their values (:func:`_eval_terms`) on equal panels.
+
+    The fastest product of two terms has frequency 2 w_max; the
+    max(16, ceil(2 w_max T / pi)) panels each span at most half its period,
+    where 16 points leave an error far below rounding.  With r the rows
+    scaled by the square roots of the weights, G = r r^T is exactly
+    symmetric; it is summed over blocks of panels whose rows hold at most
+    ``_engine.BLOCK_DOUBLES`` values.
+    """
     n = len(terms)
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = g[j, i] = _inner(terms[i], terms[j], T)
+    nodes, weights = _GAUSS16
+    w_max = max(w for _, w in terms)
+    panels = max(16, math.ceil(2.0 * w_max * T / math.pi))
+    h = T / panels
+    root = np.sqrt(0.5 * h * weights)
+    per = max(1, _engine.BLOCK_DOUBLES // (n * nodes.size))
+    g = np.zeros((n, n))
+    for first in range(0, panels, per):
+        starts = np.arange(first, min(first + per, panels))[:, None]
+        r = _eval_terms(terms, ((starts + 0.5 * (nodes + 1.0)) * h).ravel())
+        r *= np.tile(root, starts.size)
+        g += r @ r.T
     return GramMatrix(n, g)
 
 
@@ -434,22 +380,25 @@ def _eval_terms(terms, tgrid):
 class ReducedKL:
     """Karhunen-Loeve form of the covariance restricted to a truncated span.
 
-    ``mu`` holds the descending eigenvalues, ``eigvec_coeffs`` the
-    matrix a with f_j = sum_i a[i, j] e_i, G-orthonormal so that
-    a^T G a = I.  ``basis`` and ``lambdas`` record the underlying
-    functions e_i and their amplitudes.
+    ``mu`` holds the descending eigenvalues and ``eigvecs`` the orthonormal
+    eigenvectors p of B = Lam G Lam, each column signed so that its
+    largest-magnitude entry is positive.  ``eigvec_coeffs`` is the matrix a
+    with f_j = sum_i a[i, j] e_i: Lam p / sqrt(mu), re-orthonormalized
+    once against G, so that a^T G a = I to rounding.  ``basis`` and
+    ``lambdas`` record the underlying functions e_i and their amplitudes.
     """
 
     m: int
     mu: np.ndarray
     eigvec_coeffs: np.ndarray
+    eigvecs: np.ndarray
     gram: GramMatrix
     basis: Tuple[Tuple[str, float], ...]
     lambdas: np.ndarray
     horizon_T: float
 
     def __post_init__(self):
-        for name in ("mu", "eigvec_coeffs", "lambdas"):
+        for name in ("mu", "eigvec_coeffs", "eigvecs", "lambdas"):
             arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=float))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -470,16 +419,12 @@ class ReducedKL:
         """Map M with Y = M z turning basis draws into unit-variance
         reduced coordinates (Y_j multiplies sqrt(mu_j) f_j).
 
-        Algebraically M = diag(mu)^(-1/2) a^T G diag(lambda); with
-        a = diag(lambda) p / sqrt(mu) this collapses to the orthogonal
-        eigenvector rows p^T, recovered entrywise to avoid the rounding
-        of the explicit triple product.  Zero-amplitude basis directions
-        contribute nothing and get a zero column.
+        M = diag(mu)^(-1/2) a^T G diag(lambda), which for a = Lam p / sqrt(mu)
+        is the eigenvector rows p^T, so those are returned as stored:
+        orthonormal to rounding, where the product with the
+        re-orthonormalized a would miss by its correction (about 4e-9).
         """
-        num = self.eigvec_coeffs * np.sqrt(self.mu)[None, :]
-        lam = self.lambdas[:, None]
-        p = np.divide(num, lam, out=np.zeros_like(num), where=lam > 0.0)
-        return p.T
+        return self.eigvecs.T
 
 
 def kl_reduce(exp, m):
@@ -493,7 +438,7 @@ def kl_reduce(exp, m):
     # The operator restricted to the span is diagonalized through
     # B = Lam G Lam, assembled exactly from the data.  Its eigenpairs
     # (nu, p) give mu = nu and coefficient columns a = Lam p / sqrt(nu),
-    # so a^T G a = I holds structurally; a G^(1/2) route would push the
+    # so a^T G a = I holds up to rounding; a G^(1/2) route would push the
     # near-null Gram directions through an absolute-error eigh and lose
     # the 1e-8 residual contract.
     b = (lams[:, None] * g) * lams[None, :]
@@ -521,11 +466,18 @@ def kl_reduce(exp, m):
         )
     w = w[keep]
     p = p[:, keep]
+    # the sign of an eigenvector is LAPACK's choice: fix it by the data
+    p *= np.where(p[np.argmax(np.abs(p), axis=0), np.arange(w.size)] < 0.0, -1.0, 1.0)
     a = (lams[:, None] * p) / np.sqrt(w)[None, :]
+    # one re-orthonormalization against G, a <- a L^-T with L L^T = a^T G a,
+    # takes the rounding of the small directions out of a^T G a = I
+    chol = np.linalg.cholesky(a.T @ g @ a)
+    a = np.linalg.solve(chol, a.T).T
     return ReducedKL(
         m=m,
         mu=w,
         eigvec_coeffs=a,
+        eigvecs=p,
         gram=gram,
         basis=tuple(terms),
         lambdas=lams,
@@ -666,6 +618,7 @@ def distortion_mc(q, exp, n_paths, seed):
     sq = np.empty(n_paths)
     size = tgrid.size
     dt = np.diff(tgrid)
+    weights = _engine.draw_weights(exp)
 
     def block(start, stop, z, work):
         p = stop - start
@@ -673,7 +626,7 @@ def distortion_mc(q, exp, n_paths, seed):
         y = _coordinate_draws(exp, red, z) @ cmat.T
         gap, work = _engine.carve(work, (p, size))
         code, work = _engine.carve(work, (p, size))
-        _engine.fast_values(exp, m_panels, z, work, gap)
+        _engine.fast_values(exp, m_panels, weights, z, work, gap)
         np.matmul(q.project_coords(y) * root_mu[None, :], fmat, out=code)
         if exp.mean_fn is not None:
             code += np.asarray(exp.mean_fn(tgrid))[None, :]

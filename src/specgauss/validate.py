@@ -523,9 +523,10 @@ def rate_probe(model, Ns, replicates, seed):
     m = 16 * Ns[-1]
     ref = build_fbm(H, T, n_ref, fbm_coefficients(H, T, n_ref))
     sups = np.empty((len(Ns), replicates))
+    weights = _engine.draw_weights(ref)
 
     def block(start, stop, z, work):
-        sups[:, start:stop] = _engine.residual_sups(ref, m, Ns, z, work)
+        sups[:, start:stop] = _engine.residual_sups(ref, m, Ns, weights, z, work)
 
     _engine.run_blocks(ref, replicates, _engine.grid_row_doubles(ref, m), seed, None, block)
     ests = []

@@ -74,7 +74,8 @@ def deep_families():
 def _fast(exp, m, z):
     """fast_values of the draws ``z`` with a workspace of its own."""
     work = np.empty(z.shape[0] * _engine.grid_row_doubles(exp, m))
-    return _engine.fast_values(exp, m, z, work, np.empty((z.shape[0], m + 1)))
+    out = np.empty((z.shape[0], m + 1))
+    return _engine.fast_values(exp, m, _engine.draw_weights(exp), z, work, out)
 
 
 def test_aliased_values_carry_the_series_covariance_on_the_grid(deep_families):

@@ -402,6 +402,28 @@ def test_gram_entries_match_quadrature(exp_fbm04, exp_brownian):
             assert g[a, b] == pytest.approx(ref, abs=max(1e-12, 4 * err))
 
 
+def test_gram_edge_pairs_match_quadrature():
+    # the panel count is sized by the fastest product, 2 w_max: check the
+    # pairs of the two highest frequencies of every channel, and every pair
+    # with the drift, on a cos channel with a constant drift (type B), a
+    # doubled period (type C) and a t drift (fBm H = 0.75)
+    for name in ("type_b", "type_c", "fbm_high"):
+        exp = FAMILY_BUILDERS[name](64)
+        g = gram_matrix(exp).entries
+        terms, _ = quantize._basis_terms(exp, exp.truncation_N)
+        top = sorted({w for _, w in terms})[-2:]
+        edge = [i for i, (_, w) in enumerate(terms) if w in top]
+        pairs = {(i, j) for i in edge for j in edge if i <= j}
+        if exp.drift_amp > 0.0:
+            pairs |= {(0, j) for j in range(len(terms))}
+        for a, b in sorted(pairs):
+            fa, fb = _term_fn(terms[a]), _term_fn(terms[b])
+            # converged to rounding, so that 4 err does not swamp the check
+            ref, err = quad(lambda t: fa(t) * fb(t), 0.0, exp.horizon_T, limit=200,
+                            epsabs=1e-13, epsrel=1e-13)
+            assert g[a, b] == pytest.approx(ref, abs=max(1e-12, 4 * err)), (name, terms[a], terms[b])
+
+
 def test_gram_matrix_full_basis(exp_fbm04):
     g = gram_matrix(exp_fbm04)
     n = g.entries.shape[0]
@@ -476,6 +498,20 @@ def test_coordinate_matrix_rows_orthonormal(exp_fbm04):
     assert np.max(np.abs(cm @ cm.T - np.eye(red.reduced_dim))) <= 1e-12
 
 
+@pytest.mark.filterwarnings("ignore::specgauss.GramSingularWarning")
+def test_eigenvectors_lead_with_a_positive_entry():
+    # every kept eigenvector's largest-magnitude entry is positive, so the
+    # order of the codewords follows from the data, not from LAPACK's signs
+    for name, build in FAMILY_BUILDERS.items():
+        exp = build(64)
+        if exp.init_coupling is not None:
+            continue
+        for m in (1, 5, 20):
+            p = kl_reduce(exp, m).eigvecs
+            lead = p[np.argmax(np.abs(p), axis=0), np.arange(p.shape[1])]
+            assert np.all(lead > 0.0), (name, m)
+
+
 # ---------------------------------------------------------------------------
 # product quantizer and its Monte Carlo cross-check
 # ---------------------------------------------------------------------------
@@ -509,8 +545,16 @@ def test_distortion_decreases_with_budget(exp_fbm04):
 
 @pytest.mark.filterwarnings("ignore::specgauss.GramSingularWarning")
 def test_beyond_span_variance_matches_the_inner_products():
-    # the closed-form squared norms against the per-frequency loop of
-    # _inner self-products, on every family, at a deep truncation
+    # the squared norms of _SELF_NORM against a per-frequency loop of the
+    # integrals of sin^2, cos^2 and (1 - cos)^2 over [0, T], on every family,
+    # at a deep truncation
+    def self_norm(kind, w, T):
+        if kind == "sin":
+            return T / 2.0 - math.sin(2.0 * w * T) / (4.0 * w)
+        if kind == "cos":
+            return T / 2.0 + math.sin(2.0 * w * T) / (4.0 * w)
+        return T - 2.0 * math.sin(w * T) / w + T / 2.0 + math.sin(2.0 * w * T) / (4.0 * w)
+
     for name, build in FAMILY_BUILDERS.items():
         exp = build(512)
         if exp.init_coupling is not None:
@@ -521,22 +565,12 @@ def test_beyond_span_variance_matches_the_inner_products():
         beyond = 0.0
         for k in range(m + 1, exp.truncation_N + 1):
             w, a2 = k * base, exp.amp[k - 1] ** 2
-            beyond += a2 * quantize._inner(("sin", w), ("sin", w), T)
+            beyond += a2 * self_norm("sin", w, T)
             if exp.cos_kind is not None:
-                beyond += a2 * quantize._inner((exp.cos_kind, w), (exp.cos_kind, w), T)
+                beyond += a2 * self_norm(exp.cos_kind, w, T)
         scalar = float(np.sum(q.reduced.mu * np.array([s.distortion for s in q.quantizers])))
         ref = scalar + beyond + quantize._tail_variance_integral(exp)
         assert q.distortion_sq == pytest.approx(ref, rel=1e-13, abs=0.0), name
-
-
-def test_inner_products_exist_only_for_the_pairs_a_basis_orders():
-    # a basis runs drift, sines, then one cosine channel: a pair out of that
-    # order, or of two drift or two cosine-channel kinds, has no formula
-    for pair in ((("cos", 1.0), ("sin", 1.0)), (("one", 0.0), ("t", 0.0)),
-                 (("one", 0.0), ("omc", 1.0)), (("t", 0.0), ("cos", 1.0)),
-                 (("cos", 1.0), ("omc", 2.0))):
-        with pytest.raises(BadParameter, match="no basis orders"):
-            quantize._inner(*pair, 1.0)
 
 
 def test_distortion_mc_matches_analytic_at_budget_one(exp_fbm04):

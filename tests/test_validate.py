@@ -649,10 +649,12 @@ def _rate_probe_per_rung(model, Ns, replicates, seed):
             drift_amp=0.0, amp=a,
         )
     sups = {n: np.empty(replicates) for n in Ns}
+    weights = {n: _engine.draw_weights(resids[n]) for n in Ns}
 
     def block(start, stop, z, work):
         for n in Ns:
-            resid = _engine.fast_values(resids[n], m, z.copy(), work, np.empty((stop - start, m + 1)))
+            out = np.empty((stop - start, m + 1))
+            resid = _engine.fast_values(resids[n], m, weights[n], z.copy(), work, out)
             sups[n][start:stop] = np.max(np.abs(resid), axis=1)
 
     _engine.run_blocks(resids[Ns[0]], replicates, _engine.grid_row_doubles(resids[Ns[0]], m), seed, 1, block)
