@@ -69,7 +69,6 @@ from .validate import (
 )
 from .quantize import (
     FunctionalQuantizer,
-    GramMatrix,
     Quantizer1D,
     ReducedKL,
     allocate_levels,

@@ -472,13 +472,6 @@ def sample_paths(exp, grid, n_paths, seed):
     )
 
 
-def _resolution(exp, M):
-    """The resolution m of the uniform grid t_j = j T / m of the expansion
-    ``exp``: ``M``, checked to be an integer >= 1."""
-    check_instance(exp, SeriesExpansion, "exp")
-    return check_int(M, "M", 1)
-
-
 def sample_paths_fast(exp, M, n_paths, seed, threads=None):
     """Sample on the uniform grid t_j = j T / M via fast trig transforms.
 
@@ -491,7 +484,8 @@ def sample_paths_fast(exp, M, n_paths, seed, threads=None):
     Matches :func:`sample_paths` on the same grid and seed to 1e-10
     absolute.
     """
-    m = _resolution(exp, M)
+    check_instance(exp, SeriesExpansion, "exp")
+    m = check_int(M, "M", 1)
     weights = _engine.draw_weights(exp)
     return _run_paths(
         exp, _engine.uniform_grid(exp.horizon_T, m), n_paths, seed, threads,
@@ -519,7 +513,8 @@ def aliased_expansion(exp, M):
     grow with N beyond the O(N) amplitude fold.  Its paths are not those of
     ``exp`` past N = L, and are exactly those when N <= L.
     """
-    m = _resolution(exp, M)
+    check_instance(exp, SeriesExpansion, "exp")
+    m = check_int(M, "M", 1)
     amp, drift = _engine.folded_amplitudes(exp, m)
     return replace(
         exp,

@@ -67,7 +67,6 @@ class StarReport:
     max_derivative_violation: float
     max_concavity_violation: float
     singular_bound_estimate: float
-    grid_size: int
 
 
 def negate_spec(spec):
@@ -83,6 +82,21 @@ def negate_spec(spec):
         gamma_at_zero=None if spec.gamma_at_zero is None else -spec.gamma_at_zero,
         power_amp=None if spec.power_amp is None else -spec.power_amp,
         power_exponent=spec.power_exponent,
+    )
+
+
+def _power_spec(amp, exponent, delta, T, label, gamma_at_zero=None):
+    """GammaSpec of the power law amp * t**exponent, tagged for the closed
+    power-law coefficient route."""
+    return GammaSpec(
+        evaluate=lambda t: amp * np.asarray(t, dtype=float) ** exponent,
+        derivative=lambda t: amp * exponent * np.asarray(t, dtype=float) ** (exponent - 1.0),
+        delta=delta,
+        horizon_T=float(T),
+        label=label,
+        gamma_at_zero=gamma_at_zero,
+        power_amp=amp,
+        power_exponent=exponent,
     )
 
 
@@ -104,55 +118,18 @@ def builtin_gamma(kind, T, *, hurst=None, theta=None, sigma2=None, slope=1.0):
     if kind == "power2H":
         if hurst is None or not (0.0 < hurst < 0.5):
             raise BadParameter("power2H requires hurst in (0, 1/2)")
-        a = 2.0 * hurst
-        return GammaSpec(
-            evaluate=lambda t, a=a: np.asarray(t, dtype=float) ** a,
-            derivative=lambda t, a=a: a * np.asarray(t, dtype=float) ** (a - 1.0),
-            delta=1.0 - 2.0 * hurst,
-            horizon_T=float(T),
-            label=f"power2H(H={hurst})",
-            gamma_at_zero=0.0,
-            power_amp=1.0,
-            power_exponent=a,
-        )
+        return _power_spec(1.0, 2.0 * hurst, 1.0 - 2.0 * hurst, T, f"power2H(H={hurst})", 0.0)
     if kind == "neg_power":
         if hurst is None or not (0.5 < hurst < 1.0):
             raise BadParameter("neg_power requires hurst in (1/2, 1)")
-        amp = -2.0 * hurst * (2.0 * hurst - 1.0)
-        p = 2.0 * hurst - 2.0
-        return GammaSpec(
-            evaluate=lambda t, amp=amp, p=p: amp * np.asarray(t, dtype=float) ** p,
-            derivative=lambda t, amp=amp, p=p: amp * p * np.asarray(t, dtype=float) ** (p - 1.0),
-            delta=3.0 - 2.0 * hurst,
-            horizon_T=float(T),
-            label=f"neg_power(H={hurst})",
-            power_amp=amp,
-            power_exponent=p,
-        )
+        return _power_spec(-2.0 * hurst * (2.0 * hurst - 1.0), 2.0 * hurst - 2.0, 3.0 - 2.0 * hurst,
+                           T, f"neg_power(H={hurst})")
     if kind == "linear":
         if not (slope > 0):
             raise BadParameter("linear requires slope > 0")
-        return GammaSpec(
-            evaluate=lambda t, s=slope: s * np.asarray(t, dtype=float),
-            derivative=lambda t, s=slope: np.full_like(np.asarray(t, dtype=float), s),
-            delta=0.0,
-            horizon_T=float(T),
-            label=f"linear(slope={slope})",
-            gamma_at_zero=0.0,
-            power_amp=float(slope),
-            power_exponent=1.0,
-        )
+        return _power_spec(float(slope), 1.0, 0.0, T, f"linear(slope={slope})", 0.0)
     if kind == "minus_abs":
-        return GammaSpec(
-            evaluate=lambda t: -np.asarray(t, dtype=float),
-            derivative=lambda t: np.full_like(np.asarray(t, dtype=float), -1.0),
-            delta=0.0,
-            horizon_T=float(T),
-            label="minus_abs",
-            gamma_at_zero=0.0,
-            power_amp=-1.0,
-            power_exponent=1.0,
-        )
+        return _power_spec(-1.0, 1.0, 0.0, T, "minus_abs", 0.0)
     if kind == "exp_decay":
         if theta is None or not (theta > 0):
             raise BadParameter("exp_decay requires theta > 0")
@@ -204,8 +181,8 @@ def check_star(spec):
     pair_scale = np.maximum(scale[:-1], scale[1:])
     conc_viol = float(max(0.0, np.max(diffs / pair_scale)))
 
-    d_geo = np.asarray(spec.derivative(geo), dtype=float)
-    sing = float(np.max(geo**spec.delta * d_geo))
+    # the geometric tail is the grid's head: grid[:geo.size] is geo reversed
+    sing = float(np.max(grid[: geo.size] ** spec.delta * d[: geo.size]))
 
     passed = deriv_viol <= _STAR_TOL and conc_viol <= _STAR_TOL and np.isfinite(sing)
     return StarReport(
@@ -213,7 +190,6 @@ def check_star(spec):
         max_derivative_violation=deriv_viol,
         max_concavity_violation=conc_viol,
         singular_bound_estimate=sing,
-        grid_size=int(grid.size),
     )
 
 

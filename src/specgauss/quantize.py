@@ -35,7 +35,6 @@ from .fourier import tail_sum
 
 __all__ = [
     "Quantizer1D",
-    "GramMatrix",
     "ReducedKL",
     "FunctionalQuantizer",
     "gauss1d_quantizer",
@@ -64,28 +63,30 @@ def _phi(x):
 class Quantizer1D:
     """Optimal n-level quantizer of a standard normal.
 
-    ``levels`` are increasing and antisymmetric about 0, ``boundaries``
-    the n-1 cell midpoints, ``distortion`` the mean squared error
-    E(Z - q(Z))^2.  ``converged`` is False when the Newton iteration hit
-    its cap before the stationarity residual dropped below tolerance.
+    ``levels`` are increasing and antisymmetric about 0, ``distortion``
+    the mean squared error E(Z - q(Z))^2.  ``converged`` is False when the
+    Newton iteration hit its cap before the stationarity residual dropped
+    below tolerance.
     """
 
     n: int
     levels: np.ndarray
-    boundaries: np.ndarray
     distortion: float
     converged: bool = True
 
     def __post_init__(self):
         lv = np.ascontiguousarray(np.asarray(self.levels, dtype=float))
-        bd = np.ascontiguousarray(np.asarray(self.boundaries, dtype=float))
-        if lv.shape != (self.n,) or bd.shape != (max(self.n - 1, 0),):
-            raise BadParameter("levels/boundaries shape mismatch")
+        if lv.shape != (self.n,):
+            raise BadParameter("levels must hold n values")
         if self.n > 1 and not np.all(np.diff(lv) > 0):
             raise BadParameter("levels must be strictly increasing")
-        for name, arr in (("levels", lv), ("boundaries", bd)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        lv.flags.writeable = False
+        object.__setattr__(self, "levels", lv)
+
+    @property
+    def boundaries(self):
+        """The n-1 cell boundaries, the midpoints of adjacent levels."""
+        return 0.5 * (self.levels[:-1] + self.levels[1:])
 
     def quantize(self, y):
         """Indices of the nearest level for each value in ``y``."""
@@ -172,7 +173,7 @@ def gauss1d_quantizer(n):
     """
     n = check_int(n, "n", 1)
     if n == 1:
-        return Quantizer1D(1, np.zeros(1), np.zeros(0), 1.0)
+        return Quantizer1D(1, np.zeros(1), 1.0)
     # high-resolution quantizers have point density ~ phi^(1/3), whose
     # cdf is Phi(x/sqrt(3)); starting there puts Newton inside its
     # region of quadratic convergence; mirrored, the levels are exactly
@@ -212,7 +213,7 @@ def gauss1d_quantizer(n):
     # the integral of (z - y)^2 phi(z) over each cell, in closed form
     _, _, mass, phi, xphi = _centroid_residual(y)
     dist = float(np.sum(mass * (1.0 + y * y) + xphi[:-1] - xphi[1:] - 2.0 * y * (phi[:-1] - phi[1:])))
-    return Quantizer1D(n, y, 0.5 * (y[:-1] + y[1:]), dist, converged)
+    return Quantizer1D(n, y, dist, converged)
 
 
 @functools.lru_cache(maxsize=None)
@@ -274,21 +275,6 @@ def allocate_levels(mu, budget_N):
     return np.asarray(best_vec, dtype=int)
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """L2[0,T] inner products of the expansion basis functions."""
-
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        g = np.ascontiguousarray(np.asarray(self.entries, dtype=float))
-        if g.shape != (self.dim, self.dim):
-            raise BadParameter("entries must be dim x dim")
-        g.flags.writeable = False
-        object.__setattr__(self, "entries", g)
-
-
 # Squared L2[0, T] norms over T of the basis functions of frequency
 # w = k pi / period_T.  The period is T or 2T, so sin(2 w T) = 0, and it is T
 # wherever there is a cosine channel, so sin(w T) = 0 there too: sin has
@@ -334,7 +320,7 @@ def _gram_of_terms(terms, T):
     where 16 points leave an error far below rounding.  With r the rows
     scaled by the square roots of the weights, G = r r^T is exactly
     symmetric; it is summed over blocks of panels whose rows hold at most
-    ``_engine.BLOCK_DOUBLES`` values.
+    ``_engine.BLOCK_DOUBLES`` values, and returned read-only.
     """
     n = len(terms)
     nodes, weights = _GAUSS16
@@ -349,11 +335,13 @@ def _gram_of_terms(terms, T):
         r = _eval_terms(terms, ((starts + 0.5 * (nodes + 1.0)) * h).ravel())
         r *= np.tile(root, starts.size)
         g += r @ r.T
-    return GramMatrix(n, g)
+    g.flags.writeable = False
+    return g
 
 
 def gram_matrix(exp):
-    """Gram matrix of the full basis of an expansion on [0, horizon_T]."""
+    """Gram matrix of the full basis of an expansion on [0, horizon_T], a
+    read-only (n, n) array in the basis order of :func:`kl_reduce`."""
     check_instance(exp, SeriesExpansion, "exp")
     terms, _ = _basis_terms(exp, exp.truncation_N)
     return _gram_of_terms(terms, exp.horizon_T)
@@ -384,21 +372,21 @@ class ReducedKL:
     eigenvectors p of B = Lam G Lam, each column signed so that its
     largest-magnitude entry is positive.  ``eigvec_coeffs`` is the matrix a
     with f_j = sum_i a[i, j] e_i: Lam p / sqrt(mu), re-orthonormalized
-    once against G, so that a^T G a = I to rounding.  ``basis`` and
-    ``lambdas`` record the underlying functions e_i and their amplitudes.
+    once against G, so that a^T G a = I to rounding.  ``gram`` is G, the
+    Gram matrix of the span; ``basis`` and ``lambdas`` record the
+    underlying functions e_i and their amplitudes.
     """
 
     m: int
     mu: np.ndarray
     eigvec_coeffs: np.ndarray
     eigvecs: np.ndarray
-    gram: GramMatrix
+    gram: np.ndarray
     basis: Tuple[Tuple[str, float], ...]
     lambdas: np.ndarray
-    horizon_T: float
 
     def __post_init__(self):
-        for name in ("mu", "eigvec_coeffs", "eigvecs", "lambdas"):
+        for name in ("mu", "eigvec_coeffs", "eigvecs", "gram", "lambdas"):
             arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=float))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -433,8 +421,7 @@ def kl_reduce(exp, m):
     check_instance(exp, SeriesExpansion, "exp")
     m = check_int(m, "m", 1)
     terms, lams = _basis_terms(exp, m)
-    gram = _gram_of_terms(terms, exp.horizon_T)
-    g = gram.entries
+    g = _gram_of_terms(terms, exp.horizon_T)
     # The operator restricted to the span is diagonalized through
     # B = Lam G Lam, assembled exactly from the data.  Its eigenpairs
     # (nu, p) give mu = nu and coefficient columns a = Lam p / sqrt(nu),
@@ -478,10 +465,9 @@ def kl_reduce(exp, m):
         mu=w,
         eigvec_coeffs=a,
         eigvecs=p,
-        gram=gram,
+        gram=g,
         basis=tuple(terms),
         lambdas=lams,
-        horizon_T=exp.horizon_T,
     )
 
 

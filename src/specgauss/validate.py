@@ -78,6 +78,8 @@ class CovModel:
 
     def __post_init__(self):
         object.__setattr__(self, "horizon_T", check_positive(self.horizon_T, "horizon_T"))
+        if self.kind not in ("fbm", "brownian", "gen_ou", "type_a", "type_b", "type_c"):
+            raise BadParameter(f"unknown model kind {self.kind!r}")
         if self.kind in ("type_a", "type_b", "type_c"):
             check_instance(self.spec, GammaSpec, f"{self.kind} model: spec")
 
@@ -169,7 +171,6 @@ def _model_cov(model, s, t):
         return -_gamma_value(model.spec, abs(t - s))
     if model.kind == "type_c":
         return 0.5 * (-_gamma_value(model.spec, abs(t - s)) + _gamma_value(model.spec, s + t))
-    raise BadParameter(f"unknown model kind {model.kind!r}")
 
 
 def _unit_phases(theta, n):

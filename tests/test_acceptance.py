@@ -233,7 +233,7 @@ def test_09_kl_reduction(capsys):
     exp_f = build_fbm(0.3, 1.0, 64, fbm_coefficients(0.3, 1.0, 64))
     red_f = kl_reduce(exp_f, 8)
     a = red_f.eigvec_coeffs
-    g = red_f.gram.entries
+    g = red_f.gram
     ortho = float(np.max(np.abs(a.T @ g @ a - np.eye(red_f.reduced_dim))))
     tg = np.linspace(0.0, 1.0, 257)
     e = red_f.basis_matrix(tg)

@@ -19,6 +19,7 @@ from specgauss import (
     GammaSpec,
     InsufficientData,
     QuadratureNonConvergence,
+    build_type_a,
     build_type_b,
     builtin_gamma,
     coeffs_closed,
@@ -66,6 +67,17 @@ def test_power_series_agrees_with_oracle():
         r = oracle_coeff(spec, 1.0, k)
         assert r.converged
         assert s.values[k] == pytest.approx(r.value, abs=1e-9)
+
+
+def test_power_route_takes_its_table_at_any_amplitude():
+    # the table states its bounds entry by entry, relative to the amplitude;
+    # no tolerance in the units of g stands between it and the builders
+    spec = GammaSpec(evaluate=lambda t: 1e3 * t**0.6, derivative=lambda t: 6e2 * t**-0.4,
+                     delta=0.4, horizon_T=1.0, gamma_at_zero=0.0, power_amp=1e3, power_exponent=0.6)
+    ref = power_series_coeffs(1e3, 0.6, 1.0, 256)
+    series = build_type_a(spec, 1.0, 256).coeff_series
+    assert np.array_equal(series.values, ref.values)
+    assert np.array_equal(series.error_bounds, ref.error_bounds)
 
 
 def _generic(spec):

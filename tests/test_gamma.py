@@ -26,6 +26,23 @@ def test_power2H_evaluates_power_law():
     assert spec.power_exponent == pytest.approx(0.6)
 
 
+@pytest.mark.parametrize("kind, kw, amp, exponent", [
+    ("power2H", {"hurst": 0.05}, 1.0, 0.1),
+    ("power2H", {"hurst": 0.49}, 1.0, 0.98),
+    ("neg_power", {"hurst": 0.51}, -2 * 0.51 * (2 * 0.51 - 1), 2 * 0.51 - 2),
+    ("neg_power", {"hurst": 0.99}, -2 * 0.99 * (2 * 0.99 - 1), 2 * 0.99 - 2),
+    ("linear", {"slope": 3}, 3.0, 1.0),
+    ("linear", {"slope": 0.7}, 0.7, 1.0),
+    ("minus_abs", {}, -1.0, 1.0),
+])
+def test_builtin_power_kinds_are_exactly_their_power_laws(kind, kw, amp, exponent):
+    spec = builtin_gamma(kind, 3.0, **kw)
+    assert (spec.power_amp, spec.power_exponent) == (amp, exponent)
+    t = np.concatenate([np.random.default_rng(3).uniform(1e-3, 3.0, 1000), 2.0 ** -np.arange(1, 60)])
+    assert np.array_equal(spec.evaluate(t), amp * t**exponent)
+    assert np.array_equal(spec.derivative(t), amp * exponent * t ** (exponent - 1.0))
+
+
 def test_neg_power_matches_second_derivative_of_t2H():
     H = 0.75
     spec = builtin_gamma("neg_power", 1.0, hurst=H)

@@ -391,14 +391,16 @@ def _term_fn(term):
 def test_gram_entries_match_quadrature(exp_fbm04, exp_brownian):
     for exp, m in ((exp_fbm04, 3), (exp_brownian, 4)):
         red = kl_reduce(exp, m)
-        g = red.gram.entries
+        g = red.gram
         terms = red.basis
         rng = np.random.default_rng(8)
         pairs = [(i, j) for i in range(len(terms)) for j in range(i, len(terms))]
         for k in rng.permutation(len(pairs))[:10]:
             a, b = pairs[int(k)]
             fa, fb = _term_fn(terms[a]), _term_fn(terms[b])
-            ref, err = quad(lambda t: fa(t) * fb(t), 0.0, exp.horizon_T, limit=200)
+            # converged to rounding, so that 4 err does not swamp the check
+            ref, err = quad(lambda t: fa(t) * fb(t), 0.0, exp.horizon_T, limit=200,
+                            epsabs=1e-13, epsrel=1e-13)
             assert g[a, b] == pytest.approx(ref, abs=max(1e-12, 4 * err))
 
 
@@ -409,7 +411,7 @@ def test_gram_edge_pairs_match_quadrature():
     # doubled period (type C) and a t drift (fBm H = 0.75)
     for name in ("type_b", "type_c", "fbm_high"):
         exp = FAMILY_BUILDERS[name](64)
-        g = gram_matrix(exp).entries
+        g = gram_matrix(exp)
         terms, _ = quantize._basis_terms(exp, exp.truncation_N)
         top = sorted({w for _, w in terms})[-2:]
         edge = [i for i, (_, w) in enumerate(terms) if w in top]
@@ -426,10 +428,10 @@ def test_gram_edge_pairs_match_quadrature():
 
 def test_gram_matrix_full_basis(exp_fbm04):
     g = gram_matrix(exp_fbm04)
-    n = g.entries.shape[0]
-    assert g.dim == n == 2 * exp_fbm04.truncation_N
-    assert np.allclose(g.entries, g.entries.T, atol=0)
-    assert np.all(np.diag(g.entries) > 0)
+    n = 2 * exp_fbm04.truncation_N
+    assert g.shape == (n, n) and not g.flags.writeable
+    assert np.array_equal(g, g.T)
+    assert np.all(np.diag(g) > 0)
 
 
 def test_kl_reduce_invariants_all_families(exp_fbm04, exp_brownian):
@@ -444,7 +446,7 @@ def test_kl_reduce_invariants_all_families(exp_fbm04, exp_brownian):
             warnings.simplefilter("ignore", GramSingularWarning)
             red = kl_reduce(exp, m)
         a = red.eigvec_coeffs
-        g = red.gram.entries
+        g = red.gram
         r = red.reduced_dim
         assert np.all(np.diff(red.mu) <= 1e-15)
         assert red.mu[-1] > 0

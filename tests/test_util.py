@@ -12,8 +12,8 @@ from specgauss import (
     BadParameter,
     CovModel,
     GammaSpec,
-    GramMatrix,
     NegativeC0,
+    NonFiniteEvaluation,
     Quantizer1D,
     SingularityTooStrong,
     TailEstimateUnavailable,
@@ -55,7 +55,7 @@ from specgauss import (
     tail_sum,
     truncation_for_tolerance,
 )
-from specgauss._util import csv_table_text, read_csv_table
+from specgauss._util import check_real, csv_table_text, read_csv_table
 from specgauss.expansion import PathBatch, SeriesExpansion
 from specgauss.fourier import CosineSeries
 
@@ -201,9 +201,7 @@ _BATCH = PathBatch(np.linspace(0.0, 1.0, 3), np.zeros((100, 3)), 1)
     pytest.param(lambda: CosineSeries(1.0, 1, [0.0, math.nan], "x", np.zeros(2)), id="series-values-nan"),
     pytest.param(lambda: CosineSeries(1.0, 1, np.zeros(2), "x", [0.0, math.inf]), id="series-bounds-inf"),
     pytest.param(lambda: coeffs_closed("poisson", 1.0, 4), id="closed-model-unknown"),
-    pytest.param(lambda: GramMatrix(2, np.zeros((2, 3))), id="gram-shape"),
-    pytest.param(lambda: Quantizer1D(2, [-1.0, 1.0], [0.0, 0.5], 0.4), id="quantizer-boundaries-shape"),
-    pytest.param(lambda: Quantizer1D(2, [-1.0, 0.0, 1.0], [0.0], 0.4), id="quantizer-levels-shape"),
+    pytest.param(lambda: Quantizer1D(2, [-1.0, 0.0, 1.0], 0.4), id="quantizer-levels-shape"),
 ])
 def test_malformed_real_input_is_a_bad_parameter(call):
     with pytest.raises(BadParameter):
@@ -223,10 +221,31 @@ _UNFITTABLE = CosineSeries(1.0, 4, [0.0, -1.0, -0.5, -0.3, -0.2], "closed", np.z
                  id="power-exponent-below-minus-one"),
     pytest.param(lambda: truncation_for_tolerance(_UNFITTABLE, 0.1), TailEstimateUnavailable,
                  id="truncation-fit-fails"),
+    pytest.param(lambda: coeffs_quadrature(_spec(evaluate=lambda t: np.full(np.shape(t), np.nan)), 8),
+                 NonFiniteEvaluation, id="quadrature-g-nan"),
+    pytest.param(lambda: decay_fit(_SERIES, 32, 1024), BadParameter, id="decay_fit-window-past-k_max"),
+    pytest.param(lambda: _spec(power_amp=1.0), BadParameter, id="spec-power-amp-alone"),
+    pytest.param(lambda: builtin_gamma("exp_decay", 1.0, theta=1.0), BadParameter,
+                 id="builtin-exp_decay-sigma2-none"),
+    pytest.param(lambda: fit_singularity_exponent(builtin_gamma("minus_abs", 1.0)),
+                 NonFiniteEvaluation, id="fit-derivative-negative"),
+    pytest.param(lambda: Quantizer1D(2, [1.0, -1.0], 0.4), BadParameter, id="quantizer-levels-decreasing"),
+    pytest.param(lambda: kl_reduce(_expansion(amp=[0.0]), 1), BadParameter, id="kl_reduce-zero-amplitudes"),
+    pytest.param(lambda: product_quantizer(None, aliased_expansion(_FBM, 8), 4), BadParameter,
+                 id="product_quantizer-folded-expansion"),
+    pytest.param(lambda: analytic_cov(CovModel.type_a(builtin_gamma("neg_power", 1.0, hurst=0.75), 1.0),
+                                      0.0, 0.5),
+                 BadParameter, id="analytic_cov-gamma-at-zero-unset"),
 ])
 def test_reachable_checks_raise_their_named_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_a_zero_dimensional_array_is_a_real_number():
+    value = check_real(np.array(0.25), "x")
+    assert type(value) is float and value == 0.25
+    assert CovModel.fbm(np.array(0.3), np.array(1.0)).hurst == 0.3
 
 
 def test_tail_sum_of_a_series_without_a_power_law_at_its_edges():
@@ -254,6 +273,7 @@ _QUANTIZER = product_quantizer(None, _FBM, 4)
     pytest.param(lambda: aliased_expansion(_SERIES, 8), id="aliased-exp-series"),
     pytest.param(lambda: analytic_cov(CovModel.type_a(None, 1.0), 0.2, 0.5), id="model-type_a-spec-none"),
     pytest.param(lambda: CovModel.type_c("linear", 2.0), id="model-type_c-spec-string"),
+    pytest.param(lambda: CovModel("levy", 1.0), id="model-kind-unknown"),
     pytest.param(lambda: analytic_cov(None, 0.2, 0.5), id="analytic_cov-model-none"),
     pytest.param(lambda: tail_sum(None, 4), id="tail_sum-series-none"),
     pytest.param(lambda: truncation_for_tolerance(None, 0.1), id="truncation-series-none"),
