@@ -9,16 +9,20 @@ the basis from ``cos_kind``, ``drift_kind`` and ``period_multiple`` alone.
 
 Draw discipline: the doubly-indexed normals are serialized per path as
 (Z_0, Z_1, Z_-1, Z_2, Z_-2, ...), generated from a counter-based Philox
-stream keyed by (seed, path index).  Every family draws the full block of
-2N+1 normals (plus one trailing draw for the initial value when present),
-whether or not it consumes all of them, so a path's randomness depends only
-on (seed, index), never on the family or the execution schedule.  On the
-uniform grid an expansion has the law of its folded expansion
-(:func:`specgauss.expansion.aliased_expansion`), an ordinary expansion of
-R = min(N, L) frequencies, one per distinct grid function, with the
-amplitudes of :func:`folded_amplitudes`; its paths draw 2R+1 normals in the
-same layout, plus the initial-value draw, and for N <= L they are exactly
-the paths of the expansion itself.
+stream keyed by (path index, seed), the stream of ``Philox(key=(seed mod
+2^64) 2^64 + index)``.  Each worker keeps one bit generator and re-keys it
+per path in place: it writes the key's word 0, the counter and the buffer
+position through views of numpy's Philox state, which it checks against
+``bitgen.state`` once per call (:func:`run_blocks`).  Every family draws
+the full block of 2N+1 normals (plus one trailing draw for the initial
+value when present), whether or not it consumes all of them, so a path's
+randomness depends only on (seed, index), never on the family or the
+execution schedule.  On the uniform grid an expansion has the law of its
+folded expansion (:func:`specgauss.expansion.aliased_expansion`), an
+ordinary expansion of R = min(N, L) frequencies, one per distinct grid
+function, with the amplitudes of :func:`folded_amplitudes`; its paths draw
+2R+1 normals in the same layout, plus the initial-value draw, and for
+N <= L they are exactly the paths of the expansion itself.
 
 Sampling streams paths one bounded block at a time, and everything the
 engine holds per path row counts against one budget of ``BLOCK_DOUBLES``
@@ -54,11 +58,14 @@ grid, from which :mod:`specgauss.validate` reads every pair
 without evaluating a sine or cosine per frequency.
 """
 
+import ctypes
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+
+from .errors import SpecgaussError
 
 # Everything the workers of one sampling call hold, draws and transform
 # buffers alike, fits this many doubles (8 MiB), so sampling memory grows
@@ -72,11 +79,13 @@ import numpy as np
 BLOCK_DOUBLES = 1 << 20
 
 # Rows of fewer normals than this run on one worker.  Re-keying a path's
-# stream holds the interpreter lock (about 0.6 us) while its normals, fold
-# and transform release it, so narrow rows contend instead of gaining:
-# two workers drawing 10000 paths ran 0.78x as fast as one at 129 normals
-# a row, 0.76-0.92x at 193, 1.00-1.06x at 225, 1.35x at 257 and 1.68x at
-# 321-385 (2-core box).
+# stream holds the interpreter lock (about 0.3 us) while its normals, fold
+# and transform release it, so narrow rows contend instead of gaining: two
+# workers drawing 10000 paths on as many cells as frequencies ran
+# 0.73-0.75x as fast as one at 129 normals a row,
+# 0.78-0.82x at 193, 0.88-0.89x at 225, 0.85-1.01x at 257, 0.90-1.00x at
+# 321 and 1.14-1.28x at 385 (medians of 11 alternating runs, two runs,
+# 2-core box under outside load).
 PARALLEL_MIN_DRAWS = 256
 
 
@@ -124,8 +133,14 @@ def run_blocks(exp, n_paths, row_doubles, seed, threads, block_fn):
     one budget of ``BLOCK_DOUBLES`` doubles, so a block has
     ``BLOCK_DOUBLES // (workers (draws + row_doubles))`` paths (at least
     one).  Each worker allocates its draw buffer and workspace once per
-    call, re-keys one bit generator per path and takes every
-    ``workers``-th block; the calling thread is worker 0.
+    call and takes every ``workers``-th block; the calling thread is worker
+    0.  It keeps one Philox bit generator, and re-keys it per path i in
+    place, through views of its state (:func:`_philox_views`): key word 0
+    set to i, a zero counter and an empty buffer, which is the stream of
+    ``Philox(key=hi + i)`` with ``hi`` the seed word.  Before its first
+    draw it checks that the views read what ``bitgen.state`` reports and
+    that its first re-key reads back there, and raises
+    :class:`~specgauss.errors.SpecgaussError` otherwise.
 
     The worker count is the cap ``threads`` (None: the CPUs this process
     may run on), lowered to the number of blocks the whole budget would
@@ -152,18 +167,29 @@ def run_blocks(exp, n_paths, row_doubles, seed, threads, block_fn):
     held = np.empty((workers, size * per_row))
 
     def work(first):
-        bitgen = np.random.Philox(key=hi)
+        # key word 0 all ones and one raw draw taken: a key, counter and
+        # buffer position that no re-key writes, so the guard sees the writes
+        bitgen = np.random.Philox(key=hi + (1 << 64) - 1)
+        bitgen.random_raw()
         gen = np.random.Generator(bitgen)
-        # a fresh stream: zero counter, empty buffer; key words (i, seed)
-        fresh = bitgen.state
+        key, ctr, pos = _philox_views(bitgen)
+        _check_philox(bitgen, (key.tolist(), ctr.tolist(), int(pos[0])))
+        unchecked = True
         buf = held[first, : size * width].reshape(size, width)
         space = held[first, size * width :]
         for start in range(first * rows, n_paths, workers * rows):
             stop = min(start + rows, n_paths)
             z = buf[: stop - start]
             for i in range(start, stop):
-                fresh["state"]["key"][0] = i
-                bitgen.state = fresh
+                # the counter's upper words stay 0, as no row draws 2^64
+                # blocks, and has_uint32 stays 0, as standard_normal draws
+                # no 32-bit word
+                key[0] = i
+                ctr[0] = 0
+                pos[0] = 4
+                if unchecked:
+                    _check_philox(bitgen, ([i, hi >> 64], [0, 0, 0, 0], 4))
+                    unchecked = False
                 gen.standard_normal(out=z[i - start])
             block_fn(start, stop, z, space)
 
@@ -175,6 +201,34 @@ def run_blocks(exp, n_paths, row_doubles, seed, threads, block_fn):
         work(0)
         for fut in futures:
             fut.result()
+
+
+def _philox_views(bitgen):
+    """Writable views (key, counter, buffer position) of the state of the
+    Philox bit generator ``bitgen``, in the layout of numpy's philox_state:
+    a pointer to the 4-word counter, a pointer to the 2-word key, then the
+    int buffer position; the 4-word buffer, has_uint32 and uinteger
+    follow."""
+    addr = bitgen.ctypes.state_address
+    ctr, key = (ctypes.c_void_p * 2).from_address(addr)
+    at = addr + 2 * ctypes.sizeof(ctypes.c_void_p)
+    return (
+        np.frombuffer((ctypes.c_uint64 * 2).from_address(key), np.uint64),
+        np.frombuffer((ctypes.c_uint64 * 4).from_address(ctr), np.uint64),
+        np.frombuffer(ctypes.c_int.from_address(at), np.intc),
+    )
+
+
+def _check_philox(bitgen, want):
+    """Raise unless ``bitgen.state`` reports the (key, counter, buffer
+    position) ``want``."""
+    st = bitgen.state
+    got = (st["state"]["key"].tolist(), st["state"]["counter"].tolist(), st["buffer_pos"])
+    if got != want:
+        raise SpecgaussError(
+            f"numpy {np.__version__} lays out its Philox state unlike the engine's "
+            f"views of it: bitgen.state reads {got}, the views {want}"
+        )
 
 
 def _cpu_count():

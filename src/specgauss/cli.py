@@ -278,21 +278,13 @@ def _cmd_quantize(parser, args):
     return 0
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="specgauss",
-        description="trigonometric-series Gaussian process toolkit",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("coeffs", help="cosine coefficient table as CSV")
+def _coeffs_flags(p):
     _add_model_flags(p)
     p.add_argument("--kmax", type=int, required=True, help="largest index k")
     p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(func=_cmd_coeffs)
 
-    p = sub.add_parser("simulate", help="sample paths on a uniform grid")
+
+def _simulate_flags(p):
     _add_model_flags(p)
     p.add_argument("--N", type=int, default=256, help="series truncation")
     p.add_argument("--paths", type=int, required=True, help="number of paths")
@@ -302,9 +294,9 @@ def _build_parser():
                    help="worker thread cap (default: the CPUs this process may use)")
     p.add_argument("--format", choices=("csv", "bin"), default="csv")
     p.add_argument("--out", help="output path (default stdout, csv only)")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("validate-cov", help="covariance validation report")
+
+def _validate_cov_flags(p):
     _add_model_flags(p)
     p.add_argument("--N", type=int, default=256, help="series truncation")
     p.add_argument("--paths", type=int, default=20000, help="number of paths")
@@ -314,9 +306,9 @@ def _build_parser():
     p.add_argument("--threads", type=int,
                    help="worker thread cap (default: the CPUs this process may use)")
     p.add_argument("--out", help="JSON report path (default stdout)")
-    p.set_defaults(func=_cmd_validate_cov)
 
-    p = sub.add_parser("rate", help="uniform-error rate probe report")
+
+def _rate_flags(p):
     p.add_argument("--hurst", type=float, required=True)
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--Ns", default="64,128,256,512,1024",
@@ -325,9 +317,9 @@ def _build_parser():
     p.add_argument("--slope-tol", type=float, default=0.15)
     p.add_argument("--seed", type=int, help="RNG seed (or SPECGAUSS_SEED)")
     p.add_argument("--out", help="JSON report path (default stdout)")
-    p.set_defaults(func=_cmd_rate)
 
-    p = sub.add_parser("quantize", help="product-quantizer codebook as CSV")
+
+def _quantize_flags(p):
     _add_model_flags(p)
     p.add_argument("--N", type=int, default=64, help="series truncation")
     p.add_argument("--budget", type=int, required=True, help="codebook size cap")
@@ -335,16 +327,42 @@ def _build_parser():
     p.add_argument("--grid", type=int, default=65, help="number of grid points")
     p.add_argument("--out", help="codebook CSV path (default stdout); a JSON "
                                "sidecar is written next to it")
-    p.set_defaults(func=_cmd_quantize)
 
+
+# each command's help line, the function that adds its flags and its handler
+_COMMANDS = {
+    "coeffs": ("cosine coefficient table as CSV", _coeffs_flags, _cmd_coeffs),
+    "simulate": ("sample paths on a uniform grid", _simulate_flags, _cmd_simulate),
+    "validate-cov": ("covariance validation report", _validate_cov_flags, _cmd_validate_cov),
+    "rate": ("uniform-error rate probe report", _rate_flags, _cmd_rate),
+    "quantize": ("product-quantizer codebook as CSV", _quantize_flags, _cmd_quantize),
+}
+
+
+def _build_parser(command=None):
+    """The parser of the five commands.  When ``command`` names one, only
+    its flags are added, since each ``add_argument`` builds a help formatter
+    and a run parses one command; otherwise (help, version, usage errors)
+    every command's flags are."""
+    parser = argparse.ArgumentParser(
+        prog="specgauss",
+        description="trigonometric-series Gaussian process toolkit",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_flags, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if command not in _COMMANDS or command == name:
+            add_flags(p)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
-        code = args.func(parser, args)
+        code = _COMMANDS[args.command][2](parser, args)
     except NumericalFailure as e:
         print(f"specgauss {args.command}: numerical failure: {e}", file=sys.stderr)
         return 3

@@ -147,7 +147,9 @@ class PathBatch:
     def __post_init__(self):
         g = real_array(self.grid, "grid")
         v = real_array(self.values, "values", ndim=2, min_size=0)
-        if g.size > 1 and not np.all(np.diff(g) > 0):
+        # compared, not differenced: finite grid points can differ by more
+        # than the largest double
+        if not np.all(g[1:] > g[:-1]):
             raise BadParameter("grid must be strictly increasing")
         if v.shape[1] != g.size:
             raise BadParameter("values must be (n_paths, len(grid))")

@@ -78,7 +78,9 @@ class Quantizer1D:
         lv = np.ascontiguousarray(np.asarray(self.levels, dtype=float))
         if lv.shape != (self.n,):
             raise BadParameter("levels must hold n values")
-        if self.n > 1 and not np.all(np.diff(lv) > 0):
+        # compared, not differenced: finite levels can differ by more than
+        # the largest double
+        if not np.all(lv[1:] > lv[:-1]):
             raise BadParameter("levels must be strictly increasing")
         lv.flags.writeable = False
         object.__setattr__(self, "levels", lv)

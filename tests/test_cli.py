@@ -2,12 +2,14 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from specgauss import (
     CovModel,
+    __version__,
     NumericalFailure,
     _engine,
     aliased_expansion,
@@ -18,6 +20,7 @@ from specgauss import (
     product_quantizer,
     sample_paths_fast,
 )
+from specgauss import cli
 from specgauss._util import read_csv_table
 from specgauss.cli import main
 from specgauss.expansion import PathBatch
@@ -33,6 +36,54 @@ def _usage_exit(argv):
     with pytest.raises(SystemExit) as ei:
         main(argv)
     return ei.value.code
+
+
+# ---------------------------------------------------------------------------
+# help and dispatch
+# ---------------------------------------------------------------------------
+
+_COMMANDS = ("coeffs", "simulate", "validate-cov", "rate", "quantize")
+
+
+def _help_of(capsys, parse, argv):
+    """What ``parse(argv)`` prints before it exits 0."""
+    with pytest.raises(SystemExit) as ei:
+        parse(argv)
+    assert ei.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_lists_the_five_commands(capsys):
+    text = _help_of(capsys, main, ["--help"])
+    assert text.startswith("usage: specgauss")
+    for name in _COMMANDS:
+        assert f"\n    {name} " in text, name
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_command_help_is_that_of_the_parser_with_every_flag(capsys, command):
+    text = _help_of(capsys, main, [command, "--help"])
+    assert text.startswith(f"usage: specgauss {command}") and "--out" in text
+    assert text == _help_of(capsys, cli._build_parser().parse_args, [command, "--help"])
+
+
+def test_version_prints_the_version(capsys):
+    assert _help_of(capsys, main, ["--version"]) == __version__ + "\n"
+
+
+@pytest.mark.parametrize("argv", [["bogus"], [], ["--bogus"]])
+def test_an_unknown_or_missing_command_exits_2(capsys, argv):
+    assert _usage_exit(argv) == 2
+    assert capsys.readouterr().err.startswith("usage: specgauss [-h] [--version]")
+
+
+def test_main_without_argv_reads_the_process_arguments(monkeypatch, capsys):
+    argv = ["coeffs", "--model", "brownian", "--kmax", "3"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["specgauss", *argv])
+    assert main() == 0
+    assert capsys.readouterr().out == want
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from test_expansion import all_family_expansions, sample_folded, truncated
 
 from specgauss import (
     CovModel,
+    SpecgaussError,
     _engine,
     aliased_expansion,
     build_fbm,
@@ -29,32 +30,82 @@ from specgauss import (
 _SRC = pathlib.Path(_engine.__file__).parent
 
 
+def _philox_rows(hi, n_paths, width):
+    """The rows of ``Philox(key=hi + i)`` normals, i < ``n_paths``, and the
+    64-bit words each row took."""
+    rows, words = [], []
+    for i in range(n_paths):
+        bitgen = np.random.Philox(key=hi + i)
+        rows.append(np.random.Generator(bitgen).standard_normal(width))
+        st = bitgen.state
+        words.append(4 * int(st["state"]["counter"][0]) - 4 + st["buffer_pos"])
+    return np.array(rows), words
+
+
+def _run_rows(exp, n_paths, seed, threads):
+    """The draws ``run_blocks`` hands its block function, row by row."""
+    width = _engine.draw_width(exp)
+    got = np.full((n_paths, width), np.nan)
+
+    def block(start, stop, z, work):
+        assert z.shape == (stop - start, width) and work.size == 0
+        got[start:stop] = z
+
+    _engine.run_blocks(exp, n_paths, 0, seed, threads, block)
+    return got
+
+
 @pytest.mark.parametrize("seed", [0, -7, 2**64 + 3])
 def test_run_blocks_hands_each_path_its_own_philox_stream(monkeypatch, seed):
-    n, n_paths = 5, 11
-    cases = [
-        (build_fbm(0.3, 1.0, n, fbm_coefficients(0.3, 1.0, n)), 2 * n + 1),
-        (build_generalized_ou(2.0, 0.0, 0.0, 2.0, 0.5, 1.0, n), 2 * n + 2),
-    ]
+    def fbm(n):
+        return build_fbm(0.3, 1.0, n, fbm_coefficients(0.3, 1.0, n))
+
+    ou = build_generalized_ou(2.0, 0.0, 0.0, 2.0, 0.5, 1.0, 5)
+    # (expansion, paths, block budgets in rows): blocks of one path, of
+    # three, and of all, for rows of 11 and 12 normals; rows of 4097, which
+    # span about a thousand Philox blocks each, one to a block on one worker
+    # and on two; and 70 rows of 65, in blocks of 9 rows (3 each on three
+    # workers) that do not divide 70
+    cases = [(fbm(5), 11, (1, 3, None)), (ou, 11, (1, 3, None)),
+             (fbm(2048), 3, (1, 2, None)), (fbm(32), 70, (9, None))]
     hi = (seed % 2**64) << 64
     # rows this narrow run on one worker unless the cutoff is lifted
     monkeypatch.setattr(_engine, "PARALLEL_MIN_DRAWS", 0)
-    for exp, width in cases:
-        ref = np.array([np.random.Generator(np.random.Philox(key=hi + i)).standard_normal(width)
-                        for i in range(n_paths)])
-        # blocks of one path on one worker, of one path on three, and of all
-        for budget in (width, 3 * width, _engine.BLOCK_DOUBLES):
+    for exp, n_paths, budgets in cases:
+        width = _engine.draw_width(exp)
+        ref, words = _philox_rows(hi, n_paths, width)
+        if width == 4097:
+            # the ziggurat's rejection branches draw words of their own
+            assert min(words) > width
+        for rows in budgets:
+            budget = _engine.BLOCK_DOUBLES if rows is None else rows * width
             for threads in (1, 3):
-                got = np.full((n_paths, width), np.nan)
-
-                def block(start, stop, z, work):
-                    assert z.shape == (stop - start, width) and work.size == 0
-                    got[start:stop] = z
-
                 with monkeypatch.context() as mp:
                     mp.setattr(_engine, "BLOCK_DOUBLES", budget)
-                    _engine.run_blocks(exp, n_paths, 0, seed, threads, block)
-                assert got.tobytes() == ref.tobytes(), f"width={width} budget={budget} threads={threads}"
+                    got = _run_rows(exp, n_paths, seed, threads)
+                where = f"width={width} rows={rows} threads={threads}"
+                assert got.tobytes() == ref.tobytes(), where
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_blocks_refuses_state_views_that_disagree_with_the_bit_generator(
+        monkeypatch, threads):
+    exp = build_fbm(0.3, 1.0, 300, fbm_coefficients(0.3, 1.0, 300))
+    # blocks of 5 rows of 601 normals, so that two threads run two workers
+    monkeypatch.setattr(_engine, "BLOCK_DOUBLES", 10 * _engine.draw_width(exp))
+    real = _engine._philox_views
+    broken = (
+        # views of other memory: they read what the bit generator does not
+        lambda bitgen: (np.zeros(2, np.uint64), np.zeros(4, np.uint64), np.full(1, 4, np.intc)),
+        # copies: they read right, but a re-key through them never lands
+        lambda bitgen: tuple(v.copy() for v in real(bitgen)),
+    )
+    for views in broken:
+        monkeypatch.setattr(_engine, "_philox_views", views)
+        with pytest.raises(SpecgaussError, match=f"numpy {np.__version__}"):
+            _run_rows(exp, 40, 5, threads)
+    monkeypatch.setattr(_engine, "_philox_views", real)
+    assert np.isfinite(_run_rows(exp, 40, 5, threads)).all()
 
 
 _M = 16

@@ -467,7 +467,7 @@ def test_binary_v1_keeps_the_grid_values_and_seed_word_only(exp_ou):
     # the seed comes back modulo 2^64, the word that keys the same streams
     assert back.seed == 2**64 - 5
     assert sample_paths_fast(exp_ou, 16, 9, back.seed).values.tobytes() == batch.values.tobytes()
-    # v1 has no field for the expansion label or N (ROADMAP item 7)
+    # v1 has no field for the expansion label or N (ROADMAP item 5)
     assert batch.expansion_ref and batch.truncation_N == exp_ou.truncation_N
     assert (back.expansion_ref, back.truncation_N) == ("", 0)
 
@@ -562,6 +562,14 @@ def test_path_csv_round_trips_arbitrary_finite_floats(grid, n_paths, data):
         back = PathBatch.from_csv(path)
     assert back.grid.tobytes() == batch.grid.tobytes()
     assert back.values.tobytes() == batch.values.tobytes()
+
+
+def test_a_path_grid_may_span_more_than_the_largest_double():
+    # its step overflows, so an increasing grid is checked without one
+    grid = np.array([-np.finfo(float).max, 1.690776118222338e296])
+    assert PathBatch(grid=grid, values=np.zeros((1, 2)), seed=3).grid.tobytes() == grid.tobytes()
+    with pytest.raises(BadParameter, match="strictly increasing"):
+        PathBatch(grid=grid[::-1], values=np.zeros((1, 2)), seed=3)
 
 
 @settings(max_examples=50, deadline=None)

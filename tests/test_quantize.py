@@ -11,6 +11,7 @@ from specgauss import (
     BadParameter,
     GramSingularWarning,
     NonConvergenceWarning,
+    Quantizer1D,
     TooFewPaths,
     allocate_levels,
     build_fbm,
@@ -58,6 +59,12 @@ def test_one_level_quantizer():
     assert q.levels[0] == 0.0
     assert q.boundaries.size == 0
     assert q.distortion == 1.0
+
+
+def test_levels_may_span_more_than_the_largest_double():
+    # their gap overflows, so increasing levels are checked without one
+    big = np.finfo(float).max
+    assert Quantizer1D(2, [-big, big], 0.0).levels.tolist() == [-big, big]
 
 
 def test_quantizer_structure_and_stationarity():
